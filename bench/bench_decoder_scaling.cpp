@@ -22,6 +22,7 @@
 #include "runtime/kv_cache.hpp"
 #include "runtime/prefix_cache.hpp"
 #include "runtime/telemetry.hpp"
+#include "runtime/traffic.hpp"
 #include "runtime/workspace_arena.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   // --ci marks the gated CI invocation (mirroring bench_traffic): the
   // workload is identical — same seeds, same bit-identity gates — and
   // small enough to run on every push; the flag only tags the output.
-  // --trace <path> arms runtime telemetry on the executed scheduler mix
+  // --trace <path> arms runtime telemetry on the executed serving mix
   // and writes its Chrome trace-event JSON there.
   bool ci = false;
   std::string trace_path;
@@ -286,7 +287,7 @@ int main(int argc, char** argv) {
 
   // Executed: a short-sequence mix served dense (4 full-capacity slots)
   // and paged (one shared pool of the SAME self-KV byte budget). The
-  // scheduler's peak concurrency is the record; outputs must stay bit
+  // engine's peak concurrency is the record; outputs must stay bit
   // identical between the two layouts.
   {
     ref::ModelConfig small;
@@ -303,7 +304,7 @@ int main(int argc, char** argv) {
     for (float& x : memory.flat()) x = static_cast<float>(rng.normal());
     for (float& x : calib.flat()) x = static_cast<float>(rng.normal());
 
-    runtime::GenerationScheduler scheduler(
+    runtime::TrafficEngine engine(
         accel::AccelConfig{}, accel::prepare_decoder(weights, calib, memory));
     std::vector<runtime::GenerationRequest> requests;
     for (size_t i = 0; i < 48; ++i) {  // short mix: 4 rows per sequence
@@ -326,23 +327,23 @@ int main(int argc, char** argv) {
       requests.push_back(std::move(req));
     }
 
-    runtime::GenerationSchedulerOptions dense;
+    runtime::TrafficOptions dense;
     dense.slots = 4;
     dense.kv_block_rows = 0;  // full-capacity reservation per slot
-    const auto dense_results = scheduler.run(requests, dense);
-    const auto dense_stats = scheduler.last_run();
+    const auto dense_results = engine.run(requests, dense);
+    const auto dense_stats = engine.last_run();
     const uint64_t dense_bytes =
         accel::estimate_kv_footprint(small, small.seq_len, 4).dense_bytes *
         dense.slots;
 
-    runtime::GenerationSchedulerOptions paged;
+    runtime::TrafficOptions paged;
     paged.kv_block_rows = 4;
     // Equal self-KV budget: (4 slots x 32 rows) / 4-row blocks.
     paged.kv_pool_blocks = dense.slots * small.seq_len / paged.kv_block_rows;
     paged.slots = paged.kv_pool_blocks;  // let the pool be the limiter
     paged.telemetry = &telemetry;  // inert unless --trace configured it
-    const auto paged_results = scheduler.run(requests, paged);
-    const auto paged_stats = scheduler.last_run();
+    const auto paged_results = engine.run(requests, paged);
+    const auto paged_stats = engine.last_run();
     const uint64_t paged_bytes =
         uint64_t{paged.kv_pool_blocks} * paged.kv_block_rows *
         accel::estimate_kv_footprint(small, 1, 1).row_bytes;
@@ -378,7 +379,7 @@ int main(int argc, char** argv) {
                        paged_identical ? 1.0 : 0.0, "bool"});
     // Telemetry from the paged run: full lifecycle recorded, histogram
     // percentiles folded into the same record file, Chrome trace to
-    // --trace. The stepped loop stamps events with its scheduler step.
+    // --trace.
     if (telemetry.enabled()) {
       using TE = runtime::TraceEventType;
       identical = identical &&
@@ -419,7 +420,7 @@ int main(int argc, char** argv) {
     for (float& x : memory.flat()) x = static_cast<float>(rng.normal());
     for (float& x : calib.flat()) x = static_cast<float>(rng.normal());
 
-    runtime::GenerationScheduler scheduler(
+    runtime::TrafficEngine engine(
         accel::AccelConfig{}, accel::prepare_decoder(weights, calib, memory));
     std::vector<runtime::GenerationRequest> requests;
     for (size_t i = 0; i < 96; ++i) {  // short mix: 4 rows per sequence
@@ -456,18 +457,18 @@ int main(int argc, char** argv) {
     const bool widths_ok = row_fp8 == row_int8 && row_fp4 == row_int8 / 2;
 
     // fp8 reproducibility: dense vs paged, and paged run-to-run.
-    runtime::GenerationSchedulerOptions fp8_dense;
+    runtime::TrafficOptions fp8_dense;
     fp8_dense.slots = 4;
     fp8_dense.kv_block_rows = 0;
     fp8_dense.kv_storage = numeric::KvStorage::kFp8E4M3;
-    const auto fp8_dense_results = scheduler.run(requests, fp8_dense);
-    runtime::GenerationSchedulerOptions fp8_paged;
+    const auto fp8_dense_results = engine.run(requests, fp8_dense);
+    runtime::TrafficOptions fp8_paged;
     fp8_paged.kv_block_rows = 4;
     fp8_paged.kv_pool_blocks = 32;
     fp8_paged.slots = 32;
     fp8_paged.kv_storage = numeric::KvStorage::kFp8E4M3;
-    const auto fp8_paged_a = scheduler.run(requests, fp8_paged);
-    const auto fp8_paged_b = scheduler.run(requests, fp8_paged);
+    const auto fp8_paged_a = engine.run(requests, fp8_paged);
+    const auto fp8_paged_b = engine.run(requests, fp8_paged);
     bool fp8_identical = fp8_paged_a.size() == fp8_dense_results.size();
     for (size_t i = 0; fp8_identical && i < fp8_paged_a.size(); ++i) {
       fp8_identical = fp8_paged_a[i].states == fp8_dense_results[i].states &&
@@ -478,20 +479,20 @@ int main(int argc, char** argv) {
     // budget): int8 carves 32 blocks, fp4's half-width rows carve 64 —
     // executed concurrency must at least double.
     const uint64_t budget_bytes = uint64_t{32} * 4 * row_int8;
-    runtime::GenerationSchedulerOptions int8_run;
+    runtime::TrafficOptions int8_run;
     int8_run.kv_block_rows = 4;
     int8_run.kv_pool_blocks =
         budget_bytes / (4 * row_int8);  // 32 blocks
     int8_run.slots = 96;                // pool is the limiter
-    const auto int8_results = scheduler.run(requests, int8_run);
-    const auto int8_stats = scheduler.last_run();
+    const auto int8_results = engine.run(requests, int8_run);
+    const auto int8_stats = engine.last_run();
 
-    runtime::GenerationSchedulerOptions fp4_run = int8_run;
+    runtime::TrafficOptions fp4_run = int8_run;
     fp4_run.kv_storage = numeric::KvStorage::kFp4E2M1;
     fp4_run.kv_pool_blocks = budget_bytes / (4 * row_fp4);  // 64 blocks
-    const auto fp4_a = scheduler.run(requests, fp4_run);
-    const auto fp4_stats = scheduler.last_run();
-    const auto fp4_b = scheduler.run(requests, fp4_run);
+    const auto fp4_a = engine.run(requests, fp4_run);
+    const auto fp4_stats = engine.last_run();
+    const auto fp4_b = engine.run(requests, fp4_run);
     bool fp4_deterministic = fp4_a.size() == fp4_b.size();
     for (size_t i = 0; fp4_deterministic && i < fp4_a.size(); ++i) {
       fp4_deterministic = fp4_a[i].states == fp4_b[i].states;
@@ -917,7 +918,7 @@ int main(int argc, char** argv) {
       prompts.push_back(std::move(p));
     }
     // Chunked tail feed shared by both passes (same schedule the
-    // scheduler runs, so the MAC model replays it exactly).
+    // traffic engine runs, so the MAC model replays it exactly).
     const auto feed_tail = [&](runtime::GenerationSession& s,
                                const tensor::MatrixF& prompt, size_t from,
                                tensor::MatrixF& states) {

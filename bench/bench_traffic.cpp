@@ -254,12 +254,12 @@ int main(int argc, char** argv) {
   gate.require(!beam_items.empty(), "trace contains a beam request");
 
   // --- solo references (unconstrained bits, one request at a time) ----------
-  runtime::GenerationScheduler ref_sched(hx.acfg, hx.qd);
+  runtime::TrafficEngine ref_sched(hx.acfg, hx.qd);
   auto ref_built = build_requests(hx, engine_items);
   std::vector<runtime::GenerationRequest> ref_gens;
   ref_gens.reserve(ref_built.reqs.size());
   for (auto& r : ref_built.reqs) ref_gens.push_back(r.gen);
-  runtime::GenerationSchedulerOptions ref_opts;
+  runtime::TrafficOptions ref_opts;
   ref_opts.slots = 1;  // strictly sequential, private dense caches
   ref_opts.kv_block_rows = 0;
   const auto reference = ref_sched.run(ref_gens, ref_opts);
@@ -516,7 +516,7 @@ int main(int argc, char** argv) {
     std::vector<runtime::GenerationRequest> pref_gens;
     pref_gens.reserve(pref_built.reqs.size());
     for (auto& r : pref_built.reqs) pref_gens.push_back(r.gen);
-    runtime::GenerationSchedulerOptions pref_opts;
+    runtime::TrafficOptions pref_opts;
     pref_opts.slots = 1;
     pref_opts.kv_block_rows = 0;
     const auto pref = ref_sched.run(pref_gens, pref_opts);

@@ -3,7 +3,7 @@
 // KV-cached generation engine (runtime/decode_policy.hpp).
 //
 // Greedy and sampled requests plug into the continuous-batching
-// scheduler through TokenStream callbacks (the engine stays
+// TrafficEngine through TokenStream callbacks (the engine stays
 // vocabulary-free); beam search runs on copy-on-write KV forking: one
 // prefill of the prompt, then every beam adopts the prompt's block table
 // by refcount and pays a single block copy at its first divergent
@@ -17,6 +17,7 @@
 #include "ref/weights.hpp"
 #include "runtime/decode_policy.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/traffic.hpp"
 #include "util/rng.hpp"
 
 int main() {
@@ -64,11 +65,11 @@ int main() {
     std::printf("\n");
   };
 
-  // --- greedy + sampled streams through the scheduler ----------------------
+  // --- greedy + sampled streams through the serving engine -----------------
   // One greedy request plus three sampled ones with different seeds; the
-  // per-request TokenStream owns all policy state, so the scheduler's
+  // per-request TokenStream owns all policy state, so the engine's
   // slot/thread choices cannot change the streams.
-  runtime::GenerationScheduler scheduler(hw_config, std::move(qd));
+  runtime::TrafficEngine engine(hw_config, std::move(qd));
   std::vector<std::unique_ptr<runtime::TokenStream>> streams;
   std::vector<runtime::GenerationRequest> requests;
   for (int i = 0; i < 4; ++i) {
@@ -90,10 +91,10 @@ int main() {
     req.next_token = streams.back()->callback();
     requests.push_back(std::move(req));
   }
-  runtime::GenerationSchedulerOptions sched_opts;
-  sched_opts.slots = 2;
-  sched_opts.kv_block_rows = 4;
-  scheduler.run(requests, sched_opts);
+  runtime::TrafficOptions engine_opts;
+  engine_opts.slots = 2;
+  engine_opts.kv_block_rows = 4;
+  engine.run(requests, engine_opts);
   std::printf("decode policies over one engine (prompt: 7 3 19 4)\n\n");
   print_tokens("greedy:", streams[0]->tokens());
   for (int i = 1; i < 4; ++i) {
@@ -108,14 +109,14 @@ int main() {
   beam_opts.beam_width = 4;
   beam_opts.max_new_tokens = 10;
   beam_opts.kv_block_rows = 4;
-  runtime::BeamSearchDecoder beam(hw_config, scheduler.model(), vocab,
+  runtime::BeamSearchDecoder beam(hw_config, engine.model(), vocab,
                                   beam_opts);
   const auto hyps = beam.generate(prompt, memory);
   const auto& stats = beam.last_run();
 
   runtime::BeamSearchOptions eager_opts = beam_opts;
   eager_opts.cow = false;
-  runtime::BeamSearchDecoder eager(hw_config, scheduler.model(), vocab,
+  runtime::BeamSearchDecoder eager(hw_config, engine.model(), vocab,
                                    eager_opts);
   const auto eager_hyps = eager.generate(prompt, memory);
   bool identical = hyps.size() == eager_hyps.size();

@@ -1,4 +1,5 @@
-// KV-cached incremental decoding + continuous-batching generation engine.
+// KV-cached incremental decoding: per-stream generation sessions and the
+// request type the serving engine takes.
 //
 // The full-recompute decoder path reruns the whole target prefix on every
 // autoregressive step, so emitting T tokens costs O(T^2) total GEMM work.
@@ -21,25 +22,13 @@
 //     full-recompute forward: int32 accumulation is exact and every op
 //     is row-wise.
 //
-//   * GenerationScheduler — step-level continuous batching. Sequences are
-//     admitted into a fixed number of slots and retired the step they
-//     finish, so a short sequence frees its slot for the next pending
-//     request while long ones keep decoding — no batch barrier. threads=1
-//     runs the deterministic round-robin step loop (admit -> step every
-//     active sequence -> retire); threads>1 runs slots on worker threads
-//     whose per-layer stages interleave through the MHA/FFN module-slot
-//     semaphores (runtime/module_gate.hpp). With a shared KvBlockPool
-//     (kv_pool_blocks > 0) the scheduler reserves a sequence's worst-case
-//     blocks at admission — all or nothing — so a request that cannot
-//     get its blocks WAITS (deterministic FCFS deferral in stepped mode,
-//     a condition-variable park in threaded mode) instead of corrupting
-//     a neighbor's rows; retirement releases the blocks and wakes the
-//     queue. Reserve-at-admission means no sequence ever stalls
-//     mid-decode holding blocks others need, so exhaustion can delay but
-//     never deadlock a run. Chunked prefill (prefill_chunk > 0) splits
-//     prompt processing into chunk-sized stack passes so one long prompt
-//     cannot stall the step loop; outputs are bit-identical for every
-//     chunk size, slot, thread or module-slot count.
+//   * GenerationRequest — one prompt + encoder memory + token callback,
+//     the unit TrafficEngine (runtime/traffic.hpp) serves. The engine is
+//     the runtime's one request loop: a closed batch of these runs
+//     through the same coordinator as open SLO traffic, with continuous
+//     batching (a finished sequence frees its seat the round it ends),
+//     optional chunked prefill, and bit-identical outputs for every
+//     slot, thread, module-slot, KV-layout or chunk choice.
 //
 // Token policy (greedy argmax, sampling, beam bookkeeping) stays with the
 // caller: requests carry a next_token callback mapping the newest output
@@ -63,7 +52,6 @@
 namespace protea::runtime {
 
 class PrefixCache;
-class Telemetry;  // runtime/telemetry.hpp
 
 struct GenerationOptions {
   /// Self-K/V tokens per block. 0 selects the dense (PR-3) layout.
@@ -164,11 +152,9 @@ class GenerationSession {
 
   /// Paged-cache admission control (no-ops returning success in dense
   /// mode). try_reserve_rows() grows the sequence's block table to cover
-  /// `rows` total rows, all or nothing; reserve_rows_wait() parks until
-  /// the shared pool can satisfy it; end_sequence() releases every held
-  /// block so waiting admissions can proceed.
+  /// `rows` total rows, all or nothing; end_sequence() releases every
+  /// held block so waiting admissions can proceed.
   bool try_reserve_rows(size_t rows);
-  void reserve_rows_wait(size_t rows);
   void end_sequence();
 
   /// Copy-on-write fork (runtime/kv_cache.hpp): adopts `parent`'s whole
@@ -274,107 +260,13 @@ class SequenceScope {
 /// prefill and after every decode step, `next_token` maps the newest
 /// output state to the next input embedding (written into `next`,
 /// 1 x d_model) — return false to finish early (EOS). Must be
-/// thread-safe when the scheduler runs threaded.
+/// thread-safe when the engine runs threaded.
 struct GenerationRequest {
   tensor::MatrixF prefix;
   const tensor::MatrixF* memory = nullptr;
   uint32_t max_new_tokens = 0;
   std::function<bool(std::span<const float> state, tensor::MatrixF& next)>
       next_token;
-};
-
-struct GenerationResult {
-  /// (prefix rows + steps) x d output states, in position order.
-  tensor::MatrixF states;
-  uint32_t steps = 0;        // decode steps executed
-  uint32_t admitted_at = 0;  // scheduler step of admission (stepped mode)
-  uint32_t retired_at = 0;   // scheduler step of retirement (stepped mode)
-};
-
-struct GenerationSchedulerOptions {
-  size_t slots = 4;        // concurrent sequences (live sessions)
-  size_t threads = 1;      // 1 = deterministic round-robin step loop
-  uint32_t mha_slots = 0;  // module semaphore widths (0 -> worker count)
-  uint32_t ffn_slots = 0;
-  /// Prompt rows per prefill pass (0 = whole prompt at admission). In
-  /// stepped mode a long prompt then advances one chunk per scheduler
-  /// step instead of stalling the loop.
-  size_t prefill_chunk = 0;
-  /// Self-K/V tokens per block (0 = dense per-slot caches, PR-3 layout).
-  size_t kv_block_rows = 16;
-  /// > 0: ONE shared KvBlockPool of this many blocks serves every slot,
-  /// with worst-case blocks reserved at admission (block-exhaustion
-  /// backpressure). 0: each slot gets a private full-capacity pool.
-  size_t kv_pool_blocks = 0;
-  /// Cross-request prefix cache (runtime/prefix_cache.hpp) over the
-  /// shared pool: completed prompts are published block-by-block and
-  /// later requests adopt matching prefixes by refcount, prefilling only
-  /// the uncovered tail; repeated memories skip the cross-K/V projection.
-  /// Under pool pressure admissions reclaim cold cache blocks before
-  /// waiting. Requires kv_pool_blocks > 0. Outputs stay bit-identical;
-  /// in threaded mode the hit/miss SPLIT may vary with interleaving.
-  bool prefix_cache = false;
-  /// Self-K/V storage format for every slot (and the shared pool's row
-  /// width) — see GenerationOptions::kv_storage. With kv_pool_blocks
-  /// fixed, fp4 halves each sequence's block bytes, which is what lets
-  /// one pool budget serve ~2x the concurrent sequences.
-  numeric::KvStorage kv_storage = numeric::KvStorage::kInt8;
-  /// Runtime telemetry sink (runtime/telemetry.hpp): when non-null AND
-  /// configured, the scheduler records the request lifecycle — admit,
-  /// prefill chunks, decode steps, complete — plus pool occupancy, and
-  /// observes queue-wait and time-to-first-token histograms. Stepped
-  /// mode stamps every event with the scheduler step (deterministic);
-  /// threaded mode has no global step clock, so its events keep round 0
-  /// and their ORDER follows wall time. An unconfigured Telemetry is
-  /// inert; must outlive the run. Never perturbs outputs or schedule.
-  Telemetry* telemetry = nullptr;
-};
-
-struct GenerationRunStats {
-  uint64_t prefills = 0;
-  uint64_t prefill_chunks = 0;   // prefill stack passes (>= prefills)
-  uint64_t decode_steps = 0;     // across all sequences
-  uint64_t scheduler_steps = 0;  // step-loop iterations (stepped mode)
-  uint32_t max_active = 0;       // peak concurrently-active sequences
-  /// Admissions deferred because the shared pool was short (stepped) or
-  /// parked waiting for blocks (threaded). 0 without a shared pool.
-  uint64_t kv_block_waits = 0;
-  /// Peak concurrently-held blocks of the shared pool (0 without one).
-  uint64_t kv_blocks_peak = 0;
-  /// Prefix-cache counters (all 0 when opts.prefix_cache is off),
-  /// snapshotted from the cache at the end of the run.
-  uint64_t prefix_hits = 0;
-  uint64_t prefix_misses = 0;
-  uint64_t prefix_rows_adopted = 0;
-  uint64_t prefix_bytes_saved = 0;
-  uint64_t cross_kv_hits = 0;
-  uint64_t cross_kv_misses = 0;
-  uint64_t prefix_evictions = 0;
-  double wall_ms = 0.0;
-};
-
-class GenerationScheduler {
- public:
-  /// Takes ownership of the model (shared read-only by all slots).
-  GenerationScheduler(accel::AccelConfig config,
-                      accel::QuantizedDecoder model);
-
-  /// Runs every request to completion with continuous batching across
-  /// `opts.slots` sessions. Outputs are bit-identical for any slot,
-  /// thread, module-slot, KV-layout or prefill-chunk choice (the int8
-  /// datapath is exact and per-sequence work is scheduling-invariant).
-  std::vector<GenerationResult> run(
-      const std::vector<GenerationRequest>& requests,
-      const GenerationSchedulerOptions& opts = {});
-
-  const GenerationRunStats& last_run() const { return last_run_; }
-  const accel::QuantizedDecoder& model() const { return model_; }
-  const accel::AccelConfig& config() const { return config_; }
-
- private:
-  accel::AccelConfig config_;
-  accel::QuantizedDecoder model_;
-  GenerationRunStats last_run_;
 };
 
 }  // namespace protea::runtime

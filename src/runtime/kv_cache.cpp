@@ -204,38 +204,6 @@ void KvBlockPool::wait_for_blocks_locked(std::unique_lock<std::mutex>& lock,
   }
 }
 
-void KvBlockPool::reserve_wait(size_t n, std::vector<uint32_t>& out,
-                               KvPoolCredit* credit) {
-  if (n == 0) return;
-  std::unique_lock lock(mutex_);
-  if (!configured()) {
-    throw std::logic_error("KvBlockPool::reserve_wait: not configured");
-  }
-  if (n > num_blocks_) {
-    throw KvBlockExhausted(
-        "KvBlockPool::reserve_wait: request exceeds pool size");
-  }
-  // Loop (not a single retry): an injected failpoint can fail the take
-  // while the wait predicate is already true, in which case the wait
-  // returns immediately and the retry consumes the next trip — finite
-  // injections can therefore never wedge a blocking reserve.
-  while (!take_locked(n, out, credit, /*skip_zero=*/false)) {
-#ifdef PROTEA_FAILPOINTS
-    // force_exhaustion fails EVERY take, so the retry loop would spin at
-    // 100% CPU on its own failpoint (the wait predicate stays true).
-    // Failpoints are test-only: fail loudly instead of live-locking.
-    if (force_exhausted_) {
-      throw KvBlockExhausted(
-          "KvBlockPool::reserve_wait: forced-exhaustion failpoint armed");
-    }
-#endif
-    // Only uncredited takes can fall through (credited ones either
-    // succeed or throw); each shortfall was recorded as one event.
-    // The wait drains the reclaim hook before parking and on every wake.
-    wait_for_blocks_locked(lock, n);
-  }
-}
-
 void KvBlockPool::release(std::span<const uint32_t> blocks) {
   if (blocks.empty()) return;
   {
@@ -621,20 +589,6 @@ void KvCache::reserve_rows(size_t rows) {
   if (!try_reserve_rows(rows)) {
     throw KvBlockExhausted("KvCache::reserve_rows: block pool exhausted");
   }
-}
-
-void KvCache::reserve_rows_wait(size_t rows) {
-  if (!configured()) {
-    throw std::logic_error("KvCache::reserve_rows_wait: not configured");
-  }
-  if (rows > capacity_) {
-    throw std::invalid_argument(
-        "KvCache::reserve_rows_wait: rows exceed capacity");
-  }
-  if (!paged() || rows <= reserved_rows()) return;
-  const size_t need =
-      util::ceil_div(rows, block_rows_) - block_table_.size();
-  pool_->reserve_wait(need, block_table_, credit_);
 }
 
 void KvCache::release_blocks() {

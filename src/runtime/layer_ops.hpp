@@ -278,7 +278,7 @@ void run_cross_attention_cached(const LayerOpContext& ctx,
 /// prefix and the prefilled cross projections (cache.memory_len() rows),
 /// then projection-LN + FFN. The optional gate brackets the MHA-module
 /// stages (both attentions) and FFN-module stages (projections + FFN)
-/// for the generation scheduler.
+/// for the serving engine's threaded mode.
 void run_decoder_layer_cached(const LayerOpContext& ctx,
                               const accel::QDecoderLayer& layer,
                               tensor::ConstMatrixViewI8 x, size_t pos,

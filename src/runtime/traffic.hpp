@@ -1,16 +1,16 @@
-// SLO-aware traffic engine: the robustness layer over the generation
-// scheduler — victim preemption, priority classes, deadlines, cooperative
+// The serving engine: continuous batching over GenerationSessions with
+// victim preemption, priority classes, deadlines, cooperative
 // cancellation and graceful load shedding, driven by a seeded synthetic
-// trace generator.
+// trace generator. It is the one request loop of the runtime: open
+// traffic (TrafficRequest, with arrivals and SLO classes) and closed
+// batches (plain GenerationRequests, all arriving at round 0 in one
+// class) run through the same coordinator.
 //
-// The PR-4 scheduler is deadlock-free because admission is pessimistic:
-// a sequence's worst-case KV blocks are reserved up front, so under
-// bursty traffic the pool sits underused while requests queue, and
-// nothing can cancel, time out or be preempted once admitted. This
-// engine flips that: admission is OPTIMISTIC (only the first prefill
-// chunk is reserved) and block tables grow on demand; when the pool
-// comes up short, a strictly worse-ranked victim is preempted instead of
-// the requester waiting forever. Two recovery flavors, both bit-exact:
+// Admission is OPTIMISTIC: only the first prefill chunk is reserved and
+// block tables grow on demand, so the pool is never held idle by
+// worst-case reservations. When the pool comes up short, a strictly
+// worse-ranked victim is preempted instead of the requester waiting
+// forever. Two recovery flavors, both bit-exact:
 //
 //   * swap-out — the victim's block-table contents spill into a side
 //     buffer (KvCache::swap_out) and come back by rescatter
@@ -20,7 +20,8 @@
 //   * drop-and-recompute — the victim releases everything and is
 //     re-prefilled from its retained token history (prompt rows + the
 //     embeddings already fed) through the chunked-prefill path, which
-//     PR 4 proved bit-identical for any chunking.
+//     is bit-identical for any chunking. Dense seats (kv_block_rows = 0)
+//     have no blocks to spill and always recover this way.
 //
 // Scheduling is priority- and deadline-aware: requests are ranked by
 // (priority class, absolute deadline, arrival, submission order) — a
@@ -129,10 +130,17 @@ struct TrafficOptions {
   uint32_t mha_slots = 0;  // module semaphore widths (0 -> worker count)
   uint32_t ffn_slots = 0;
   size_t prefill_chunk = 0;   // prompt rows per round (0 = whole prompt)
-  size_t kv_block_rows = 16;  // must be paged (> 0)
-  /// Shared pool size in blocks (ignored when kv_pool is given). The
-  /// traffic engine requires a shared paged pool — preemption is a
-  /// statement about contention.
+  /// Self-K/V rows per block of the owned pool (ignored when kv_pool is
+  /// given). 0 gives every seat a private dense full-capacity cache and
+  /// no pool: requests never wait for blocks, and a seat is preempted
+  /// only when a better-ranked request needs the seat itself, always by
+  /// drop-and-recompute. prefix_cache and failpoints need a pool, so
+  /// combining them with 0 throws std::invalid_argument.
+  size_t kv_block_rows = 16;
+  /// Owned pool size in blocks (ignored when kv_pool is given or the
+  /// cache is dense). 0 sizes it at min(slots, requests) x
+  /// ceil(seq_len / kv_block_rows) blocks, so every seat can hold a
+  /// full-capacity sequence and no request ever waits for blocks.
   size_t kv_pool_blocks = 0;
   KvBlockPool* kv_pool = nullptr;  // external pool (must outlive the run)
   PreemptionRecovery recovery = PreemptionRecovery::kAuto;
@@ -140,7 +148,7 @@ struct TrafficOptions {
   /// beyond this fall back to drop-and-recompute.
   size_t swap_slots = 2;
   /// false disables victim preemption entirely (requests then stall
-  /// until blocks free up — the PR-4 behavior, kept for comparison).
+  /// until blocks free up, with the stall valve as the backstop).
   bool preemption = true;
   /// Cross-request prefix cache (runtime/prefix_cache.hpp): admissions
   /// adopt cached prompt blocks by refcount and reuse cached cross-K/V
@@ -253,8 +261,8 @@ std::vector<StatSample> flatten_stats(const SchedulerStats& stats);
 std::string scheduler_stats_json(const SchedulerStats& stats);
 
 /// Continuous-batching engine with preemption, deadlines and shedding.
-/// Owns the model; run() is reentrant across calls like
-/// GenerationScheduler.
+/// Owns the model (shared read-only by every seat); run() is reentrant
+/// across calls.
 class TrafficEngine {
  public:
   TrafficEngine(accel::AccelConfig config, accel::QuantizedDecoder model);
@@ -266,6 +274,13 @@ class TrafficEngine {
   std::vector<TrafficResult> run(const std::vector<TrafficRequest>& requests,
                                  const TrafficOptions& opts = {});
 
+  /// Closed batch: serves every request as a TrafficRequest arriving at
+  /// round 0 in the standard class, so ranks follow submission order.
+  /// Outputs are bit-identical for any slot, thread, module-slot,
+  /// KV-layout or prefill-chunk choice.
+  std::vector<TrafficResult> run(const std::vector<GenerationRequest>& requests,
+                                 const TrafficOptions& opts = {});
+
   const SchedulerStats& last_run() const { return last_run_; }
   const accel::QuantizedDecoder& model() const { return model_; }
   const accel::AccelConfig& config() const { return config_; }
@@ -275,6 +290,15 @@ class TrafficEngine {
   accel::QuantizedDecoder model_;
   SchedulerStats last_run_;
 };
+
+/// Names of the closed-batch scheduler that TrafficEngine absorbed. Kept
+/// only because the benchmark's solo reference (perfbench/src/
+/// workloads.cpp) still names them, and the benchmark's files change
+/// only together with the benchmark itself. New code uses the engine
+/// names.
+using GenerationScheduler = TrafficEngine;
+using GenerationSchedulerOptions = TrafficOptions;
+using GenerationResult = TrafficResult;
 
 // --- synthetic trace generation ---------------------------------------------
 

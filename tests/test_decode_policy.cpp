@@ -16,6 +16,7 @@
 #include "ref/weights.hpp"
 #include "runtime/decode_policy.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/traffic.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
@@ -236,11 +237,11 @@ TEST(TokenStream, SamplingIsSeedDeterministicAndTopK1IsGreedy) {
 }
 
 TEST(TokenStream, SchedulerSteppedAndThreadedEmitIdenticalStreams) {
-  // Sampling policies ride the UNCHANGED scheduler through the
+  // Sampling policies ride the UNCHANGED engine through the
   // next_token callback; per-request RNG + history make the streams
   // invariant to slots/threads/chunking.
   PolicyFixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
 
   const size_t n_req = 5;
   std::vector<std::vector<uint32_t>> prompts;
@@ -269,12 +270,12 @@ TEST(TokenStream, SchedulerSteppedAndThreadedEmitIdenticalStreams) {
       req.next_token = streams.back()->callback();
       requests.push_back(std::move(req));
     }
-    runtime::GenerationSchedulerOptions opts;
+    runtime::TrafficOptions opts;
     opts.slots = 3;
     opts.threads = threads;
     opts.prefill_chunk = prefill_chunk;
     opts.kv_block_rows = 4;
-    scheduler.run(requests, opts);
+    engine.run(requests, opts);
     std::vector<std::vector<uint32_t>> tokens;
     for (auto& s : streams) tokens.push_back(s->tokens());
     return tokens;

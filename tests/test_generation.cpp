@@ -1,8 +1,8 @@
 // Tests for the KV-cached generation engine: bit-identity of incremental
 // decoding against the full-recompute decoder path, the incremental
-// cycle model's agreement with per-step execution, and the continuous-
-// batching scheduler's admit/retire semantics in both its deterministic
-// step-loop and threaded module-slot modes.
+// cycle model's agreement with per-step execution, and the serving
+// engine's continuous-batching admit/retire semantics for closed batches
+// in both its stepped and threaded module-slot modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +15,13 @@
 #include "ref/decoder.hpp"
 #include "ref/weights.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/traffic.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
 namespace {
+
+using runtime::TrafficClassStats;
 
 ref::ModelConfig small_config() {
   ref::ModelConfig c;
@@ -390,7 +393,7 @@ TEST(GenerationPerf, StepModelValidatesArguments) {
       std::invalid_argument);
 }
 
-// --- continuous-batching scheduler ------------------------------------------
+// --- continuous batching of closed batches -----------------------------------
 
 runtime::GenerationRequest make_request(const Fixture& fx, uint64_t seed,
                                         uint32_t max_new) {
@@ -411,16 +414,16 @@ runtime::GenerationRequest make_request(const Fixture& fx, uint64_t seed,
   return req;
 }
 
-TEST(GenerationScheduler, MatchesIndividualSessions) {
+TEST(ClosedBatch, MatchesIndividualSessions) {
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   for (uint64_t i = 0; i < 5; ++i) {
     requests.push_back(make_request(fx, 90 + i, 4 + i % 3));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions opts;
   opts.slots = 2;
-  const auto results = scheduler.run(requests, opts);
+  const auto results = engine.run(requests, opts);
   ASSERT_EQ(results.size(), requests.size());
 
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -445,37 +448,42 @@ TEST(GenerationScheduler, MatchesIndividualSessions) {
   }
 }
 
-TEST(GenerationScheduler, ShortSequencesFreeSlotsForPending) {
+TEST(ClosedBatch, ShortSequencesFreeSlotsForPending) {
   // Continuous batching: with 2 slots and lengths {7,2,2,2}, the short
   // sequences hand their slot to the queue while the long one keeps
-  // decoding — 7 scheduler steps total. A batch-barrier scheduler
-  // (waves of 2) would need max(7,2) + max(2,2) = 9.
+  // decoding — 9 rounds total (an admitting round runs only the prefill
+  // unit). A batch-barrier scheduler (waves of 2) would need
+  // (1 + max(7,2)) + (1 + max(2,2)) = 11.
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   const uint32_t lengths[] = {7, 2, 2, 2};
   for (uint64_t i = 0; i < 4; ++i) {
     requests.push_back(make_request(fx, 100 + i, lengths[i]));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions opts;
   opts.slots = 2;
-  const auto results = scheduler.run(requests, opts);
+  const auto results = engine.run(requests, opts);
 
-  const auto& stats = scheduler.last_run();
-  EXPECT_EQ(stats.scheduler_steps, 7u);
-  EXPECT_EQ(stats.prefills, 4u);
+  const auto& stats = engine.last_run();
+  EXPECT_EQ(stats.rounds, 9u);
+  EXPECT_EQ(stats.total(&TrafficClassStats::completed), 4u);
   EXPECT_EQ(stats.decode_steps, 7u + 2 + 2 + 2);
   EXPECT_EQ(stats.max_active, 2u);
-  // Slot handoff order: r1 retires at step 1, r2 admitted at step 2,
-  // retires at step 3; r3 admitted at 4; the long r0 retires last.
-  EXPECT_EQ(results[0].admitted_at, 0u);
-  EXPECT_EQ(results[0].retired_at, 6u);
-  EXPECT_EQ(results[1].retired_at, 1u);
-  EXPECT_EQ(results[2].admitted_at, 2u);
-  EXPECT_EQ(results[3].admitted_at, 4u);
+  // Slot handoff order: r1 retires at round 2, r2 admitted at round 3,
+  // retires at 5; r3 admitted at 6; the long r0 retires at 7 and r3
+  // last, at 8.
+  EXPECT_EQ(results[0].admitted_round, 0u);
+  EXPECT_EQ(results[0].retired_round, 7u);
+  EXPECT_EQ(results[1].admitted_round, 0u);
+  EXPECT_EQ(results[1].retired_round, 2u);
+  EXPECT_EQ(results[2].admitted_round, 3u);
+  EXPECT_EQ(results[2].retired_round, 5u);
+  EXPECT_EQ(results[3].admitted_round, 6u);
+  EXPECT_EQ(results[3].retired_round, 8u);
 }
 
-TEST(GenerationScheduler, EarlyEosRetiresImmediately) {
+TEST(ClosedBatch, EarlyEosRetiresImmediately) {
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   requests.push_back(make_request(fx, 110, 6));
@@ -488,43 +496,44 @@ TEST(GenerationScheduler, EarlyEosRetiresImmediately) {
     if (++*count > 2) return false;
     return inner(state, next);
   };
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions opts;
   opts.slots = 2;
-  const auto results = scheduler.run(requests, opts);
+  const auto results = engine.run(requests, opts);
   EXPECT_EQ(results[0].steps, 6u);
   EXPECT_EQ(results[1].steps, 2u);
   EXPECT_EQ(results[1].states.rows(), 3u);  // prefix + 2 steps
 }
 
-TEST(GenerationScheduler, ThreadedMatchesStepped) {
+TEST(ClosedBatch, ThreadedMatchesStepped) {
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   for (uint64_t i = 0; i < 6; ++i) {
     requests.push_back(make_request(fx, 120 + i, 3 + i % 4));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions stepped;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions stepped;
   stepped.slots = 3;
-  const auto expected = scheduler.run(requests, stepped);
+  const auto expected = engine.run(requests, stepped);
 
-  runtime::GenerationSchedulerOptions threaded;
+  runtime::TrafficOptions threaded;
   threaded.slots = 3;
   threaded.threads = 3;
   threaded.mha_slots = 1;  // the paper's single two-stage accelerator
   threaded.ffn_slots = 1;
-  const auto results = scheduler.run(requests, threaded);
+  const auto results = engine.run(requests, threaded);
   ASSERT_EQ(results.size(), expected.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].states, expected[i].states) << "request " << i;
     EXPECT_EQ(results[i].steps, expected[i].steps);
   }
-  EXPECT_EQ(scheduler.last_run().prefills, requests.size());
+  EXPECT_EQ(engine.last_run().total(&TrafficClassStats::completed),
+            requests.size());
 }
 
-TEST(GenerationScheduler, ChunkedPrefillAdmissionMatchesOneShot) {
-  // The stepped scheduler with chunked-prefill admission (one chunk per
-  // scheduler step) must emit token-for-token identical results, while
+TEST(ClosedBatch, ChunkedPrefillAdmissionMatchesOneShot) {
+  // The stepped engine with chunked-prefill admission (one chunk per
+  // round) must emit token-for-token identical results, while
   // executing more prefill passes than prompts.
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
@@ -533,25 +542,25 @@ TEST(GenerationScheduler, ChunkedPrefillAdmissionMatchesOneShot) {
     req.prefix = random_input(5 + i % 3, fx.cfg.d_model, 170 + i);
     requests.push_back(std::move(req));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions opts;
   opts.slots = 2;
-  const auto expected = scheduler.run(requests, opts);
+  const auto expected = engine.run(requests, opts);
 
   opts.prefill_chunk = 2;
-  const auto results = scheduler.run(requests, opts);
+  const auto results = engine.run(requests, opts);
   ASSERT_EQ(results.size(), expected.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].states, expected[i].states) << "request " << i;
     EXPECT_EQ(results[i].steps, expected[i].steps);
   }
-  EXPECT_GT(scheduler.last_run().prefill_chunks,
-            scheduler.last_run().prefills);
+  EXPECT_GT(engine.last_run().prefill_chunks,
+            engine.last_run().total(&TrafficClassStats::completed));
 }
 
 // --- capacity-edge regression (KvCache over-reservation fix) ----------------
 
-TEST(GenerationScheduler, PromptFillingCapacityStillDecodesFirstToken) {
+TEST(ClosedBatch, PromptFillingCapacityStillDecodesFirstToken) {
   // Regression: a prompt of exactly seq_len rows used to be rejected for
   // max_new_tokens = 1 even though the first generated token is emitted
   // from the last prefill state and its embedding is never fed back —
@@ -567,9 +576,9 @@ TEST(GenerationScheduler, PromptFillingCapacityStillDecodesFirstToken) {
     return inner(state, next);
   };
 
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
   const std::vector<runtime::GenerationRequest> requests = {req};
-  const auto results = scheduler.run(requests);
+  const auto results = engine.run(requests);
   EXPECT_EQ(*emitted, 1);  // the first token WAS decoded
   // Its state row cannot be cached (position == capacity), so no decode
   // step ran and the states are exactly the prefill states.
@@ -582,41 +591,41 @@ TEST(GenerationScheduler, PromptFillingCapacityStillDecodesFirstToken) {
   EXPECT_EQ(results[0].states, states);
 }
 
-TEST(GenerationScheduler, CapacityEdgeStopsDecodeWithoutOverflow) {
+TEST(ClosedBatch, CapacityEdgeStopsDecodeWithoutOverflow) {
   // prefix + max_new == seq_len + 1: the run must stop at the capacity
   // instead of throwing from decode_step — seq_len - prefix steps, all
   // seq_len token emissions served.
   Fixture fx;
   const std::vector<runtime::GenerationRequest> requests = {
       make_request(fx, 185, fx.cfg.seq_len)};  // prefix rows = 1
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  const auto results = scheduler.run(requests);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  const auto results = engine.run(requests);
   EXPECT_EQ(results[0].steps, static_cast<uint32_t>(fx.cfg.seq_len - 1));
   EXPECT_EQ(results[0].states.rows(), static_cast<size_t>(fx.cfg.seq_len));
 }
 
-TEST(GenerationScheduler, ValidatesRequests) {
+TEST(ClosedBatch, ValidatesRequests) {
   Fixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
   std::vector<runtime::GenerationRequest> requests;
   requests.push_back(make_request(fx, 130, 4));
   requests[0].memory = nullptr;
-  EXPECT_THROW(scheduler.run(requests), std::invalid_argument);
+  EXPECT_THROW(engine.run(requests), std::invalid_argument);
 
   requests[0] = make_request(fx, 131, 4);
   // prefix + max > seq_len + 1 (the +1 edge is legal: the final token's
   // embedding is never appended, see PromptFillingCapacity* below).
   requests[0].max_new_tokens = fx.cfg.seq_len + 1;
-  EXPECT_THROW(scheduler.run(requests), std::invalid_argument);
+  EXPECT_THROW(engine.run(requests), std::invalid_argument);
 
   requests[0] = make_request(fx, 132, 4);
   requests[0].next_token = nullptr;
-  EXPECT_THROW(scheduler.run(requests), std::invalid_argument);
+  EXPECT_THROW(engine.run(requests), std::invalid_argument);
 
   requests[0] = make_request(fx, 133, 4);
-  runtime::GenerationSchedulerOptions opts;
+  runtime::TrafficOptions opts;
   opts.slots = 0;
-  EXPECT_THROW(scheduler.run(requests, opts), std::invalid_argument);
+  EXPECT_THROW(engine.run(requests, opts), std::invalid_argument);
 }
 
 }  // namespace

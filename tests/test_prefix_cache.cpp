@@ -4,7 +4,7 @@
 // agreement of the executed MAC savings with the perf model
 // (estimate_prefix_cache_savings); LRU eviction under pool pressure
 // that never touches a live table; and pool drain after teardown —
-// plus the scheduler and traffic-engine integrations.
+// plus the closed-batch and traffic-engine integrations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,7 +64,7 @@ struct Fixture {
 
 /// Feeds prompt rows [from, prompt.rows()) in `chunk`-row passes
 /// (0 = one pass), accumulating the per-chunk outputs into `out` — the
-/// schedule the scheduler/traffic engines execute and the one
+/// schedule the traffic engine executes and the one
 /// estimate_prefill_performance models.
 void feed_chunks(runtime::GenerationSession& s, const tensor::MatrixF& prompt,
                  size_t from, size_t chunk, tensor::MatrixF& out) {
@@ -430,7 +430,7 @@ TEST(PrefixCache, RandomizedSharedDocumentSweepStaysBitIdentical) {
   EXPECT_EQ(pool.used_blocks(), 0u);
 }
 
-// --- scheduler integration ---------------------------------------------------
+// --- closed-batch integration ------------------------------------------------
 
 runtime::GenerationRequest make_request(const tensor::MatrixF& prompt,
                                         const tensor::MatrixF& memory,
@@ -463,15 +463,15 @@ TEST(PrefixCacheScheduler, CachedRunsBitIdenticalAndCount) {
     requests.push_back(make_request(prompt, fx.memory, 2));
   }
 
-  runtime::GenerationScheduler sched(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions off;
+  runtime::TrafficEngine sched(fx.acfg, fx.qd);
+  runtime::TrafficOptions off;
   off.slots = 3;
   off.prefill_chunk = 2;
   off.kv_block_rows = 2;
   off.kv_pool_blocks = 64;
   const auto baseline = sched.run(requests, off);
 
-  runtime::GenerationSchedulerOptions on = off;
+  runtime::TrafficOptions on = off;
   on.prefix_cache = true;
   const auto cached = sched.run(requests, on);
   ASSERT_EQ(cached.size(), baseline.size());
@@ -479,7 +479,7 @@ TEST(PrefixCacheScheduler, CachedRunsBitIdenticalAndCount) {
     EXPECT_EQ(cached[i].states, baseline[i].states) << "request " << i;
     EXPECT_EQ(cached[i].steps, baseline[i].steps);
   }
-  const runtime::GenerationRunStats st = sched.last_run();
+  const runtime::SchedulerStats st = sched.last_run();
   EXPECT_GT(st.prefix_hits, 0u);
   EXPECT_GT(st.prefix_rows_adopted, 0u);
   EXPECT_GT(st.prefix_bytes_saved, 0u);
@@ -492,8 +492,18 @@ TEST(PrefixCacheScheduler, CachedRunsBitIdenticalAndCount) {
     EXPECT_EQ(threaded[i].states, baseline[i].states) << "request " << i;
   }
 
-  runtime::GenerationSchedulerOptions bad = on;
-  bad.kv_pool_blocks = 0;
+  // kv_pool_blocks = 0 derives the pool (a full-capacity sequence per
+  // seat); the cache works over it, bit-identically.
+  runtime::TrafficOptions derived = on;
+  derived.kv_pool_blocks = 0;
+  const auto on_derived = sched.run(requests, derived);
+  for (size_t i = 0; i < on_derived.size(); ++i) {
+    EXPECT_EQ(on_derived[i].states, baseline[i].states) << "request " << i;
+  }
+
+  // Dense seats have no pool to cache blocks in.
+  runtime::TrafficOptions bad = on;
+  bad.kv_block_rows = 0;
   EXPECT_THROW(sched.run(requests, bad), std::invalid_argument);
 }
 

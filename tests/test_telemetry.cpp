@@ -176,107 +176,121 @@ TEST(Telemetry, SteppedAndThreadedVirtualSequencesBitIdentical) {
   // Telemetry bundles — the stepped and threaded traces must agree on
   // EVERY deterministic field of EVERY event, and the virtual-time
   // histograms must be identical distributions. Only wall_ns differs.
+  // Two inputs: the open storm (staggered arrivals, three classes) and
+  // the same requests as a closed batch (all at round 0 in one class,
+  // through the GenerationRequest overload).
   TrafficFixture fx;
   constexpr size_t kRequests = 10;
   constexpr uint64_t kSeed = 2000;
-
-  runtime::TrafficOptions stepped;
-  stepped.slots = 3;
-  stepped.kv_block_rows = 2;
-  stepped.kv_pool_blocks = 8;
-  stepped.prefill_chunk = 3;
-  stepped.recovery = runtime::PreemptionRecovery::kAuto;
-  stepped.swap_slots = 1;
-#ifdef PROTEA_FAILPOINTS
-  stepped.fail_skip = 6;
-  stepped.fail_count = 3;
-#endif
-  Telemetry tel_a;
-  tel_a.configure();
-  stepped.telemetry = &tel_a;
-
   runtime::TrafficEngine engine(fx.acfg, fx.qd);
-  const auto a = engine.run(build_mix(fx, kRequests, kSeed), stepped);
 
-  runtime::TrafficOptions threaded = stepped;
-  threaded.threads = 4;
-  threaded.mha_slots = 2;
-  threaded.ffn_slots = 2;
-  Telemetry tel_b;
-  tel_b.configure();
-  threaded.telemetry = &tel_b;
-  const auto b = engine.run(build_mix(fx, kRequests, kSeed), threaded);
+  for (const bool closed_batch : {false, true}) {
+    SCOPED_TRACE(closed_batch ? "closed batch" : "open storm");
+    const auto run = [&](const runtime::TrafficOptions& opts) {
+      auto mix = build_mix(fx, kRequests, kSeed);
+      if (!closed_batch) return engine.run(mix, opts);
+      std::vector<runtime::GenerationRequest> batch;
+      for (auto& r : mix) batch.push_back(std::move(r.gen));
+      return engine.run(batch, opts);
+    };
 
-  // Outputs stay bit-identical with telemetry armed (the hooks must not
-  // perturb the schedule).
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].outcome, b[i].outcome) << i;
-    EXPECT_EQ(a[i].steps, b[i].steps) << i;
-    ASSERT_EQ(a[i].states, b[i].states) << i;
-  }
+    runtime::TrafficOptions stepped;
+    stepped.slots = 3;
+    stepped.kv_block_rows = 2;
+    stepped.kv_pool_blocks = 8;
+    stepped.prefill_chunk = 3;
+    stepped.recovery = runtime::PreemptionRecovery::kAuto;
+    stepped.swap_slots = 1;
+#ifdef PROTEA_FAILPOINTS
+    stepped.fail_skip = 6;
+    stepped.fail_count = 3;
+#endif
+    Telemetry tel_a;
+    tel_a.configure();
+    stepped.telemetry = &tel_a;
 
-  const std::vector<TraceEvent> ea = tel_a.trace.snapshot();
-  const std::vector<TraceEvent> eb = tel_b.trace.snapshot();
-  EXPECT_EQ(tel_a.trace.total(), tel_b.trace.total());
-  ASSERT_EQ(ea.size(), eb.size());
-  EXPECT_TRUE(virtual_equal(ea, eb));
-  for (size_t i = 0; i < ea.size(); ++i) {
-    ASSERT_TRUE(virtual_equal(ea[i], eb[i]))
-        << "event " << i << ": " << runtime::trace_event_name(ea[i].type)
-        << " vs " << runtime::trace_event_name(eb[i].type);
-  }
+    const auto a = run(stepped);
 
-  // The storm actually exercised the lifecycle: every stage left
-  // events behind.
-  for (const TraceEventType t :
-       {TraceEventType::kAdmit, TraceEventType::kPrefillChunk,
-        TraceEventType::kDecodeStep, TraceEventType::kPreempt,
-        TraceEventType::kRestore, TraceEventType::kComplete,
-        TraceEventType::kPoolOccupancy}) {
-    EXPECT_GT(tel_a.trace.count(t), 0u) << runtime::trace_event_name(t);
-    EXPECT_EQ(tel_a.trace.count(t), tel_b.trace.count(t))
-        << runtime::trace_event_name(t);
-  }
-  EXPECT_EQ(tel_a.trace.count(TraceEventType::kAdmit), kRequests);
+    runtime::TrafficOptions threaded = stepped;
+    threaded.threads = 4;
+    threaded.mha_slots = 2;
+    threaded.ffn_slots = 2;
+    Telemetry tel_b;
+    tel_b.configure();
+    threaded.telemetry = &tel_b;
+    const auto b = run(threaded);
 
-  // Virtual-time histograms are identical distributions; wall-clock
-  // instruments (ttft_us) are intentionally exempt.
-  const auto expect_same_hist = [](const runtime::Histogram& x,
-                                   const runtime::Histogram& y,
-                                   const char* what) {
-    EXPECT_EQ(x.count(), y.count()) << what;
-    EXPECT_EQ(x.sum(), y.sum()) << what;
-    EXPECT_EQ(x.min(), y.min()) << what;
-    EXPECT_EQ(x.max(), y.max()) << what;
-    for (const double p : {50.0, 95.0, 99.0}) {
-      EXPECT_EQ(x.percentile(p), y.percentile(p)) << what << " p" << p;
+    // Outputs stay bit-identical with telemetry armed (the hooks must not
+    // perturb the schedule).
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].outcome, b[i].outcome) << i;
+      EXPECT_EQ(a[i].steps, b[i].steps) << i;
+      ASSERT_EQ(a[i].states, b[i].states) << i;
     }
-  };
-  expect_same_hist(*tel_a.ttft_rounds, *tel_b.ttft_rounds, "ttft_rounds");
-  expect_same_hist(*tel_a.queue_wait_rounds, *tel_b.queue_wait_rounds,
-                   "queue_wait_rounds");
-  expect_same_hist(*tel_a.token_gap_rounds, *tel_b.token_gap_rounds,
-                   "token_gap_rounds");
-  expect_same_hist(*tel_a.preempt_downtime_rounds,
-                   *tel_b.preempt_downtime_rounds,
-                   "preempt_downtime_rounds");
-  expect_same_hist(*tel_a.pool_occupancy_blocks,
-                   *tel_b.pool_occupancy_blocks, "pool_occupancy_blocks");
-  EXPECT_GT(tel_a.ttft_rounds->count(), 0u);
-  EXPECT_GT(tel_a.preempt_downtime_rounds->count(), 0u);
 
-  // The exporters see the same storm: spans + counter track present.
-  const std::string json = runtime::chrome_trace_json(ea);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  const auto samples = runtime::metric_samples(tel_a);
-  EXPECT_FALSE(samples.empty());
-  bool saw_p99 = false;
-  for (const auto& s : samples) saw_p99 |= s.metric == "p99";
-  EXPECT_TRUE(saw_p99);
+    const std::vector<TraceEvent> ea = tel_a.trace.snapshot();
+    const std::vector<TraceEvent> eb = tel_b.trace.snapshot();
+    EXPECT_EQ(tel_a.trace.total(), tel_b.trace.total());
+    ASSERT_EQ(ea.size(), eb.size());
+    EXPECT_TRUE(virtual_equal(ea, eb));
+    for (size_t i = 0; i < ea.size(); ++i) {
+      ASSERT_TRUE(virtual_equal(ea[i], eb[i]))
+          << "event " << i << ": " << runtime::trace_event_name(ea[i].type)
+          << " vs " << runtime::trace_event_name(eb[i].type);
+    }
+
+    // The storm actually exercised the lifecycle: every stage left
+    // events behind.
+    for (const TraceEventType t :
+         {TraceEventType::kAdmit, TraceEventType::kPrefillChunk,
+          TraceEventType::kDecodeStep, TraceEventType::kPreempt,
+          TraceEventType::kRestore, TraceEventType::kComplete,
+          TraceEventType::kPoolOccupancy}) {
+      EXPECT_GT(tel_a.trace.count(t), 0u) << runtime::trace_event_name(t);
+      EXPECT_EQ(tel_a.trace.count(t), tel_b.trace.count(t))
+          << runtime::trace_event_name(t);
+    }
+    EXPECT_EQ(tel_a.trace.count(TraceEventType::kAdmit), kRequests);
+
+    // Virtual-time histograms are identical distributions; wall-clock
+    // instruments (ttft_us) are intentionally exempt.
+    const auto expect_same_hist = [](const runtime::Histogram& x,
+                                     const runtime::Histogram& y,
+                                     const char* what) {
+      EXPECT_EQ(x.count(), y.count()) << what;
+      EXPECT_EQ(x.sum(), y.sum()) << what;
+      EXPECT_EQ(x.min(), y.min()) << what;
+      EXPECT_EQ(x.max(), y.max()) << what;
+      for (const double p : {50.0, 95.0, 99.0}) {
+        EXPECT_EQ(x.percentile(p), y.percentile(p)) << what << " p" << p;
+      }
+    };
+    expect_same_hist(*tel_a.ttft_rounds, *tel_b.ttft_rounds, "ttft_rounds");
+    expect_same_hist(*tel_a.queue_wait_rounds, *tel_b.queue_wait_rounds,
+                     "queue_wait_rounds");
+    expect_same_hist(*tel_a.token_gap_rounds, *tel_b.token_gap_rounds,
+                     "token_gap_rounds");
+    expect_same_hist(*tel_a.preempt_downtime_rounds,
+                     *tel_b.preempt_downtime_rounds,
+                     "preempt_downtime_rounds");
+    expect_same_hist(*tel_a.pool_occupancy_blocks,
+                     *tel_b.pool_occupancy_blocks, "pool_occupancy_blocks");
+    EXPECT_GT(tel_a.ttft_rounds->count(), 0u);
+    EXPECT_GT(tel_a.preempt_downtime_rounds->count(), 0u);
+
+    // The exporters see the same storm: spans + counter track present.
+    const std::string json = runtime::chrome_trace_json(ea);
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+    const auto samples = runtime::metric_samples(tel_a);
+    EXPECT_FALSE(samples.empty());
+    bool saw_p99 = false;
+    for (const auto& s : samples) saw_p99 |= s.metric == "p99";
+    EXPECT_TRUE(saw_p99);
+  }
 }
 
 TEST(Telemetry, HistogramMatchesSortedReference) {

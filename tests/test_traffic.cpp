@@ -2,7 +2,7 @@
 // supporting robustness machinery:
 //
 //   * the core property — completed requests are BIT-IDENTICAL to an
-//     unconstrained PR-4 scheduler run no matter how often they were
+//     unconstrained solo dense run no matter how often they were
 //     preempted, for both recovery strategies (swap-out and
 //     drop-and-recompute), every block size / prefill chunking, and with
 //     deterministic failpoint storms injected into the block pool;
@@ -12,6 +12,8 @@
 //     capacity reject all retire with a reason instead of throwing or
 //     parking forever, and the stall valve force-sheds when preemption
 //     is disabled and the working set cannot fit;
+//   * dense seats (kv_block_rows = 0, no pool) are preempted by rank
+//     through drop-and-recompute, bit-exactly;
 //   * the RAII guards (SequenceScope, KvCreditLease) release pool state
 //     on unwind, including a failpoint-thrown KvBlockExhausted
 //     mid-chunked-prefill;
@@ -99,7 +101,7 @@ runtime::GenerationRequest make_gen_request(const TrafficFixture& fx,
   return req;
 }
 
-/// Fresh randomized mix mirroring the PR-4 stress builder: prompts
+/// Fresh randomized mix mirroring the generation stress builder: prompts
 /// 1..seq_len-2, max_new 0..6, every third request finishes early, one
 /// capacity-edge request, priorities cycling through the classes and
 /// pairwise-staggered arrivals.
@@ -175,8 +177,8 @@ TEST(TrafficEngine, RecoveryStrategiesBitIdenticalUnderPreemptionStorm) {
   constexpr size_t kRequests = 10;
   constexpr uint64_t kSeed = 1000;
 
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
+  runtime::TrafficEngine reference(fx.acfg, fx.qd);
+  runtime::TrafficOptions ref_opts;
   ref_opts.slots = 1;
   ref_opts.kv_block_rows = 0;
   const auto expected =
@@ -327,8 +329,8 @@ TEST(TrafficEngine, DeadlinesOverloadShedAndLateCompletion) {
     return reqs;
   };
 
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
+  runtime::TrafficEngine reference(fx.acfg, fx.qd);
+  runtime::TrafficOptions ref_opts;
   ref_opts.slots = 1;
   ref_opts.kv_block_rows = 0;
   const auto expected = reference.run(to_gen(build()), ref_opts);
@@ -398,8 +400,8 @@ TEST(TrafficEngine, CooperativeCancelReturnsPartialOutput) {
   reqs[1].cancel = cancel_flag;
 
   // Uncancelled reference for request 1 (fresh, same seed).
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
+  runtime::TrafficEngine reference(fx.acfg, fx.qd);
+  runtime::TrafficOptions ref_opts;
   ref_opts.slots = 1;
   ref_opts.kv_block_rows = 0;
   std::vector<runtime::GenerationRequest> solo;
@@ -481,11 +483,10 @@ TEST(TrafficEngine, ThrowingCallbackFailsRequestWithoutSheddingIt) {
 }
 
 TEST(TrafficEngine, StallValveForceShedsWhenPreemptionDisabled) {
-  // preemption=false restores the PR-4 stall behavior: two admitted
-  // sequences each need mid-decode growth the other blocks. Without
-  // preemption nothing can progress, so after stall_limit no-progress
-  // rounds the engine force-sheds the worst-ranked request and the
-  // survivor completes with reference bits.
+  // preemption=false: two admitted sequences each need mid-decode
+  // growth the other blocks. Without preemption nothing can progress, so
+  // after stall_limit no-progress rounds the engine force-sheds the
+  // worst-ranked request and the survivor completes with reference bits.
   TrafficFixture fx;
   runtime::TrafficEngine engine(fx.acfg, fx.qd);
 
@@ -496,8 +497,8 @@ TEST(TrafficEngine, StallValveForceShedsWhenPreemptionDisabled) {
     return reqs;
   };
 
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
+  runtime::TrafficEngine reference(fx.acfg, fx.qd);
+  runtime::TrafficOptions ref_opts;
   ref_opts.slots = 1;
   ref_opts.kv_block_rows = 0;
   const auto expected = reference.run(to_gen(build()), ref_opts);
@@ -519,6 +520,58 @@ TEST(TrafficEngine, StallValveForceShedsWhenPreemptionDisabled) {
       << results[1].shed_reason;
   EXPECT_GT(stats.total(&TrafficClassStats::kv_block_waits), 0u);
   EXPECT_EQ(stats.total(&TrafficClassStats::preemptions), 0u);
+}
+
+TEST(TrafficEngine, DenseSeatIsPreemptedByRankThroughRecompute) {
+  // kv_block_rows = 0: one private dense seat and no pool. A batch
+  // request holds the seat when an interactive one arrives at round 2;
+  // the only way in is to preempt the seat itself, and a dense cache has
+  // no blocks to spill, so the victim drops and recomputes. Both
+  // requests still complete with their solo bits.
+  TrafficFixture fx;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+
+  auto build = [&fx]() {
+    std::vector<runtime::TrafficRequest> reqs(2);
+    reqs[0].gen = make_gen_request(fx, 2, 8, 0.3f, -1, 51);
+    reqs[0].priority = TrafficPriority::kBatch;
+    reqs[1].gen = make_gen_request(fx, 2, 3, 0.35f, -1, 52);
+    reqs[1].priority = TrafficPriority::kInteractive;
+    reqs[1].arrival_round = 2;
+    return reqs;
+  };
+
+  runtime::TrafficOptions ref_opts;
+  ref_opts.slots = 1;
+  ref_opts.kv_block_rows = 0;
+  const auto expected = engine.run(to_gen(build()), ref_opts);
+
+  for (const size_t threads : {size_t{1}, size_t{2}}) {
+    runtime::TrafficOptions opts;
+    opts.slots = 1;
+    opts.threads = threads;
+    opts.kv_block_rows = 0;
+    const auto results = engine.run(build(), opts);
+    const auto& stats = engine.last_run();
+    ASSERT_EQ(results.size(), expected.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].outcome, TrafficOutcome::kCompleted)
+          << "threads " << threads << " request " << i << ": "
+          << results[i].shed_reason;
+      EXPECT_EQ(results[i].steps, expected[i].steps);
+      ASSERT_EQ(results[i].states, expected[i].states)
+          << "threads " << threads << " request " << i;
+    }
+    EXPECT_EQ(stats.total(&TrafficClassStats::preemptions), 1u);
+    EXPECT_EQ(stats.total(&TrafficClassStats::recomputes), 1u);
+    EXPECT_EQ(stats.total(&TrafficClassStats::swap_outs), 0u);
+  }
+
+  // Failpoints act on a pool, which dense seats do not have.
+  runtime::TrafficOptions bad;
+  bad.kv_block_rows = 0;
+  bad.fail_count = 1;
+  EXPECT_THROW(engine.run(build(), bad), std::invalid_argument);
 }
 
 TEST(TrafficRobustness, SequenceScopeReleasesBlocksOnUnwind) {
