@@ -205,6 +205,18 @@ void emit_bench_gemm_json() {
     }
   }
   {
+    // Decode-step shapes (one A row): a QKV head through qgemm_bt, the
+    // projection / FFN through qgemm. Both take the small-M direct path.
+    const auto x = random_i8(1, 256, 27);
+    const auto wt = random_i8(64, 256, 28);
+    const auto w = random_i8(256, 256, 29);
+    tensor::MatrixI32 c;
+    results.push_back(time_kernel("qgemm_bt", 1, 256, 64, 1, 500,
+                                  [&] { tensor::qgemm_bt(x, wt, c); }));
+    results.push_back(time_kernel("qgemm", 1, 256, 256, 1, 500,
+                                  [&] { tensor::qgemm(x, w, c); }));
+  }
+  {
     const size_t n = 256;
     const auto a = random_matrix(n, n, 25);
     const auto b = random_matrix(n, n, 26);

@@ -1,5 +1,6 @@
 // Shared packing / register-blocking / K-blocking machinery behind the
-// int8 GEMM kernels (qgemm.cpp) and their float twin (ops.cpp).
+// int8 GEMM kernels (qgemm.cpp) and their float twin (ops.cpp), plus the
+// int8-only small-M direct loops at the end of the file.
 //
 // One template on (element, widened-multiply, accumulator) types keeps the
 // packing layout and blocking parameters in a single place: int8 kernels
@@ -16,7 +17,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -168,12 +171,13 @@ inline void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0,
 }
 
 /// pack_b_block_spans with a fused 256-entry dequant table: the spanned
-/// bytes are stored codes (fp8 KV rows) and become int8 values during
-/// the one pass that already touches each byte — the micro-kernel and
-/// everything downstream see plain int8, so the quantized-storage GEMM
-/// is the int8 GEMM with a table lookup folded into packing. Zero
-/// padding stays literal 0: padded lanes are synthesized in the DECODED
-/// domain, exactly like the int8 pack.
+/// bytes are stored codes (fp8 KV rows, or a dense code matrix viewed as
+/// one run) and become int8 values during the one pass that already
+/// touches each byte — the micro-kernel and everything downstream see
+/// plain int8, so the quantized-storage GEMM is the int8 GEMM with a
+/// table lookup folded into packing. Zero padding stays literal 0: padded
+/// lanes are synthesized in the DECODED domain, exactly like the int8
+/// pack.
 inline void pack_b_block_spans_lut(const RowSpanListI8& b, size_t k0,
                                    size_t kc, size_t n, const int8_t* lut,
                                    int8_t* dst) {
@@ -210,51 +214,6 @@ inline void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0,
         panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[p])];
       }
       cur.advance();
-    }
-    for (size_t j = w; j < kGemmNr; ++j) {
-      for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = 0;
-    }
-  }
-}
-
-/// Dense pack_b_block with a fused dequant table — the FP8-weight GEMM
-/// path: B holds stored codes, the pack decodes them, and accumulation
-/// stays int16/int32 widening exactly like the int8 kernel.
-template <typename M>
-void pack_b_block_lut(const M& b, size_t k0, size_t kc, size_t n,
-                      const int8_t* lut, int8_t* dst) {
-  const size_t ldb = b.cols();
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  for (size_t cp = 0; cp < col_panels; ++cp) {
-    const size_t j0 = cp * kGemmNr;
-    const size_t w = std::min(kGemmNr, n - j0);
-    int8_t* panel = dst + cp * kc * kGemmNr;
-    const int8_t* src = b.data() + k0 * ldb + j0;
-    for (size_t p = 0; p < kc; ++p) {
-      for (size_t j = 0; j < w; ++j) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[j])];
-      }
-      for (size_t j = w; j < kGemmNr; ++j) panel[p * kGemmNr + j] = 0;
-      src += ldb;
-    }
-  }
-}
-
-/// Dense pack_bt_block with a fused dequant table.
-template <typename M>
-void pack_bt_block_lut(const M& bt, size_t k0, size_t kc, size_t n,
-                       const int8_t* lut, int8_t* dst) {
-  const size_t ldb = bt.cols();
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  for (size_t cp = 0; cp < col_panels; ++cp) {
-    const size_t j0 = cp * kGemmNr;
-    const size_t w = std::min(kGemmNr, n - j0);
-    int8_t* panel = dst + cp * kc * kGemmNr;
-    for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = bt.data() + (j0 + j) * ldb + k0;
-      for (size_t p = 0; p < kc; ++p) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[p])];
-      }
     }
     for (size_t j = w; j < kGemmNr; ++j) {
       for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = 0;
@@ -324,8 +283,8 @@ void gemm_driver_into(const T* a, size_t m, size_t k, size_t n, Acc* c,
   }
 }
 
-/// Owning-output convenience: resizes `c` and allocates the packing
-/// scratch per call (the legacy engine wrappers and the float kernels).
+/// Owning-output convenience for the float kernels: resizes `c` and
+/// allocates the packing scratch per call.
 template <typename T, typename Mul, typename Acc, typename PackB>
 void gemm_driver(const Matrix<T>& a, size_t n, Matrix<Acc>& c,
                  util::ThreadPool* pool, const PackB& pack_b) {
@@ -335,6 +294,108 @@ void gemm_driver(const Matrix<T>& a, size_t n, Matrix<Acc>& c,
   std::vector<T> bbuf(pack_b_elems(n));
   gemm_driver_into<T, Mul, Acc>(a.data(), m, k, n, c.data(), bbuf.data(),
                                 pool, pack_b);
+}
+
+// --- small-M direct path (int8 only) ----------------------------------------
+//
+// A product with fewer A rows than one register block (a decode step's
+// single row) would pay for packing all of B and run the micro-kernel
+// with most of its A rows zero-padded. These loops instead read each B
+// row once, in place, and stream it against the few A rows. int32 sums
+// are exact, so the loop order changes no bit; the float twin keeps the
+// packed path, whose per-element rounding chain this would reorder.
+
+/// Reads a RowSpanListI8's rows in ascending order. Dense operands arrive
+/// as a one-run list, span operands walk their runs, and a decode table
+/// (stored fp8 codes) is applied as the row is read, so both direct loops
+/// share one row source. The list must have at least one row.
+class SpanRowReader {
+ public:
+  explicit SpanRowReader(const RowSpanListI8& list)
+      : cur_(span_row_cursor(list, 0)),
+        row_stride_(list.row_stride),
+        decode_(list.decode) {}
+
+  /// Elements [c0, c0 + len) of the current row as int8 values: in place,
+  /// or decoded into `scratch` (>= len elements) when the list carries a
+  /// dequant table.
+  const int8_t* read(size_t c0, size_t len, int8_t* scratch) const {
+    const int8_t* src = cur_.row(row_stride_) + c0;
+    if (decode_ == nullptr) return src;
+    for (size_t j = 0; j < len; ++j) {
+      scratch[j] = decode_[static_cast<uint8_t>(src[j])];
+    }
+    return scratch;
+  }
+
+  void advance() { cur_.advance(); }
+
+ private:
+  SpanRowCursor cur_;
+  size_t row_stride_;
+  const int8_t* decode_;
+};
+
+/// sum_p a[p] * b[p]. `a` arrives widened to int16, so the loop
+/// vectorizes to 16-bit multiply-adds.
+inline int32_t dot_i8(const int16_t* __restrict a, const int8_t* __restrict b,
+                      size_t len) {
+  int32_t sum = 0;
+  for (size_t p = 0; p < len; ++p) sum += a[p] * static_cast<int16_t>(b[p]);
+  return sum;
+}
+
+inline void axpy_i8(int32_t s, const int8_t* __restrict b, size_t len,
+                    int32_t* __restrict c) {
+  for (size_t j = 0; j < len; ++j) c[j] += s * b[j];
+}
+
+/// c (m x n) = a (m x k) * bt^T, m < kGemmMr; `bt` lists B^T's n rows of
+/// k elements. Per K block, A's rows are widened once and each B^T row
+/// is read once, meeting every A row in one int32 dot product.
+inline void direct_bt(const int8_t* a, size_t m, size_t k,
+                      const RowSpanListI8& bt, int32_t* c) {
+  assert(m < kGemmMr);  // bounds `awide`
+  const size_t n = bt.rows;
+  std::fill(c, c + m * n, 0);
+  if (m == 0 || n == 0 || k == 0) return;
+  alignas(64) int16_t awide[kGemmMr * kGemmKc];
+  alignas(64) int8_t decoded[kGemmKc];
+  for (size_t k0 = 0; k0 < k; k0 += kGemmKc) {
+    const size_t kc = std::min(kGemmKc, k - k0);
+    for (size_t i = 0; i < m; ++i) {
+      std::copy_n(a + i * k + k0, kc, awide + i * kGemmKc);
+    }
+    SpanRowReader rows(bt);
+    for (size_t j = 0; j < n; ++j, rows.advance()) {
+      const int8_t* brow = rows.read(k0, kc, decoded);
+      for (size_t i = 0; i < m; ++i) {
+        c[i * n + j] += dot_i8(awide + i * kGemmKc, brow, kc);
+      }
+    }
+  }
+}
+
+/// c (m x n) = a (m x k) * b, m < kGemmMr; `b` lists B's k rows of n
+/// elements. Each B row is read once and added into every output row,
+/// scaled by that row's A element, one kGemmKc-wide column block at a
+/// time.
+inline void direct_b(const int8_t* a, size_t m, size_t k,
+                     const RowSpanListI8& b, int32_t* c) {
+  const size_t n = b.cols;
+  std::fill(c, c + m * n, 0);
+  if (m == 0 || n == 0 || k == 0) return;
+  alignas(64) int8_t decoded[kGemmKc];
+  SpanRowReader rows(b);
+  for (size_t p = 0; p < k; ++p, rows.advance()) {
+    for (size_t j0 = 0; j0 < n; j0 += kGemmKc) {
+      const size_t w = std::min(kGemmKc, n - j0);
+      const int8_t* brow = rows.read(j0, w, decoded);
+      for (size_t i = 0; i < m; ++i) {
+        axpy_i8(a[i * k + p], brow, w, c + i * n + j0);
+      }
+    }
+  }
 }
 
 }  // namespace protea::tensor::detail

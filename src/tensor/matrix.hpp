@@ -167,8 +167,9 @@ using ConstMatrixViewI8 = MatrixView<const int8_t>;
 using ConstMatrixViewI32 = MatrixView<const int32_t>;
 
 /// One run of consecutive rows of a block-strided int8 operand: `rows`
-/// rows starting at `base`. Row geometry (element count and stride) is
-/// shared across runs and lives on the RowSpanListI8 that owns the run.
+/// (>= 1; the span GEMMs reject empty runs) rows starting at `base`. Row
+/// geometry (element count and stride) is shared across runs and lives on
+/// the RowSpanListI8 that owns the run.
 struct RowSpanI8 {
   const int8_t* base = nullptr;
   size_t rows = 0;

@@ -1,21 +1,32 @@
-// Packed, register-blocked int8 GEMM — the kernel layer every compute
-// engine in the simulator bottoms out in.
+// int8 GEMM — the kernel layer every compute engine in the simulator
+// bottoms out in.
 //
 // The paper's datapath (§IV, Figs. 5-6) is tiled int8 x int8 -> int32
-// accumulation; this layer practices the same idiom on the host CPU:
+// accumulation; this layer practices the same idiom on the host CPU. Every
+// entry point below picks one of two loop orders from the shape of A
+// alone — no option or tuning knob:
 //
-//   * operand panels are packed into contiguous tile buffers so the
-//     micro-kernel streams both inputs with unit stride (the B^T variant
-//     transposes during packing, which is what makes the engines'
-//     transposed-weight layout free);
-//   * a kMr x kNr block of int32 accumulators is held in registers while
-//     the packed panels stream through, with operands widened to int16 so
-//     the inner loop auto-vectorizes to widening multiply-adds;
-//   * K is blocked at kKc so one A panel + one B panel stay cache-resident.
+//   * Packed (A has >= kGemmMr = 4 rows: prefill chunks, cross-K/V fill,
+//     the encoder). Operand panels are packed into contiguous tile
+//     buffers so the micro-kernel streams both inputs with unit stride
+//     (the B^T variant transposes during packing, which is what makes the
+//     engines' transposed-weight layout free); a kMr x kNr block of int32
+//     accumulators stays in registers while the packed panels stream
+//     through, with operands widened to int16 so the inner loop
+//     auto-vectorizes to widening multiply-adds; K is blocked at kKc so
+//     one A panel + one B panel stay cache-resident. Row panels spread
+//     over `pool` when one is given.
+//   * Direct (A has fewer than kGemmMr rows: decode steps). Packing all of
+//     B for one A row would cost as much as the product, and the 4-row
+//     micro-kernel would multiply zero padding. B's rows — dense, span
+//     runs or decoded codes alike — are read once, in place: a B^T row
+//     becomes one int32 dot product per A row, a B row one axpy into each
+//     int32 output row. This path is serial whatever `pool` is.
 //
-// Integer accumulation is exact, so any packing/blocking/threading order
-// produces bit-identical int32 sums — the naive references below are
-// retained to verify exactly that (and as the bench speedup baseline).
+// Integer accumulation is exact, so either loop order and any
+// packing/blocking/threading produces bit-identical int32 sums — the naive
+// references below are retained to verify exactly that (and as the bench
+// speedup baseline).
 #pragma once
 
 #include <cstddef>
@@ -60,10 +71,10 @@ void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
 
 /// Block-strided twins: the B operand is a RowSpanListI8 — a logical
 /// matrix stored as row runs resident in (possibly non-contiguous) block
-/// storage, e.g. a paged KV cache's block table. Packing already streams
-/// B panel-by-panel, so the panels read straight from the runs; the
-/// packed layout and micro-kernel are unchanged, making the result
-/// bit-identical to gathering the runs into a contiguous matrix first.
+/// storage, e.g. a paged KV cache's block table. The packed path's panels
+/// and the direct path's row reads come straight from the runs, making
+/// the result bit-identical to gathering the runs into a contiguous
+/// matrix first. Every run must hold at least one row.
 /// qgemm_spans_into treats the list as the (k x n) B (c = a * b);
 /// qgemm_bt_spans_into as the (n x k) B^T (c = a * bt^T).
 void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
@@ -75,12 +86,12 @@ void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
 
 /// Quantized-weight twins: the B operand holds stored codes (e.g. fp8
 /// bytes — see numeric/fp8.hpp's KvCodec) and `lut` is the 256-entry
-/// code -> int8 dequant table, applied while packing. Accumulation stays
-/// int16/int32 widening, so the result is bit-identical to decoding B
-/// into an int8 matrix first and running qgemm_into on it — the fused
-/// path just never materializes the decoded matrix. The span variants
-/// above dispatch to the same fused packs when RowSpanListI8::decode is
-/// set.
+/// code -> int8 dequant table, applied as B is packed or read.
+/// Accumulation stays int16/int32 widening, so the result is
+/// bit-identical to decoding B into an int8 matrix first and running
+/// qgemm_into on it — the fused path just never materializes the decoded
+/// matrix. These read B as a one-run span list, so they share the span
+/// variants' fused code paths (taken when RowSpanListI8::decode is set).
 void qgemm_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b,
                     const int8_t* lut, MatrixViewI32 c,
                     std::span<int8_t> pack_buf,

@@ -544,15 +544,16 @@ TEST(KvStorageGemm, LutGemmMatchesDecodeThenInt8) {
       decoded_t.data()[i] = lut[static_cast<uint8_t>(codes_t.data()[i])];
     }
 
+    // The naive loop is the oracle: for m < 4 qgemm_into itself takes
+    // the same direct path as the LUT variant under test.
     std::vector<int8_t> pack(tensor::qgemm_pack_elems(sh.n));
-    std::vector<int8_t> pack_t(tensor::qgemm_pack_elems(sh.n));
-    tensor::MatrixI32 want(sh.m, sh.n), got(sh.m, sh.n);
-    tensor::qgemm_into(a, decoded, want, pack);
+    tensor::MatrixI32 want, got(sh.m, sh.n);
+    tensor::qgemm_naive(a, decoded, want);
     tensor::qgemm_lut_into(a, codes, lut, got, pack);
     EXPECT_EQ(got, want) << "m=" << sh.m << " k=" << sh.k << " n=" << sh.n;
 
-    tensor::qgemm_bt_into(a, decoded_t, want, pack_t);
-    tensor::qgemm_bt_lut_into(a, codes_t, lut, got, pack_t);
+    tensor::qgemm_bt_naive(a, decoded_t, want);
+    tensor::qgemm_bt_lut_into(a, codes_t, lut, got, pack);
     EXPECT_EQ(got, want) << "bt m=" << sh.m << " k=" << sh.k << " n=" << sh.n;
   }
 }
@@ -587,8 +588,10 @@ TEST(KvStorageGemm, SpanDecodeDispatchMatchesContiguous) {
     decoded.data()[i] = codec->decode[static_cast<uint8_t>(codes.data()[i])];
   }
   std::vector<int8_t> pack(tensor::qgemm_pack_elems(n));
-  tensor::MatrixI32 want(m, n), got(m, n);
-  tensor::qgemm_into(a, decoded, want, pack);
+  tensor::MatrixI32 want, got(m, n);
+  // m = 3 is a small-M product, so qgemm_into would take the same direct
+  // path as the span call under test; the naive loop is the oracle.
+  tensor::qgemm_naive(a, decoded, want);
   tensor::qgemm_spans_into(a, spans, got, pack);
   EXPECT_EQ(got, want);
 }

@@ -1,13 +1,19 @@
-// Tests for the packed int8 GEMM kernel layer: exact equivalence with the
-// retained naive references on ragged and degenerate shapes, thread-count
-// invariance, and bit-identity of the engines that ride on it.
+// Tests for the int8 GEMM kernel layer: exact equivalence of every entry
+// point — packed and small-M direct, dense, span and decode-table
+// operands — with the retained naive references on ragged and degenerate
+// shapes, thread-count invariance, argument checks, and bit-identity of
+// the engines that ride on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "accel/engines.hpp"
 #include "accel/quantized_model.hpp"
+#include "numeric/fp8.hpp"
 #include "numeric/requantize.hpp"
 #include "tensor/qgemm.hpp"
 #include "util/rng.hpp"
@@ -30,11 +36,72 @@ struct Shape {
 };
 
 // Ragged (non-multiples of the 4x8 register block and the 256 K block),
-// degenerate, and decode-step shapes.
+// degenerate, and decode-step shapes. m < 4 takes the small-M direct
+// path, m >= 4 the packed path.
 const Shape kShapes[] = {
     {1, 1, 1},      {4, 8, 8},    {5, 7, 9},     {13, 31, 17},
     {3, 300, 11},   {64, 64, 64}, {1, 128, 96},  // SL=1 decode step
     {0, 8, 8},      {8, 0, 8},    {8, 8, 0},     {65, 257, 33},
+    {2, 19, 13},    {1, 600, 21},  // direct path across K blocks
+};
+
+MatrixI8 transposed(const MatrixI8& m) {
+  MatrixI8 t(m.cols(), m.rows());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
+  }
+  return t;
+}
+
+MatrixI8 decoded(const MatrixI8& codes, const int8_t* lut) {
+  MatrixI8 out(codes.rows(), codes.cols());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    out.data()[i] = lut[static_cast<uint8_t>(codes.data()[i])];
+  }
+  return out;
+}
+
+/// `m`'s rows as a scattered multi-run RowSpanListI8, the shape a paged KV
+/// block table hands the kernels: runs of 1, 3, 1, 2, ... rows, stored
+/// last run first with a padded row stride and a filler row between runs,
+/// so a cursor that strays off its run reads wrong bytes.
+class SpanOperand {
+ public:
+  SpanOperand(const MatrixI8& m, const int8_t* decode) {
+    const size_t run_sizes[] = {1, 3, 1, 2};
+    std::vector<size_t> run_rows;
+    for (size_t r = 0; r < m.rows(); r += run_rows.back()) {
+      run_rows.push_back(
+          std::min(run_sizes[run_rows.size() % 4], m.rows() - r));
+    }
+    const size_t stride = m.cols() + 3;
+    storage_.assign((m.rows() + run_rows.size()) * stride, int8_t{0x5A});
+    size_t slot = storage_.size() / stride;
+    size_t row = 0;
+    for (size_t rows : run_rows) {
+      slot -= rows + 1;
+      int8_t* base = storage_.data() + slot * stride;
+      for (size_t i = 0; i < rows; ++i) {
+        std::copy_n(m.row(row + i).data(), m.cols(), base + i * stride);
+      }
+      runs_.push_back({base, rows});
+      row += rows;
+    }
+    list_ = {.runs = runs_,
+             .rows = m.rows(),
+             .cols = m.cols(),
+             .row_stride = stride,
+             .decode = decode};
+  }
+  SpanOperand(const SpanOperand&) = delete;
+  SpanOperand& operator=(const SpanOperand&) = delete;
+
+  const RowSpanListI8& list() const { return list_; }
+
+ private:
+  std::vector<int8_t> storage_;
+  std::vector<RowSpanI8> runs_;
+  RowSpanListI8 list_;
 };
 
 TEST(QGemm, MatchesNaiveOnRaggedShapes) {
@@ -94,6 +161,103 @@ TEST(QGemm, InnerDimensionMismatchThrows) {
   MatrixI32 c;
   EXPECT_THROW(qgemm(a, b, c), std::invalid_argument);
   EXPECT_THROW(qgemm_bt(a, random_i8(4, 6, 302), c), std::invalid_argument);
+}
+
+TEST(QGemmEntryPoints, EveryEntryPointMatchesNaiveOracle) {
+  // Each of the eight int8 entry points, serial and pooled, against the
+  // naive loop on the decoded operand.
+  const int8_t* lut = numeric::kv_codec(numeric::KvStorage::kFp8E4M3)
+                          ->decode.data();
+  util::ThreadPool pool(2);
+  uint64_t seed = 500;
+  for (const auto& s : kShapes) {
+    SCOPED_TRACE("m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
+                 " n=" + std::to_string(s.n));
+    const auto a = random_i8(s.m, s.k, seed++);
+    const auto b = random_i8(s.k, s.n, seed++);  // int8 values or fp8 codes
+    const auto bt = transposed(b);
+    MatrixI32 want, want_bt, want_lut, want_bt_lut;
+    qgemm_naive(a, b, want);
+    qgemm_bt_naive(a, bt, want_bt);
+    qgemm_naive(a, decoded(b, lut), want_lut);
+    qgemm_bt_naive(a, decoded(bt, lut), want_bt_lut);
+
+    const SpanOperand b_spans(b, nullptr), bt_spans(bt, nullptr);
+    const SpanOperand b_codes(b, lut), bt_codes(bt, lut);
+    std::vector<int8_t> pack(qgemm_pack_elems(s.n));
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                &pool}) {
+      SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
+      MatrixI32 got;
+      qgemm(a, b, got, p);
+      EXPECT_EQ(got, want) << "qgemm";
+      qgemm_bt(a, bt, got, p);
+      EXPECT_EQ(got, want_bt) << "qgemm_bt";
+
+      // The view-output twins start from garbage, so a kernel that adds
+      // into c instead of overwriting it fails.
+      const auto check = [&](const char* name, const MatrixI32& expect,
+                             const auto& call) {
+        got.fill(0x7777);
+        call();
+        EXPECT_EQ(got, expect) << name;
+      };
+      check("qgemm_into", want,
+            [&] { qgemm_into(a, b, got, pack, p); });
+      check("qgemm_bt_into", want_bt,
+            [&] { qgemm_bt_into(a, bt, got, pack, p); });
+      check("qgemm_spans_into", want,
+            [&] { qgemm_spans_into(a, b_spans.list(), got, pack, p); });
+      check("qgemm_bt_spans_into", want_bt,
+            [&] { qgemm_bt_spans_into(a, bt_spans.list(), got, pack, p); });
+      check("qgemm_lut_into", want_lut,
+            [&] { qgemm_lut_into(a, b, lut, got, pack, p); });
+      check("qgemm_bt_lut_into", want_bt_lut,
+            [&] { qgemm_bt_lut_into(a, bt, lut, got, pack, p); });
+      check("qgemm_spans_into (decode)", want_lut,
+            [&] { qgemm_spans_into(a, b_codes.list(), got, pack, p); });
+      check("qgemm_bt_spans_into (decode)", want_bt_lut,
+            [&] { qgemm_bt_spans_into(a, bt_codes.list(), got, pack, p); });
+    }
+  }
+}
+
+TEST(QGemmEntryPoints, ArgumentChecksHoldOnBothPaths) {
+  // The direct path never packs, yet its callers get the same contract.
+  for (size_t m : {1, 8}) {
+    const auto a = random_i8(m, 16, 600);
+    const auto b = random_i8(16, 12, 601);
+    std::vector<int8_t> pack(qgemm_pack_elems(12));
+    std::vector<int8_t> short_pack(qgemm_pack_elems(12) - 1);
+    MatrixI32 c(m, 12), wrong(m, 11);
+    EXPECT_THROW(qgemm_into(a, b, c, short_pack), std::invalid_argument);
+    EXPECT_THROW(qgemm_into(a, b, wrong, pack), std::invalid_argument);
+    EXPECT_THROW(qgemm_lut_into(a, b, nullptr, c, pack),
+                 std::invalid_argument);
+  }
+}
+
+TEST(QGemmEntryPoints, SpanListWithEmptyRunThrows) {
+  // A zero-row run between non-empty runs sums correctly but would stop
+  // the row cursor on a run with no rows; both span entry points reject
+  // it up front.
+  const auto a1 = random_i8(1, 4, 700);
+  const auto a8 = random_i8(8, 4, 701);
+  const auto rows = random_i8(5, 4, 702);
+  const RowSpanI8 runs[] = {
+      {rows.row(0).data(), 2}, {rows.row(2).data(), 0},
+      {rows.row(2).data(), 3}};
+  const RowSpanListI8 list{
+      .runs = runs, .rows = 5, .cols = 4, .row_stride = 4};
+  std::vector<int8_t> pack(qgemm_pack_elems(5));
+  for (const MatrixI8* a : {&a1, &a8}) {
+    MatrixI32 c(a->rows(), 4), ct(a->rows(), 5);
+    const auto a_k5 = random_i8(a->rows(), 5, 703);
+    EXPECT_THROW(qgemm_spans_into(a_k5, list, c, pack),
+                 std::invalid_argument);
+    EXPECT_THROW(qgemm_bt_spans_into(*a, list, ct, pack),
+                 std::invalid_argument);
+  }
 }
 
 TEST(QGemm, DefaultPoolConfigurable) {
