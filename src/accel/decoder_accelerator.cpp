@@ -235,6 +235,10 @@ PerfReport estimate_decode_step_performance(const AccelConfig& config,
                                             numeric::KvStorage kv_storage) {
   config.validate();
   validate_runtime(config.synth, model);
+  if (kv_gather_fallback) {
+    throw std::invalid_argument(
+        "decode step perf: the gather read path no longer exists");
+  }
   if (pos >= model.seq_len) {
     throw std::invalid_argument("decode step perf: bad position");
   }
@@ -314,26 +318,11 @@ PerfReport estimate_decode_step_performance(const AccelConfig& config,
       tc.ln_row_overhead;
   add_stage("layernorm", 3, 3 * ln_row);
 
-  // Legacy gather fallback only: every head copies its 2 x kv_len x dk
-  // cached prefix into contiguous scratch before QK/SV. Pure data
-  // movement (no engine cycles) — the block-strided default streams the
-  // block table in place and moves none of it.
-  if (kv_gather_fallback) {
-    // Quantized storage shrinks the copied bytes to the stored width
-    // (the gather decodes through the codec LUT as it stages — pure
-    // data movement either way).
-    report.stages.push_back(StageTiming{
-        .name = "self_gather",
-        .invocations = model.num_heads,
-        .compute = 0,
-        .total = 0,
-        .bytes_loaded = uint64_t{model.num_heads} *
-                        numeric::kv_storage_bytes(2 * kv_len * dk, kv_storage)});
-  } else if (kv_storage != numeric::KvStorage::kInt8) {
-    // Block-strided path over a quantized cache: the QK/SV pack stage
-    // streams the stored codes and decodes them through the 256-entry
-    // LUT in flight. Zero engine cycles (the LUT rides the existing
-    // pack loop), but the stored prefix bytes are real traffic the
+  if (kv_storage != numeric::KvStorage::kInt8) {
+    // Block-strided path over a quantized cache: the QK/SV kernels
+    // stream the stored codes and decode them through the LUT in
+    // flight. Zero engine cycles (the LUT rides the existing pack and
+    // read loops), but the stored prefix bytes are real traffic the
     // int8 path's in-place reads don't re-count — model them so the
     // energy/bandwidth side of a quantized run is honest.
     report.stages.push_back(StageTiming{
@@ -380,8 +369,6 @@ KvFootprint estimate_kv_footprint(const ref::ModelConfig& model,
                    model.head_dim() * model.seq_len;
   fp.blocks = util::ceil_div(rows, block_rows);
   fp.paged_bytes = uint64_t{fp.blocks} * block_rows * fp.row_bytes;
-  fp.gather_bytes_per_step = fp.row_bytes * rows;
-  fp.gather_scratch_bytes = uint64_t{2} * rows * model.head_dim();
   return fp;
 }
 

@@ -94,26 +94,20 @@ PerfReport estimate_decoder_performance(const AccelConfig& config,
 /// GenerationSession::decode_step exactly (MAC counts are cross-checked
 /// against EngineStats in tests/test_generation.cpp).
 ///
-/// The default models the block-strided paged path: the QK/SV engines
-/// stream K/V straight out of the block table, so the step moves zero
-/// gather traffic (report.bytes_loaded == 0, matching the executed
-/// EngineStats::gathered_bytes == 0). `kv_gather_fallback = true` models
-/// the legacy gather path instead: a "self_gather" stage whose
-/// bytes_loaded is the per-layer prefix copy (num_heads x 2 x kv_len x
-/// head_dim), rolled into report.bytes_loaded across layers —
-/// cross-checked against the executed fallback counter in
-/// tests/test_generation.cpp.
+/// The paged path is block-strided: the QK/SV engines stream K/V
+/// straight out of the block table, so an int8 step moves no gather
+/// traffic (report.bytes_loaded == 0).
 ///
 /// `kv_storage` models the self-K/V cache format (numeric/fp8.hpp).
 /// int8 leaves every figure untouched (byte-identical reports). A
 /// quantized format adds pure data movement, never cycles — decode is a
-/// 256-entry LUT fused into the GEMM pack stage:
-///   * strided (default): a bytes-only "kv_dequant" stage counts the
-///     stored-code bytes the pack stage streams per step (num_heads x
-///     stored bytes of the 2 x kv_len x head_dim prefix);
-///   * gather fallback: the "self_gather" stage's bytes_loaded shrinks
-///     to the stored width — matching the executed
-///     EngineStats::gathered_bytes of a quantized fallback session.
+/// LUT fused into the GEMM kernels' span reads: a bytes-only
+/// "kv_dequant" stage counts the stored-code bytes they stream per step
+/// (num_heads x stored bytes of the 2 x kv_len x head_dim prefix).
+///
+/// `kv_gather_fallback` is kept only for source compatibility with
+/// existing callers: the gather read path no longer exists, so it must
+/// be false (true throws std::invalid_argument).
 PerfReport estimate_decode_step_performance(
     const AccelConfig& config, const ref::ModelConfig& model, uint32_t pos,
     uint32_t memory_len, bool kv_gather_fallback = false,
@@ -139,16 +133,6 @@ struct KvFootprint {
   uint64_t dense_bytes = 0;
   uint64_t paged_bytes = 0;  // blocks needed for `rows` rows
   uint32_t blocks = 0;       // ceil(rows / block_rows)
-  /// Bytes the legacy gather fallback copies out of the block table per
-  /// decode step at this prefix length (row_bytes x rows — every head of
-  /// every layer re-gathers its 2 x rows x head_dim prefix). The
-  /// block-strided default moves zero; matches the executed per-step
-  /// EngineStats::gathered_bytes delta of a fallback session.
-  uint64_t gather_bytes_per_step = 0;
-  /// Peak per-head workspace the gather fallback holds for its contiguous
-  /// K/V staging views (2 x rows x head_dim) — scratch the block-strided
-  /// path eliminates entirely (spans read the pool in place).
-  uint64_t gather_scratch_bytes = 0;
 };
 
 KvFootprint estimate_kv_footprint(
@@ -209,7 +193,7 @@ struct GenerationCosting {
   /// Self-K/V storage format the runtime is configured with
   /// (GenerationOptions::kv_storage). Scales the byte-side terms —
   /// adopted-prefix kv_bytes in estimate_prefix_cache_savings, the
-  /// kv_dequant/self_gather traffic of the decode phase — and nothing
+  /// kv_dequant traffic of the decode phase — and nothing
   /// else: quantized storage never changes cycle or MAC figures.
   numeric::KvStorage kv_storage = numeric::KvStorage::kInt8;
 };

@@ -17,7 +17,8 @@
 //     pinned by an allocation-counting test). Self K/V defaults to the
 //     paged layout (runtime/kv_cache.hpp): blocks are reserved on demand
 //     from a private or shared KvBlockPool, so short sequences no longer
-//     strand a full-capacity reservation. The cached path — dense or
+//     strand a full-capacity reservation, and attention reads the cached
+//     rows in place in every storage format. The cached path — dense or
 //     paged, chunked or one-shot — is bit-identical to the
 //     full-recompute forward: int32 accumulation is exact and every op
 //     is row-wise.
@@ -63,16 +64,11 @@ struct GenerationOptions {
   /// prefill() runs the prompt in passes of at most this many rows
   /// (0 = one pass). Outputs are bit-identical for any chunk size.
   size_t prefill_chunk = 0;
-  /// Paged caches only: route cached self-attention through the legacy
-  /// gather path (copy the prefix into contiguous workspace views) instead
-  /// of the block-strided span engines. Bit-identical to the default;
-  /// kept as the measured-against reference and surfaces its copy volume
-  /// via EngineStats::gathered_bytes.
-  bool kv_gather_fallback = false;
   /// Self-K/V storage format (numeric/fp8.hpp): int8 verbatim (the
-  /// bit-exact reference), fp8 re-encoded per element with dequant fused
-  /// into the span pack stage, or packed fp4 at half the block bytes
-  /// (gather reads; head_dim must be even). Deterministic for any
+  /// bit-exact reference), fp8 re-encoded per element, or packed fp4 at
+  /// half the block bytes (head_dim must be even). Quantized rows are
+  /// read in place like int8 ones, with dequant fused into the GEMM
+  /// kernels' span reads. Deterministic for any
   /// format — decode output depends only on the storage choice, not on
   /// paging/fork/swap/adoption history. A shared kv_pool must be
   /// configured for the matching row width (see

@@ -24,6 +24,11 @@
 //     many sequences, which is where the serving win lives: short
 //     sequences hold only the blocks they actually filled.
 //
+// Paged self K/V has one read path for every storage format: self_spans
+// hands the attention engines (base, rows) runs over the block table, and
+// the GEMM kernels read the stored rows in place, decoding fp8 and packed
+// fp4 codes as they go — no decode step copies the cached prefix.
+//
 // Cross K/V stays dense: it is written once per sequence at prefill and
 // sized by the memory, not by generation progress.
 //
@@ -382,14 +387,13 @@ struct KvCacheOptions {
   /// Self-K/V storage format (numeric/fp8.hpp). kInt8 stores quantized
   /// rows verbatim — the bit-exact reference. The fp8 formats re-encode
   /// each int8 value on scatter and decode on read (1 byte/element, so
-  /// row_bytes is unchanged; the read side fuses the dequant table into
-  /// the GEMM pack stage via RowSpanListI8::decode). fp4 e2m1 packs TWO
-  /// elements per byte — head_dim must be even — halving row_bytes and
-  /// block_bytes; its rows are not span-readable, so attention reads go
-  /// through gather_self (the runtime falls back automatically). All
-  /// non-int8 paths are deterministic: the stored code is a pure table
-  /// function of the int8 value and reads back identically on every
-  /// access (see KvCodec).
+  /// row_bytes is unchanged). fp4 e2m1 packs TWO elements per byte —
+  /// head_dim must be even — halving row_bytes and block_bytes. Every
+  /// format is read in place through self_spans: the GEMM kernels apply
+  /// the dequant table (RowSpanListI8::decode, per nibble for fp4) as
+  /// they pack or read the rows. All non-int8 paths are deterministic:
+  /// the stored code is a pure table function of the int8 value and
+  /// reads back identically on every access (see KvCodec).
   numeric::KvStorage storage = numeric::KvStorage::kInt8;
 };
 
@@ -427,19 +431,6 @@ class KvCache {
   size_t block_rows() const { return block_rows_; }
   /// Self-K/V storage format (KvCacheOptions::storage).
   numeric::KvStorage storage() const { return storage_; }
-  /// True when stored rows can be read in place through self_spans():
-  /// int8 and the byte-wide fp8 formats qualify; packed fp4 does not
-  /// (two elements per byte — reads must decode through gather_self).
-  bool span_readable() const {
-    return storage_ != numeric::KvStorage::kFp4E2M1;
-  }
-  /// Pool-side bytes held by `elems` cached elements under this cache's
-  /// storage format (identity for the byte-wide formats, halved for
-  /// fp4) — the conversion executed byte counters apply so they match
-  /// the storage-aware estimators.
-  size_t storage_bytes(size_t elems) const {
-    return numeric::kv_storage_bytes(elems, storage_);
-  }
   /// Applies the storage round-trip (encode then decode) to `rows` in
   /// place — what the DENSE layout does after appending rows, so a
   /// dense sequence sees exactly the values a paged sequence reads back
@@ -538,15 +529,6 @@ class KvCache {
   /// copy), so a fork never scribbles on its siblings' prefix.
   void scatter_self(size_t layer, size_t head, size_t pos,
                     tensor::ConstMatrixViewI8 k, tensor::ConstMatrixViewI8 v);
-  /// Copies rows [0, rows) of (layer, head) K and V into the contiguous
-  /// (rows x head_dim) views `k_dst` / `v_dst` (paged mode only),
-  /// decoding stored codes back to int8 for non-int8 storage. Kept as
-  /// the bit-exact reference for the gather-free span path below, and
-  /// the only read path for packed fp4 rows.
-  void gather_self(size_t layer, size_t head, size_t rows,
-                   tensor::MatrixViewI8 k_dst,
-                   tensor::MatrixViewI8 v_dst) const;
-
   /// Block-strided read view of rows [0, rows) of (layer, head) self K
   /// (`which` = 0) or V (1): fills `runs` with (base, rows) runs walking
   /// the block table directly — adjacent pool blocks merge into one run —
@@ -557,11 +539,11 @@ class KvCache {
   /// prefix while scatter_self's write-triggered copies keep divergent
   /// appends out of it — the spans a sequence takes always resolve
   /// through its OWN table, never a sibling's post-divergence writes.
-  /// For fp8 storage the returned list carries the codec's dequant
-  /// table (RowSpanListI8::decode) — the GEMM pack stage decodes the
-  /// stored bytes while packing, so the consumer never sees codes.
-  /// Packed fp4 rows are not span-readable (throws std::logic_error;
-  /// check span_readable() and fall back to gather_self).
+  /// For quantized storage the returned list carries the codec's dequant
+  /// table (RowSpanListI8::decode), and packed fp4 rows also set
+  /// RowSpanListI8::nibbles — the GEMM kernels decode the stored codes
+  /// as they pack or read them, so the consumer never sees codes. This
+  /// is the one read path for paged self K/V, in every storage format.
   tensor::RowSpanListI8 self_spans(size_t layer, size_t head, size_t which,
                                    size_t rows,
                                    std::span<tensor::RowSpanI8> runs) const;

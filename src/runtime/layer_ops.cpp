@@ -390,22 +390,18 @@ void run_self_attention_cached(const LayerOpContext& ctx,
   LayerKv& kv = cache.layer(layer_index);
 
   const accel::SoftmaxUnit softmax(desc.logit_scale);
-  // Packed fp4 rows cannot be read in place (two elements per byte), so
-  // that storage format always takes the gather path regardless of the
-  // fallback switch; fp8 rows stay span-readable via the fused dequant.
-  const bool strided =
-      cache.paged() && !ctx.kv_gather_fallback && cache.span_readable();
   for (size_t head = 0; head < h; ++head) {
     const auto m = ctx.ws.mark();
     auto q = ctx.ws.matrix_i8(n, dk);
     auto weights = ctx.ws.matrix_i8(n, total);
     auto scores = ctx.ws.matrix_i8(n, dk);
-    if (strided) {
-      // Paged, block-strided (the default): project into workspace
-      // scratch, scatter the new rows through the block table, then run
-      // QK/SV straight over the block table via span-list operands —
-      // the prefix is never copied and the fused softmax consumes the
-      // QK accumulator tile in place of a materialized logits matrix.
+    if (cache.paged()) {
+      // Paged, block-strided: project into workspace scratch, scatter
+      // the new rows through the block table, then run QK/SV straight
+      // over the block table via span-list operands — the prefix is
+      // never copied (quantized codes are decoded by the GEMM kernels
+      // as they read them) and the fused softmax consumes the QK
+      // accumulator tile in place of a materialized logits matrix.
       // Scatter respects copy-on-write forking: a target block still
       // shared with a forked sibling is made private before the first
       // write (the head-0 scatter of a layer pays the block copy; later
@@ -434,52 +430,26 @@ void run_self_attention_cached(const LayerOpContext& ctx,
       continue;
     }
 
-    tensor::ConstMatrixViewI8 k_all, v_all;
-    if (!cache.paged()) {
-      // Dense: the QKV engine writes the new K/V rows straight into the
-      // cache views, and the cached prefix is already contiguous.
-      auto k_new = append_rows(kv.self_k[head], pos, n);
-      auto v_new = append_rows(kv.self_v[head], pos, n);
-      accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha,
-                            *desc.rq_q, *desc.rq_k, *desc.rq_v, q, k_new,
-                            v_new, ctx.ws, ctx.stats, ctx.gemm_pool);
-      // Quantized storage: snap the fresh rows to what an encoded block
-      // would read back, so dense and paged sequences stay bit-identical
-      // under non-int8 storage (no-op for int8).
-      cache.storage_roundtrip(k_new);
-      cache.storage_roundtrip(v_new);
-      k_all = prefix_rows(kv.self_k[head], total);
-      v_all = prefix_rows(kv.self_v[head], total);
-    } else {
-      // Paged gather fallback (ctx.kv_gather_fallback): scatter like the
-      // strided path, then copy the whole cached prefix into contiguous
-      // views for the layout-blind contiguous engines — the pre-span
-      // reference the block-strided path is measured (and bit-compared)
-      // against. The copies are exact, so all three paths agree bit for
-      // bit.
-      auto k_new = ctx.ws.matrix_i8(n, dk);
-      auto v_new = ctx.ws.matrix_i8(n, dk);
-      accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha,
-                            *desc.rq_q, *desc.rq_k, *desc.rq_v, q, k_new,
-                            v_new, ctx.ws, ctx.stats, ctx.gemm_pool);
-      cache.scatter_self(layer_index, head, pos, k_new, v_new);
-      auto k_gather = ctx.ws.matrix_i8(total, dk);
-      auto v_gather = ctx.ws.matrix_i8(total, dk);
-      cache.gather_self(layer_index, head, total, k_gather, v_gather);
-      if (ctx.stats != nullptr) {
-        // Pool-side bytes actually streamed: packed fp4 rows hold half
-        // the bytes the decoded elements occupy in scratch.
-        ctx.stats->gathered_bytes += cache.storage_bytes(2 * total * dk);
-      }
-      k_all = k_gather;
-      v_all = v_gather;
-    }
+    // Dense: the QKV engine writes the new K/V rows straight into the
+    // cache views, and the cached prefix is already contiguous.
+    auto k_new = append_rows(kv.self_k[head], pos, n);
+    auto v_new = append_rows(kv.self_v[head], pos, n);
+    accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha, *desc.rq_q,
+                          *desc.rq_k, *desc.rq_v, q, k_new, v_new, ctx.ws,
+                          ctx.stats, ctx.gemm_pool);
+    // Quantized storage: snap the fresh rows to what an encoded block
+    // would read back, so dense and paged sequences stay bit-identical
+    // under non-int8 storage (no-op for int8).
+    cache.storage_roundtrip(k_new);
+    cache.storage_roundtrip(v_new);
     auto logits = ctx.ws.matrix_i8(n, total);
-    accel::run_qk_engine(q, k_all, *desc.rq_logit, logits, ctx.ws,
-                         ctx.stats, ctx.gemm_pool);
+    accel::run_qk_engine(q, prefix_rows(kv.self_k[head], total),
+                         *desc.rq_logit, logits, ctx.ws, ctx.stats,
+                         ctx.gemm_pool);
     softmax.run_causal_into(logits, weights, /*row_offset=*/pos);
-    accel::run_sv_engine(weights, v_all, *desc.rq_sv, scores, ctx.ws,
-                         ctx.stats, ctx.gemm_pool);
+    accel::run_sv_engine(weights, prefix_rows(kv.self_v[head], total),
+                         *desc.rq_sv, scores, ctx.ws, ctx.stats,
+                         ctx.gemm_pool);
 
     emit_head_scores(concat, head, dk, scores);
     ctx.ws.rewind(m);

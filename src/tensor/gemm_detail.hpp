@@ -20,6 +20,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -121,12 +122,59 @@ inline SpanRowCursor span_row_cursor(const RowSpanListI8& list, size_t row) {
   return cur;
 }
 
+// --- span-list operands ------------------------------------------------------
+//
+// A RowSpanListI8 row is stored in one of three forms. An element reader
+// turns a stored row and an element index into the int8 value; the span
+// pack loops and the direct path's SpanRowReader are templates on the
+// reader, so each form is one inlined expression inside the same loop.
+// Zero padding stays a literal 0: padded lanes are synthesized in the
+// decoded domain, exactly like the int8 pack.
+
+/// int8 rows: the element is the byte.
+struct RawElems {
+  int8_t operator()(const int8_t* row, size_t j) const { return row[j]; }
+};
+
+/// One stored code per byte (fp8), decoded through a 256-entry table.
+struct ByteLutElems {
+  const int8_t* lut;
+  int8_t operator()(const int8_t* row, size_t j) const {
+    return lut[static_cast<uint8_t>(row[j])];
+  }
+};
+
+/// Two 4-bit codes per byte (packed fp4), low nibble first: element j is
+/// nibble j % 2 of byte j / 2, decoded through the table's first 16
+/// entries.
+struct NibbleLutElems {
+  const int8_t* lut;
+  int8_t operator()(const int8_t* row, size_t j) const {
+    const auto byte = static_cast<uint8_t>(row[j / 2]);
+    return lut[(byte >> (4 * (j % 2))) & 0x0f];
+  }
+};
+
+/// Calls `f` with the element reader for `list`'s storage form.
+template <typename F>
+void with_elems(const RowSpanListI8& list, const F& f) {
+  if (list.decode == nullptr) {
+    f(RawElems{});
+  } else if (list.nibbles) {
+    f(NibbleLutElems{list.decode});
+  } else {
+    f(ByteLutElems{list.decode});
+  }
+}
+
 /// pack_b_block over a span-list operand (list.rows x list.cols = k x n):
 /// B's rows stream straight out of the runs' storage — packing is the
 /// only stage that touches B element-by-element, so reading the runs here
 /// makes the whole GEMM gather-free while the micro-kernel stays put.
-inline void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
-                               size_t n, int8_t* dst) {
+/// `elems` decodes stored codes in the same pass.
+template <typename Elems>
+inline void pack_b_block_spans(const RowSpanListI8& b, Elems elems,
+                               size_t k0, size_t kc, size_t n, int8_t* dst) {
   // Row-major walk: each block-strided source row (potentially a whole
   // pooled token row away from its neighbor) is touched exactly once and
   // scattered across every column panel — the panel writes land in the
@@ -140,7 +188,7 @@ inline void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
       const size_t j0 = cp * kGemmNr;
       const size_t w = std::min(kGemmNr, n - j0);
       int8_t* panel_row = dst + cp * kc * kGemmNr + p * kGemmNr;
-      for (size_t j = 0; j < w; ++j) panel_row[j] = src[j0 + j];
+      for (size_t j = 0; j < w; ++j) panel_row[j] = elems(src, j0 + j);
       for (size_t j = w; j < kGemmNr; ++j) panel_row[j] = 0;
     }
     cur.advance();
@@ -151,8 +199,9 @@ inline void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
 /// packed column j is list row j (K in Q.K^T), transposed during packing
 /// exactly like pack_bt_block. Rows ascend monotonically across the
 /// column panels, so one cursor walk per K block covers the whole pack.
-inline void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0,
-                                size_t kc, size_t n, int8_t* dst) {
+template <typename Elems>
+inline void pack_bt_block_spans(const RowSpanListI8& bt, Elems elems,
+                                size_t k0, size_t kc, size_t n, int8_t* dst) {
   const size_t col_panels = util::ceil_div(n, kGemmNr);
   SpanRowCursor cur = span_row_cursor(bt, 0);
   for (size_t cp = 0; cp < col_panels; ++cp) {
@@ -160,58 +209,9 @@ inline void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0,
     const size_t w = std::min(kGemmNr, n - j0);
     int8_t* panel = dst + cp * kc * kGemmNr;
     for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = cur.row(bt.row_stride) + k0;
-      for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = src[p];
-      cur.advance();
-    }
-    for (size_t j = w; j < kGemmNr; ++j) {
-      for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = 0;
-    }
-  }
-}
-
-/// pack_b_block_spans with a fused 256-entry dequant table: the spanned
-/// bytes are stored codes (fp8 KV rows, or a dense code matrix viewed as
-/// one run) and become int8 values during the one pass that already
-/// touches each byte — the micro-kernel and everything downstream see
-/// plain int8, so the quantized-storage GEMM is the int8 GEMM with a
-/// table lookup folded into packing. Zero padding stays literal 0: padded
-/// lanes are synthesized in the DECODED domain, exactly like the int8
-/// pack.
-inline void pack_b_block_spans_lut(const RowSpanListI8& b, size_t k0,
-                                   size_t kc, size_t n, const int8_t* lut,
-                                   int8_t* dst) {
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  SpanRowCursor cur = span_row_cursor(b, k0);
-  for (size_t p = 0; p < kc; ++p) {
-    const int8_t* src = cur.row(b.row_stride);
-    for (size_t cp = 0; cp < col_panels; ++cp) {
-      const size_t j0 = cp * kGemmNr;
-      const size_t w = std::min(kGemmNr, n - j0);
-      int8_t* panel_row = dst + cp * kc * kGemmNr + p * kGemmNr;
-      for (size_t j = 0; j < w; ++j) {
-        panel_row[j] = lut[static_cast<uint8_t>(src[j0 + j])];
-      }
-      for (size_t j = w; j < kGemmNr; ++j) panel_row[j] = 0;
-    }
-    cur.advance();
-  }
-}
-
-/// pack_bt_block_spans with the same fused dequant table.
-inline void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0,
-                                    size_t kc, size_t n, const int8_t* lut,
-                                    int8_t* dst) {
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  SpanRowCursor cur = span_row_cursor(bt, 0);
-  for (size_t cp = 0; cp < col_panels; ++cp) {
-    const size_t j0 = cp * kGemmNr;
-    const size_t w = std::min(kGemmNr, n - j0);
-    int8_t* panel = dst + cp * kc * kGemmNr;
-    for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = cur.row(bt.row_stride) + k0;
+      const int8_t* src = cur.row(bt.row_stride);
       for (size_t p = 0; p < kc; ++p) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[p])];
+        panel[p * kGemmNr + j] = elems(src, k0 + p);
       }
       cur.advance();
     }
@@ -306,26 +306,28 @@ void gemm_driver(const Matrix<T>& a, size_t n, Matrix<Acc>& c,
 // packed path, whose per-element rounding chain this would reorder.
 
 /// Reads a RowSpanListI8's rows in ascending order. Dense operands arrive
-/// as a one-run list, span operands walk their runs, and a decode table
-/// (stored fp8 codes) is applied as the row is read, so both direct loops
-/// share one row source. The list must have at least one row.
+/// as a one-run list and span operands walk their runs; int8 rows are
+/// read in place and stored codes are decoded by `elems` as the row is
+/// read, so both direct loops share one row source. The list must have
+/// at least one row.
+template <typename Elems>
 class SpanRowReader {
  public:
-  explicit SpanRowReader(const RowSpanListI8& list)
+  SpanRowReader(const RowSpanListI8& list, Elems elems)
       : cur_(span_row_cursor(list, 0)),
         row_stride_(list.row_stride),
-        decode_(list.decode) {}
+        elems_(elems) {}
 
-  /// Elements [c0, c0 + len) of the current row as int8 values: in place,
-  /// or decoded into `scratch` (>= len elements) when the list carries a
-  /// dequant table.
+  /// Elements [c0, c0 + len) of the current row as int8 values: in place
+  /// for int8 rows, else decoded into `scratch` (>= len elements).
   const int8_t* read(size_t c0, size_t len, int8_t* scratch) const {
-    const int8_t* src = cur_.row(row_stride_) + c0;
-    if (decode_ == nullptr) return src;
-    for (size_t j = 0; j < len; ++j) {
-      scratch[j] = decode_[static_cast<uint8_t>(src[j])];
+    const int8_t* row = cur_.row(row_stride_);
+    if constexpr (std::is_same_v<Elems, RawElems>) {
+      return row + c0;
+    } else {
+      for (size_t j = 0; j < len; ++j) scratch[j] = elems_(row, c0 + j);
+      return scratch;
     }
-    return scratch;
   }
 
   void advance() { cur_.advance(); }
@@ -333,7 +335,7 @@ class SpanRowReader {
  private:
   SpanRowCursor cur_;
   size_t row_stride_;
-  const int8_t* decode_;
+  Elems elems_;
 };
 
 /// sum_p a[p] * b[p]. `a` arrives widened to int16, so the loop
@@ -351,10 +353,12 @@ inline void axpy_i8(int32_t s, const int8_t* __restrict b, size_t len,
 }
 
 /// c (m x n) = a (m x k) * bt^T, m < kGemmMr; `bt` lists B^T's n rows of
-/// k elements. Per K block, A's rows are widened once and each B^T row
-/// is read once, meeting every A row in one int32 dot product.
+/// k elements, read through `elems`. Per K block, A's rows are widened
+/// once and each B^T row is read once, meeting every A row in one int32
+/// dot product.
+template <typename Elems>
 inline void direct_bt(const int8_t* a, size_t m, size_t k,
-                      const RowSpanListI8& bt, int32_t* c) {
+                      const RowSpanListI8& bt, Elems elems, int32_t* c) {
   assert(m < kGemmMr);  // bounds `awide`
   const size_t n = bt.rows;
   std::fill(c, c + m * n, 0);
@@ -366,7 +370,7 @@ inline void direct_bt(const int8_t* a, size_t m, size_t k,
     for (size_t i = 0; i < m; ++i) {
       std::copy_n(a + i * k + k0, kc, awide + i * kGemmKc);
     }
-    SpanRowReader rows(bt);
+    SpanRowReader rows(bt, elems);
     for (size_t j = 0; j < n; ++j, rows.advance()) {
       const int8_t* brow = rows.read(k0, kc, decoded);
       for (size_t i = 0; i < m; ++i) {
@@ -377,16 +381,17 @@ inline void direct_bt(const int8_t* a, size_t m, size_t k,
 }
 
 /// c (m x n) = a (m x k) * b, m < kGemmMr; `b` lists B's k rows of n
-/// elements. Each B row is read once and added into every output row,
-/// scaled by that row's A element, one kGemmKc-wide column block at a
-/// time.
+/// elements, read through `elems`. Each B row is read once and added into
+/// every output row, scaled by that row's A element, one kGemmKc-wide
+/// column block at a time.
+template <typename Elems>
 inline void direct_b(const int8_t* a, size_t m, size_t k,
-                     const RowSpanListI8& b, int32_t* c) {
+                     const RowSpanListI8& b, Elems elems, int32_t* c) {
   const size_t n = b.cols;
   std::fill(c, c + m * n, 0);
   if (m == 0 || n == 0 || k == 0) return;
   alignas(64) int8_t decoded[kGemmKc];
-  SpanRowReader rows(b);
+  SpanRowReader rows(b, elems);
   for (size_t p = 0; p < k; ++p, rows.advance()) {
     for (size_t j0 = 0; j0 < n; j0 += kGemmKc) {
       const size_t w = std::min(kGemmKc, n - j0);

@@ -168,8 +168,8 @@ using ConstMatrixViewI32 = MatrixView<const int32_t>;
 
 /// One run of consecutive rows of a block-strided int8 operand: `rows`
 /// (>= 1; the span GEMMs reject empty runs) rows starting at `base`. Row
-/// geometry (element count and stride) is shared across runs and lives on
-/// the RowSpanListI8 that owns the run.
+/// geometry (element count, storage form and stride) is shared across
+/// runs and lives on the RowSpanListI8 that owns the run.
 struct RowSpanI8 {
   const int8_t* base = nullptr;
   size_t rows = 0;
@@ -177,20 +177,32 @@ struct RowSpanI8 {
 
 /// A logical (rows x cols) int8 matrix stored as a sequence of row runs —
 /// the read view a paged KV block table exposes without gathering into
-/// contiguous scratch. Each row is `cols` contiguous elements; consecutive
-/// rows within a run are `row_stride` elements apart (>= cols, so rows of
-/// a wider record — e.g. a pooled KV token row — can be viewed in place).
+/// contiguous scratch. Each row is row_bytes() contiguous bytes;
+/// consecutive rows within a run are `row_stride` bytes apart (>=
+/// row_bytes(), so rows of a wider record — e.g. a pooled KV token row —
+/// can be viewed in place).
+///
+/// Rows are stored in one of three forms: int8 values (decode ==
+/// nullptr), one code per byte read through `decode` (fp8), or two 4-bit
+/// codes per byte read through `decode` (`nibbles`, packed fp4). The
+/// GEMM kernels apply the table while packing or reading B, fusing
+/// dequant into the one pass that already touches each byte.
 struct RowSpanListI8 {
   std::span<const RowSpanI8> runs;
   size_t rows = 0;        // total rows across all runs
   size_t cols = 0;        // elements per row
-  size_t row_stride = 0;  // elements between consecutive rows in a run
+  size_t row_stride = 0;  // bytes between consecutive rows in a run
   /// Optional 256-entry dequant table: when set, the spanned bytes are
-  /// stored codes (e.g. fp8) and every element reads as
-  /// `decode[uint8_t(byte)]`. The GEMM pack stage applies it while
-  /// packing, fusing dequant into the one pass that already touches
-  /// each byte; nullptr means the bytes ARE int8 values.
+  /// stored codes and every element reads as `decode[code]`; nullptr
+  /// means the bytes ARE int8 values.
   const int8_t* decode = nullptr;
+  /// Two codes per byte, low nibble first: element j is nibble j % 2 of
+  /// byte j / 2. Requires `decode`. KvCache::self_spans sets it from the
+  /// cache's storage format.
+  bool nibbles = false;
+
+  /// Stored bytes per row.
+  size_t row_bytes() const { return nibbles ? (cols + 1) / 2 : cols; }
 };
 
 /// Deep copy of a view into a fresh owning Matrix (trace capture).

@@ -21,31 +21,30 @@ std::unique_ptr<util::ThreadPool>& default_pool_storage() {
 /// place; anything larger packs B for the register-blocked micro-kernel.
 bool reads_b_in_place(size_t m) { return m < detail::kGemmMr; }
 
-/// A dense row-major operand as a one-run row list, so the direct loops
-/// read dense and spanned operands alike. `run` must outlive the list.
-RowSpanListI8 one_run(const RowSpanI8& run, size_t cols,
-                      const int8_t* decode) {
+/// A dense row-major int8 operand as a one-run row list, so the direct
+/// loops read dense and spanned operands alike. `run` must outlive the
+/// list.
+RowSpanListI8 one_run(const RowSpanI8& run, size_t cols) {
   return {.runs = {&run, 1},
           .rows = run.rows,
           .cols = cols,
-          .row_stride = cols,
-          .decode = decode};
+          .row_stride = cols};
 }
 
 /// Every int8 entry point lands here. `b` lists B's logical rows — B's k
-/// rows of n, or B^T's n rows of k when `bt` — with the optional decode
-/// table; `pack_b` packs one K block of the same operand for the packed
-/// path. The direct path is serial whatever `pool` is, as the packed path
+/// rows of n, or B^T's n rows of k when `bt` — read through `elems`;
+/// `pack_b` packs one K block of the same operand for the packed path.
+/// The direct path is serial whatever `pool` is, as the packed path
 /// already is for a single row panel.
-template <typename PackB>
-void product(ConstMatrixViewI8 a, const RowSpanListI8& b, bool bt,
-             MatrixViewI32 c, int8_t* pack_buf, util::ThreadPool* pool,
-             const PackB& pack_b) {
+template <typename Elems, typename PackB>
+void product(ConstMatrixViewI8 a, const RowSpanListI8& b, Elems elems,
+             bool bt, MatrixViewI32 c, int8_t* pack_buf,
+             util::ThreadPool* pool, const PackB& pack_b) {
   if (reads_b_in_place(a.rows())) {
     if (bt) {
-      detail::direct_bt(a.data(), a.rows(), a.cols(), b, c.data());
+      detail::direct_bt(a.data(), a.rows(), a.cols(), b, elems, c.data());
     } else {
-      detail::direct_b(a.data(), a.rows(), a.cols(), b, c.data());
+      detail::direct_b(a.data(), a.rows(), a.cols(), b, elems, c.data());
     }
     return;
   }
@@ -59,8 +58,8 @@ void dense_product(ConstMatrixViewI8 a, ConstMatrixViewI8 b, bool bt,
                    MatrixViewI32 c, int8_t* pack_buf,
                    util::ThreadPool* pool) {
   const RowSpanI8 run{b.data(), b.rows()};
-  product(a, one_run(run, b.cols(), nullptr), bt, c, pack_buf, pool,
-          [&](size_t k0, size_t kc, int8_t* dst) {
+  product(a, one_run(run, b.cols()), detail::RawElems{}, bt, c, pack_buf,
+          pool, [&](size_t k0, size_t kc, int8_t* dst) {
             if (bt) {
               detail::pack_bt_block(b, k0, kc, b.rows(), dst);
             } else {
@@ -69,25 +68,20 @@ void dense_product(ConstMatrixViewI8 a, ConstMatrixViewI8 b, bool bt,
           });
 }
 
-/// Row-list B or B^T: span runs, and dense code matrices with a decode
-/// table (a one-run list).
+/// Row-list B or B^T in any of its three storage forms.
 void rows_product(ConstMatrixViewI8 a, const RowSpanListI8& b, bool bt,
                   MatrixViewI32 c, int8_t* pack_buf,
                   util::ThreadPool* pool) {
-  product(a, b, bt, c, pack_buf, pool,
-          [&](size_t k0, size_t kc, int8_t* dst) {
-            if (bt && b.decode != nullptr) {
-              detail::pack_bt_block_spans_lut(b, k0, kc, b.rows, b.decode,
-                                              dst);
-            } else if (bt) {
-              detail::pack_bt_block_spans(b, k0, kc, b.rows, dst);
-            } else if (b.decode != nullptr) {
-              detail::pack_b_block_spans_lut(b, k0, kc, b.cols, b.decode,
-                                             dst);
-            } else {
-              detail::pack_b_block_spans(b, k0, kc, b.cols, dst);
-            }
-          });
+  detail::with_elems(b, [&](auto elems) {
+    product(a, b, elems, bt, c, pack_buf, pool,
+            [&](size_t k0, size_t kc, int8_t* dst) {
+              if (bt) {
+                detail::pack_bt_block_spans(b, elems, k0, kc, b.rows, dst);
+              } else {
+                detail::pack_b_block_spans(b, elems, k0, kc, b.cols, dst);
+              }
+            });
+  });
 }
 
 /// Owning-output entry points: resize `c`, and allocate packing scratch
@@ -132,15 +126,13 @@ void check_span_list(const RowSpanListI8& list, const char* name) {
     throw std::invalid_argument(std::string(name) +
                                 ": span run rows do not sum to rows");
   }
-  if (list.rows > 0 && list.row_stride < list.cols) {
+  if (list.nibbles && list.decode == nullptr) {
+    throw std::invalid_argument(std::string(name) +
+                                ": nibble rows need a dequant table");
+  }
+  if (list.rows > 0 && list.row_stride < list.row_bytes()) {
     throw std::invalid_argument(std::string(name) +
                                 ": span row stride below row width");
-  }
-}
-
-void check_lut(const int8_t* lut, const char* name) {
-  if (lut == nullptr) {
-    throw std::invalid_argument(std::string(name) + ": null dequant table");
   }
 }
 
@@ -190,26 +182,6 @@ void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
   check_into_args(a, bt.cols, bt.rows, c, pack_buf, "qgemm_bt_spans_into");
   check_span_list(bt, "qgemm_bt_spans_into");
   rows_product(a, bt, true, c, pack_buf.data(), pool);
-}
-
-void qgemm_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b,
-                    const int8_t* lut, MatrixViewI32 c,
-                    std::span<int8_t> pack_buf, util::ThreadPool* pool) {
-  check_into_args(a, b.rows(), b.cols(), c, pack_buf, "qgemm_lut_into");
-  check_lut(lut, "qgemm_lut_into");
-  const RowSpanI8 run{b.data(), b.rows()};
-  rows_product(a, one_run(run, b.cols(), lut), false, c, pack_buf.data(),
-               pool);
-}
-
-void qgemm_bt_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt,
-                       const int8_t* lut, MatrixViewI32 c,
-                       std::span<int8_t> pack_buf, util::ThreadPool* pool) {
-  check_into_args(a, bt.cols(), bt.rows(), c, pack_buf, "qgemm_bt_lut_into");
-  check_lut(lut, "qgemm_bt_lut_into");
-  const RowSpanI8 run{bt.data(), bt.rows()};
-  rows_product(a, one_run(run, bt.cols(), lut), true, c, pack_buf.data(),
-               pool);
 }
 
 void qgemm_naive(const MatrixI8& a, const MatrixI8& b, MatrixI32& c) {

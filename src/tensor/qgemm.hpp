@@ -19,9 +19,10 @@
 //   * Direct (A has fewer than kGemmMr rows: decode steps). Packing all of
 //     B for one A row would cost as much as the product, and the 4-row
 //     micro-kernel would multiply zero padding. B's rows — dense, span
-//     runs or decoded codes alike — are read once, in place: a B^T row
-//     becomes one int32 dot product per A row, a B row one axpy into each
-//     int32 output row. This path is serial whatever `pool` is.
+//     runs, byte codes or nibble codes alike — are read once, in place
+//     (codes decoded as they are read): a B^T row becomes one int32 dot
+//     product per A row, a B row one axpy into each int32 output row.
+//     This path is serial whatever `pool` is.
 //
 // Integer accumulation is exact, so either loop order and any
 // packing/blocking/threading produces bit-identical int32 sums — the naive
@@ -77,29 +78,20 @@ void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
 /// matrix first. Every run must hold at least one row.
 /// qgemm_spans_into treats the list as the (k x n) B (c = a * b);
 /// qgemm_bt_spans_into as the (n x k) B^T (c = a * bt^T).
+///
+/// Quantized rows: when the list carries a decode table the spanned
+/// bytes are stored codes — one per byte (fp8), or two per byte when
+/// RowSpanListI8::nibbles is set (packed fp4, low nibble first) — and
+/// each element is decoded as B is packed or read. Accumulation stays
+/// int16/int32 widening, so the result is bit-identical to decoding B
+/// into an int8 matrix first; the decoded matrix is never materialized.
+/// A dense code matrix is passed as a one-run list.
 void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
                       MatrixViewI32 c, std::span<int8_t> pack_buf,
                       util::ThreadPool* pool = nullptr);
 void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
                          MatrixViewI32 c, std::span<int8_t> pack_buf,
                          util::ThreadPool* pool = nullptr);
-
-/// Quantized-weight twins: the B operand holds stored codes (e.g. fp8
-/// bytes — see numeric/fp8.hpp's KvCodec) and `lut` is the 256-entry
-/// code -> int8 dequant table, applied as B is packed or read.
-/// Accumulation stays int16/int32 widening, so the result is
-/// bit-identical to decoding B into an int8 matrix first and running
-/// qgemm_into on it — the fused path just never materializes the decoded
-/// matrix. These read B as a one-run span list, so they share the span
-/// variants' fused code paths (taken when RowSpanListI8::decode is set).
-void qgemm_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b,
-                    const int8_t* lut, MatrixViewI32 c,
-                    std::span<int8_t> pack_buf,
-                    util::ThreadPool* pool = nullptr);
-void qgemm_bt_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt,
-                       const int8_t* lut, MatrixViewI32 c,
-                       std::span<int8_t> pack_buf,
-                       util::ThreadPool* pool = nullptr);
 
 /// Naive triple-loop references (the seed's original loop nests), retained
 /// as the test oracle and the bench speedup baseline.

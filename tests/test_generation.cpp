@@ -305,39 +305,6 @@ TEST(GenerationPerf, BlockStridedDecodeMovesZeroGatherBytes) {
   EXPECT_GT(stats.span_runs, 0u);
 }
 
-TEST(GenerationPerf, GatherFallbackBytesMatchModelPerStep) {
-  // The legacy gather fallback's executed copy volume must match, step
-  // by step, both the decode-step cycle model's bytes_loaded
-  // (kv_gather_fallback = true adds the self_gather stage) and the
-  // footprint model's gather_bytes_per_step — while the block-strided
-  // model keeps predicting zero.
-  Fixture fx;
-  accel::EngineStats stats;
-  runtime::GenerationOptions opts;
-  opts.kv_block_rows = 4;
-  opts.kv_gather_fallback = true;
-  runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
-  const auto mem_len = static_cast<uint32_t>(fx.memory.rows());
-  tensor::MatrixF states, state;
-  session.prefill(random_input(1, fx.cfg.d_model, 95), fx.memory, states);
-  uint64_t before = stats.gathered_bytes;
-  for (uint32_t pos = 1; pos < fx.cfg.seq_len; ++pos) {
-    session.decode_step(random_input(1, fx.cfg.d_model, 96 + pos), state);
-    const uint64_t moved = stats.gathered_bytes - before;
-    before = stats.gathered_bytes;
-    const auto step = accel::estimate_decode_step_performance(
-        fx.acfg, fx.cfg, pos, mem_len, /*kv_gather_fallback=*/true);
-    EXPECT_EQ(moved, step.bytes_loaded) << "position " << pos;
-    const auto fp = accel::estimate_kv_footprint(fx.cfg, pos + 1, 4);
-    EXPECT_EQ(moved, fp.gather_bytes_per_step) << "position " << pos;
-    EXPECT_EQ(accel::estimate_decode_step_performance(fx.acfg, fx.cfg, pos,
-                                                      mem_len)
-                  .bytes_loaded,
-              0u)
-        << "position " << pos;
-  }
-}
-
 TEST(GenerationPerf, GenerationEstimateSumsPrefillAndSteps) {
   const accel::AccelConfig acfg;
   const ref::ModelConfig cfg = small_config();
@@ -384,6 +351,10 @@ TEST(GenerationPerf, StepModelValidatesArguments) {
       accel::estimate_decode_step_performance(acfg, cfg, cfg.seq_len, 8),
       std::invalid_argument);
   EXPECT_THROW(accel::estimate_decode_step_performance(acfg, cfg, 1, 0),
+               std::invalid_argument);
+  // The gather read path is gone; its compatibility flag must stay false.
+  EXPECT_THROW(accel::estimate_decode_step_performance(
+                   acfg, cfg, 1, 8, /*kv_gather_fallback=*/true),
                std::invalid_argument);
   EXPECT_THROW(
       accel::estimate_generation_performance(acfg, cfg, 0, 8, 8),

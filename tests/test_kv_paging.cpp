@@ -119,7 +119,6 @@ TEST(KvCache, LayoutGuards) {
   EXPECT_TRUE(dense.try_reserve_rows(4));  // dense always covers capacity
   tensor::MatrixI8 rows(2, 8);
   EXPECT_THROW(dense.scatter_self(0, 0, 0, rows, rows), std::logic_error);
-  EXPECT_THROW(dense.gather_self(0, 0, 2, rows, rows), std::logic_error);
 
   // A dense cache cannot take a pool, and a paged cache rejects a pool
   // whose row geometry does not match the stack.
@@ -139,7 +138,10 @@ TEST(KvCache, LayoutGuards) {
 // --- paged == dense bit-identity (the tentpole invariant) -------------------
 
 /// Runs prefill(T rows) + decode-to-capacity on a dense and a paged
-/// session and asserts every emitted state matches bit for bit.
+/// session and asserts every emitted state matches bit for bit. The
+/// paged session reads its prefix block-strided (QK/SV stream the block
+/// table via span lists, softmax fused on the i32 accumulator), so it
+/// streams span runs and never gathers.
 void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
                                 size_t block_rows, uint64_t seed) {
   const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
@@ -150,9 +152,10 @@ void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
   dense_opts.kv_block_rows = 0;  // PR-3 dense layout
   runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
 
+  accel::EngineStats paged_stats;
   runtime::GenerationOptions paged_opts;
   paged_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession paged(fx.acfg, fx.qd, nullptr, paged_opts);
+  runtime::GenerationSession paged(fx.acfg, fx.qd, &paged_stats, paged_opts);
   ASSERT_TRUE(paged.cache().paged());
 
   tensor::MatrixF dense_states, paged_states;
@@ -172,12 +175,16 @@ void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
   // The paged session held exactly ceil(rows / bs) blocks at the end.
   EXPECT_EQ(paged.cache().block_table().size(),
             (fx.cfg.seq_len + block_rows - 1) / block_rows);
+  EXPECT_GT(paged_stats.span_runs, 0u);
+  EXPECT_EQ(paged_stats.gathered_bytes, 0u);
 }
 
 TEST(KvPaging, BoundaryStraddlingTriplesAreBitIdentical) {
   // Hand-picked edges: single-token blocks, prompts ending exactly on a
   // block boundary, one past it, one before it, a block larger than the
-  // whole capacity, and a prompt filling capacity outright.
+  // whole capacity, and a prompt filling capacity outright — at block
+  // sizes 4/5 and at 3, which straddles everywhere (8 and 13 are not
+  // multiples of 3).
   {
     PagingFixture fx(8, 210);
     expect_paged_matches_dense(fx, 5, 1, 300);   // single-token blocks
@@ -191,6 +198,19 @@ TEST(KvPaging, BoundaryStraddlingTriplesAreBitIdentical) {
     PagingFixture fx(13, 211);  // capacity not a multiple of any block
     expect_paged_matches_dense(fx, 7, 4, 306);
     expect_paged_matches_dense(fx, 12, 5, 307);
+  }
+  {
+    PagingFixture fx(8, 270);
+    expect_paged_matches_dense(fx, 5, 1, 600);
+    expect_paged_matches_dense(fx, 3, 3, 601);   // prompt == boundary
+    expect_paged_matches_dense(fx, 4, 3, 602);   // one past it
+    expect_paged_matches_dense(fx, 2, 3, 603);   // one before it
+    expect_paged_matches_dense(fx, 5, 16, 604);  // block > capacity
+  }
+  {
+    PagingFixture fx(13, 271);
+    expect_paged_matches_dense(fx, 7, 3, 605);
+    expect_paged_matches_dense(fx, 13, 3, 606);  // prompt fills capacity
   }
 }
 
@@ -321,141 +341,69 @@ TEST(KvPaging, BlockReuseAfterReleaseIsBitIdentical) {
   EXPECT_EQ(reused, fresh);
 }
 
-// --- block-strided span path vs gather fallback -----------------------------
-
-/// Three-way bit-identity at one (T, block_rows) shape: dense reference,
-/// paged block-strided (the default decode path: QK/SV stream the block
-/// table via span lists, softmax fused on the i32 accumulator), and the
-/// paged gather fallback (kv_gather_fallback: legacy copy-out into
-/// contiguous scratch). All three must agree bit for bit at every step,
-/// and only the fallback may move gather bytes.
-void expect_strided_matches_gather(const PagingFixture& fx, size_t t_rows,
-                                   size_t block_rows, uint64_t seed) {
-  const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
-  const auto tokens =
-      random_input(fx.cfg.seq_len, fx.cfg.d_model, seed + 1);
-
-  runtime::GenerationOptions dense_opts;
-  dense_opts.kv_block_rows = 0;
-  runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
-
-  accel::EngineStats strided_stats, gather_stats;
-  runtime::GenerationOptions strided_opts;
-  strided_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
-                                     strided_opts);
-
-  runtime::GenerationOptions gather_opts = strided_opts;
-  gather_opts.kv_gather_fallback = true;
-  runtime::GenerationSession gather(fx.acfg, fx.qd, &gather_stats,
-                                    gather_opts);
-
-  tensor::MatrixF ds, ss, gs;
-  dense.prefill(prefix, fx.memory, ds);
-  strided.prefill(prefix, fx.memory, ss);
-  gather.prefill(prefix, fx.memory, gs);
-  ASSERT_EQ(ss, ds) << "strided prefill T=" << t_rows << " bs=" << block_rows;
-  ASSERT_EQ(gs, ds) << "gather prefill T=" << t_rows << " bs=" << block_rows;
-
-  for (size_t t = t_rows; t < fx.cfg.seq_len; ++t) {
-    const auto token = tokens.slice_rows(t, 1);
-    dense.decode_step(token, ds);
-    strided.decode_step(token, ss);
-    gather.decode_step(token, gs);
-    ASSERT_EQ(ss, ds) << "strided pos " << t << " bs=" << block_rows;
-    ASSERT_EQ(gs, ds) << "gather pos " << t << " bs=" << block_rows;
-  }
-  // The span path never copies the prefix; the fallback always does.
-  EXPECT_EQ(strided_stats.gathered_bytes, 0u);
-  EXPECT_GT(strided_stats.span_runs, 0u);
-  EXPECT_GT(gather_stats.gathered_bytes, 0u);
-  EXPECT_EQ(gather_stats.span_runs, 0u);
-}
-
-TEST(KvPaging, BlockStridedMatchesGatherFallbackAcrossBlockSizes) {
-  // block_rows 1 (every row its own run), 3 (straddles everywhere: 8 and
-  // 13 are not multiples of 3) and 16 (one run covering the whole
-  // capacity), with prompts ending on, before and past block boundaries.
-  {
-    PagingFixture fx(8, 270);
-    expect_strided_matches_gather(fx, 5, 1, 600);
-    expect_strided_matches_gather(fx, 3, 3, 601);   // prompt == boundary
-    expect_strided_matches_gather(fx, 4, 3, 602);   // one past it
-    expect_strided_matches_gather(fx, 2, 3, 603);   // one before it
-    expect_strided_matches_gather(fx, 5, 16, 604);  // block > capacity
-  }
-  {
-    PagingFixture fx(13, 271);
-    expect_strided_matches_gather(fx, 7, 3, 605);
-    expect_strided_matches_gather(fx, 13, 3, 606);  // prompt fills capacity
-  }
-}
+// --- block-strided spans under copy-on-write forks --------------------------
 
 TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
   // COW fork mid-decode, then divergent continuations: the forked
   // sibling's span lists must resolve through ITS block table — after
   // divergence the straddling block is privatized by the first write, so
   // the child must never observe the parent's post-fork rows (and vice
-  // versa). Both lineages are checked against fresh solo replays, on the
-  // strided path and the gather fallback alike.
+  // versa). Both lineages are checked against fresh solo replays.
   PagingFixture fx(14, 280);
   for (const size_t block_rows : {size_t{1}, size_t{3}}) {
-    for (const bool fallback : {false, true}) {
-      runtime::KvBlockPool pool;
-      pool.configure(/*blocks=*/32, block_rows,
-                     fx.cfg.num_layers * fx.cfg.num_heads * 2 *
-                         fx.cfg.head_dim());
-      runtime::GenerationOptions opts;
-      opts.kv_block_rows = block_rows;
-      opts.kv_pool = &pool;
-      opts.kv_gather_fallback = fallback;
-      runtime::GenerationSession parent(fx.acfg, fx.qd, nullptr, opts);
-      runtime::GenerationSession child(fx.acfg, fx.qd, nullptr, opts);
+    runtime::KvBlockPool pool;
+    pool.configure(/*blocks=*/32, block_rows,
+                   fx.cfg.num_layers * fx.cfg.num_heads * 2 *
+                       fx.cfg.head_dim());
+    runtime::GenerationOptions opts;
+    opts.kv_block_rows = block_rows;
+    opts.kv_pool = &pool;
+    runtime::GenerationSession parent(fx.acfg, fx.qd, nullptr, opts);
+    runtime::GenerationSession child(fx.acfg, fx.qd, nullptr, opts);
 
-      const auto prompt = random_input(4, fx.cfg.d_model, 281);
-      const auto shared_tok = random_input(3, fx.cfg.d_model, 282);
-      const auto tok_p = random_input(7, fx.cfg.d_model, 283);
-      const auto tok_c = random_input(7, fx.cfg.d_model, 284);
+    const auto prompt = random_input(4, fx.cfg.d_model, 281);
+    const auto shared_tok = random_input(3, fx.cfg.d_model, 282);
+    const auto tok_p = random_input(7, fx.cfg.d_model, 283);
+    const auto tok_c = random_input(7, fx.cfg.d_model, 284);
 
-      // Prefill + 3 shared steps, then fork mid-block (position 7 with
-      // block_rows 3 leaves a partially filled straddling block).
-      tensor::MatrixF states, ps, cs, rs;
-      parent.prefill(prompt, fx.memory, states);
-      for (size_t t = 0; t < 3; ++t) {
-        parent.decode_step(shared_tok.slice_rows(t, 1), ps);
-      }
-      child.fork_from(parent);
-
-      // Interleave divergent steps so each lineage writes between the
-      // other's reads.
-      std::vector<tensor::MatrixF> parent_states, child_states;
-      for (size_t t = 0; t < 7; ++t) {
-        parent.decode_step(tok_p.slice_rows(t, 1), ps);
-        child.decode_step(tok_c.slice_rows(t, 1), cs);
-        parent_states.push_back(ps);
-        child_states.push_back(cs);
-      }
-
-      // Solo replays of each full lineage are the ground truth.
-      runtime::GenerationSession solo(fx.acfg, fx.qd);
-      for (const bool is_child : {false, true}) {
-        solo.prefill(prompt, fx.memory, states);
-        for (size_t t = 0; t < 3; ++t) {
-          solo.decode_step(shared_tok.slice_rows(t, 1), rs);
-        }
-        const auto& tok = is_child ? tok_c : tok_p;
-        const auto& got = is_child ? child_states : parent_states;
-        for (size_t t = 0; t < 7; ++t) {
-          solo.decode_step(tok.slice_rows(t, 1), rs);
-          EXPECT_EQ(got[t], rs)
-              << (is_child ? "child" : "parent") << " pos " << t
-              << " bs=" << block_rows << " fallback=" << fallback;
-        }
-      }
-      parent.end_sequence();
-      child.end_sequence();
-      EXPECT_EQ(pool.used_blocks(), 0u);
+    // Prefill + 3 shared steps, then fork mid-block (position 7 with
+    // block_rows 3 leaves a partially filled straddling block).
+    tensor::MatrixF states, ps, cs, rs;
+    parent.prefill(prompt, fx.memory, states);
+    for (size_t t = 0; t < 3; ++t) {
+      parent.decode_step(shared_tok.slice_rows(t, 1), ps);
     }
+    child.fork_from(parent);
+
+    // Interleave divergent steps so each lineage writes between the
+    // other's reads.
+    std::vector<tensor::MatrixF> parent_states, child_states;
+    for (size_t t = 0; t < 7; ++t) {
+      parent.decode_step(tok_p.slice_rows(t, 1), ps);
+      child.decode_step(tok_c.slice_rows(t, 1), cs);
+      parent_states.push_back(ps);
+      child_states.push_back(cs);
+    }
+
+    // Solo replays of each full lineage are the ground truth.
+    runtime::GenerationSession solo(fx.acfg, fx.qd);
+    for (const bool is_child : {false, true}) {
+      solo.prefill(prompt, fx.memory, states);
+      for (size_t t = 0; t < 3; ++t) {
+        solo.decode_step(shared_tok.slice_rows(t, 1), rs);
+      }
+      const auto& tok = is_child ? tok_c : tok_p;
+      const auto& got = is_child ? child_states : parent_states;
+      for (size_t t = 0; t < 7; ++t) {
+        solo.decode_step(tok.slice_rows(t, 1), rs);
+        EXPECT_EQ(got[t], rs)
+            << (is_child ? "child" : "parent") << " pos " << t
+            << " bs=" << block_rows;
+      }
+    }
+    parent.end_sequence();
+    child.end_sequence();
+    EXPECT_EQ(pool.used_blocks(), 0u);
   }
 }
 

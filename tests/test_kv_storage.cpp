@@ -3,19 +3,19 @@
 //   * byte-width regression sweep — every estimator that reports KV bytes
 //     (estimate_kv_footprint, estimate_forked_kv_footprint,
 //     estimate_preemption_cost, estimate_prefix_cache_savings, the
-//     decode-step perf model's gather/dequant traffic) must match the
+//     decode-step perf model's dequant traffic) must match the
 //     bytes the runtime actually allocates and moves, for int8 AND every
 //     quantized format — the "1 byte/element" assumptions this PR removed
 //     can never silently come back;
-//   * determinism of quantized paged decode: paged == dense, strided ==
-//     gather, byte-exact across COW forks, swap round trips, prefix
-//     adoption and repeat runs — decode output depends only on the
-//     storage choice, never on paging history;
+//   * determinism of quantized paged decode: paged (read in place, fp4
+//     included) == dense, byte-exact across COW forks, swap round trips,
+//     prefix adoption and repeat runs — decode output depends only on
+//     the storage choice, never on paging history;
 //   * the mixed-format guards: a pool serving int8 and fp8 sequences has
 //     IDENTICAL row widths for both, so adoption/forking across formats
 //     must be refused by contract, not caught by geometry;
 //   * fused LUT GEMM == decode-then-int8-GEMM, the identity the span
-//     pack stage's dequant fusion rests on.
+//     kernels' dequant fusion rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,39 +114,6 @@ TEST(KvStorageBytes, FootprintRowBytesMatchPoolGeometry) {
             fx.row_bytes(KvStorage::kInt8) / 2);
 }
 
-TEST(KvStorageBytes, ExecutedGatherBytesMatchEstimators) {
-  // The gather fallback's executed EngineStats::gathered_bytes must equal
-  // both byte models — KvFootprint::gather_bytes_per_step and the decode
-  // step report's self_gather stage — per step, per format.
-  Fixture fx(10);
-  const uint32_t br = 3;
-  for (const KvStorage s : kAllStorages) {
-    SCOPED_TRACE(numeric::kv_storage_name(s));
-    accel::EngineStats stats;
-    runtime::GenerationOptions opts;
-    opts.kv_block_rows = br;
-    opts.kv_gather_fallback = true;
-    opts.kv_storage = s;
-    runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
-    tensor::MatrixF states;
-    session.prefill(random_input(4, fx.cfg.d_model, 920), fx.memory, states);
-
-    const auto tokens = random_input(fx.cfg.seq_len, fx.cfg.d_model, 921);
-    tensor::MatrixF state;
-    for (uint32_t pos = 4; pos < fx.cfg.seq_len; ++pos) {
-      const uint64_t before = stats.gathered_bytes;
-      session.decode_step(tokens.slice_rows(pos, 1), state);
-      const uint64_t executed = stats.gathered_bytes - before;
-      const auto fp = accel::estimate_kv_footprint(fx.cfg, pos + 1, br, s);
-      EXPECT_EQ(executed, fp.gather_bytes_per_step) << "pos " << pos;
-      const auto report = accel::estimate_decode_step_performance(
-          fx.acfg, fx.cfg, pos, static_cast<uint32_t>(fx.memory.rows()),
-          /*kv_gather_fallback=*/true, s);
-      EXPECT_EQ(executed, report.bytes_loaded) << "pos " << pos;
-    }
-  }
-}
-
 TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   // int8 must be byte-identical to the pre-storage model (no new stage,
   // zero bytes); a quantized format adds ONLY the bytes-only kv_dequant
@@ -179,13 +146,13 @@ TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   }
 }
 
-// --- paged == dense == gather, deterministic, per format ---------------------
+// --- paged == dense, deterministic, per format -------------------------------
 
 TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
   // A quantized format quantizes ONCE per stored element; dense (in-place
-  // round-trip), paged block-strided (LUT fused into the span pack) and
-  // the paged gather fallback must all see the same decoded values —
-  // bit-identical outputs at every step, for every format.
+  // round-trip) and paged block-strided (LUT fused into the span reads,
+  // per nibble for fp4) must see the same decoded values — bit-identical
+  // outputs at every step, for every format, with no gathered bytes.
   Fixture fx(10);
   for (const KvStorage s : kQuantStorages) {
     for (const size_t br : {size_t{1}, size_t{3}, size_t{16}}) {
@@ -199,42 +166,27 @@ TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
       dense_opts.kv_storage = s;
       runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
 
-      accel::EngineStats strided_stats, gather_stats;
+      accel::EngineStats strided_stats;
       runtime::GenerationOptions strided_opts;
       strided_opts.kv_block_rows = br;
       strided_opts.kv_storage = s;
       runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
                                          strided_opts);
-      runtime::GenerationOptions gather_opts = strided_opts;
-      gather_opts.kv_gather_fallback = true;
-      runtime::GenerationSession gather(fx.acfg, fx.qd, &gather_stats,
-                                        gather_opts);
 
-      tensor::MatrixF ds, ss, gs;
+      tensor::MatrixF ds, ss;
       dense.prefill(prefix, fx.memory, ds);
       strided.prefill(prefix, fx.memory, ss);
-      gather.prefill(prefix, fx.memory, gs);
       ASSERT_EQ(ss, ds);
-      ASSERT_EQ(gs, ds);
       for (size_t t = prefix.rows(); t < fx.cfg.seq_len; ++t) {
         const auto token = tokens.slice_rows(t, 1);
         dense.decode_step(token, ds);
         strided.decode_step(token, ss);
-        gather.decode_step(token, gs);
         ASSERT_EQ(ss, ds) << "strided pos " << t;
-        ASSERT_EQ(gs, ds) << "gather pos " << t;
       }
-      if (s == KvStorage::kFp4E2M1) {
-        // Packed fp4 rows are not span-readable: the default path falls
-        // back to gathering (decoding nibbles as it stages).
-        EXPECT_GT(strided_stats.gathered_bytes, 0u);
-      } else {
-        // fp8 streams the block table in place, codes decoded in the
-        // pack stage — still zero gather traffic.
-        EXPECT_EQ(strided_stats.gathered_bytes, 0u);
-        EXPECT_GT(strided_stats.span_runs, 0u);
-      }
-      EXPECT_GT(gather_stats.gathered_bytes, 0u);
+      // Every format streams the block table in place, codes decoded by
+      // the GEMM kernels — zero gather traffic.
+      EXPECT_EQ(strided_stats.gathered_bytes, 0u);
+      EXPECT_GT(strided_stats.span_runs, 0u);
     }
   }
 }
@@ -544,16 +496,29 @@ TEST(KvStorageGemm, LutGemmMatchesDecodeThenInt8) {
       decoded_t.data()[i] = lut[static_cast<uint8_t>(codes_t.data()[i])];
     }
 
+    // The dense code matrices go in as one-run lists carrying the table.
     // The naive loop is the oracle: for m < 4 qgemm_into itself takes
-    // the same direct path as the LUT variant under test.
+    // the same direct path as the span entry points under test.
+    const tensor::RowSpanI8 run{codes.data(), sh.k}, run_t{codes_t.data(),
+                                                           sh.n};
+    const tensor::RowSpanListI8 list{.runs = {&run, 1},
+                                     .rows = sh.k,
+                                     .cols = sh.n,
+                                     .row_stride = sh.n,
+                                     .decode = lut};
+    const tensor::RowSpanListI8 list_t{.runs = {&run_t, 1},
+                                       .rows = sh.n,
+                                       .cols = sh.k,
+                                       .row_stride = sh.k,
+                                       .decode = lut};
     std::vector<int8_t> pack(tensor::qgemm_pack_elems(sh.n));
     tensor::MatrixI32 want, got(sh.m, sh.n);
     tensor::qgemm_naive(a, decoded, want);
-    tensor::qgemm_lut_into(a, codes, lut, got, pack);
+    tensor::qgemm_spans_into(a, list, got, pack);
     EXPECT_EQ(got, want) << "m=" << sh.m << " k=" << sh.k << " n=" << sh.n;
 
     tensor::qgemm_bt_naive(a, decoded_t, want);
-    tensor::qgemm_bt_lut_into(a, codes_t, lut, got, pack);
+    tensor::qgemm_bt_spans_into(a, list_t, got, pack);
     EXPECT_EQ(got, want) << "bt m=" << sh.m << " k=" << sh.k << " n=" << sh.n;
   }
 }

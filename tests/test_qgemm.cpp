@@ -1,12 +1,13 @@
 // Tests for the int8 GEMM kernel layer: exact equivalence of every entry
-// point — packed and small-M direct, dense, span and decode-table
-// operands — with the retained naive references on ragged and degenerate
-// shapes, thread-count invariance, argument checks, and bit-identity of
-// the engines that ride on it.
+// point — packed and small-M direct, dense and span operands, int8 rows,
+// byte codes and packed nibble codes — with the retained naive references
+// on ragged and degenerate shapes, thread-count invariance, argument
+// checks, and bit-identity of the engines that ride on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -61,20 +62,46 @@ MatrixI8 decoded(const MatrixI8& codes, const int8_t* lut) {
   return out;
 }
 
+/// Codes 0..15 (one fp4 nibble per element) from any int8 matrix.
+MatrixI8 nibble_codes(const MatrixI8& m) {
+  MatrixI8 out(m.rows(), m.cols());
+  for (size_t i = 0; i < m.size(); ++i) out.data()[i] = m.data()[i] & 0x0f;
+  return out;
+}
+
+/// A dense row-major matrix as the one-run list the span entry points
+/// take for it (no runs when it has no rows). `run` must outlive the
+/// list.
+RowSpanListI8 dense_list(const MatrixI8& m, const RowSpanI8& run,
+                         const int8_t* decode) {
+  return {.runs = m.rows() > 0 ? std::span<const RowSpanI8>(&run, 1)
+                               : std::span<const RowSpanI8>(),
+          .rows = m.rows(),
+          .cols = m.cols(),
+          .row_stride = m.cols(),
+          .decode = decode};
+}
+
 /// `m`'s rows as a scattered multi-run RowSpanListI8, the shape a paged KV
 /// block table hands the kernels: runs of 1, 3, 1, 2, ... rows, stored
 /// last run first with a padded row stride and a filler row between runs,
-/// so a cursor that strays off its run reads wrong bytes.
+/// so a cursor that strays off its run reads wrong bytes. With `nibbles`,
+/// `m` holds 4-bit codes and each row is stored two codes per byte, low
+/// nibble first; an odd row's unused high nibble is filler too.
 class SpanOperand {
  public:
-  SpanOperand(const MatrixI8& m, const int8_t* decode) {
+  SpanOperand(const MatrixI8& m, const int8_t* decode, bool nibbles = false) {
     const size_t run_sizes[] = {1, 3, 1, 2};
     std::vector<size_t> run_rows;
     for (size_t r = 0; r < m.rows(); r += run_rows.back()) {
       run_rows.push_back(
           std::min(run_sizes[run_rows.size() % 4], m.rows() - r));
     }
-    const size_t stride = m.cols() + 3;
+    list_.rows = m.rows();
+    list_.cols = m.cols();
+    list_.decode = decode;
+    list_.nibbles = nibbles;
+    const size_t stride = list_.row_bytes() + 3;
     storage_.assign((m.rows() + run_rows.size()) * stride, int8_t{0x5A});
     size_t slot = storage_.size() / stride;
     size_t row = 0;
@@ -82,16 +109,13 @@ class SpanOperand {
       slot -= rows + 1;
       int8_t* base = storage_.data() + slot * stride;
       for (size_t i = 0; i < rows; ++i) {
-        std::copy_n(m.row(row + i).data(), m.cols(), base + i * stride);
+        store_row(m.row(row + i), base + i * stride);
       }
       runs_.push_back({base, rows});
       row += rows;
     }
-    list_ = {.runs = runs_,
-             .rows = m.rows(),
-             .cols = m.cols(),
-             .row_stride = stride,
-             .decode = decode};
+    list_.runs = runs_;
+    list_.row_stride = stride;
   }
   SpanOperand(const SpanOperand&) = delete;
   SpanOperand& operator=(const SpanOperand&) = delete;
@@ -99,6 +123,17 @@ class SpanOperand {
   const RowSpanListI8& list() const { return list_; }
 
  private:
+  void store_row(std::span<const int8_t> row, int8_t* dst) const {
+    if (!list_.nibbles) {
+      std::copy(row.begin(), row.end(), dst);
+      return;
+    }
+    for (size_t j = 0; j < row.size(); j += 2) {
+      const auto hi = j + 1 < row.size() ? row[j + 1] : int8_t{0x5};
+      dst[j / 2] = static_cast<int8_t>(row[j] | (hi << 4));
+    }
+  }
+
   std::vector<int8_t> storage_;
   std::vector<RowSpanI8> runs_;
   RowSpanListI8 list_;
@@ -164,10 +199,14 @@ TEST(QGemm, InnerDimensionMismatchThrows) {
 }
 
 TEST(QGemmEntryPoints, EveryEntryPointMatchesNaiveOracle) {
-  // Each of the eight int8 entry points, serial and pooled, against the
-  // naive loop on the decoded operand.
+  // Each of the six int8 entry points, serial and pooled, against the
+  // naive loop on the decoded operand. The span entry points also take
+  // dense code matrices as one-run lists, and multi-run lists of int8
+  // rows, fp8 byte codes and packed fp4 nibble codes.
   const int8_t* lut = numeric::kv_codec(numeric::KvStorage::kFp8E4M3)
                           ->decode.data();
+  const int8_t* lut4 = numeric::kv_codec(numeric::KvStorage::kFp4E2M1)
+                           ->decode.data();
   util::ThreadPool pool(2);
   uint64_t seed = 500;
   for (const auto& s : kShapes) {
@@ -176,14 +215,21 @@ TEST(QGemmEntryPoints, EveryEntryPointMatchesNaiveOracle) {
     const auto a = random_i8(s.m, s.k, seed++);
     const auto b = random_i8(s.k, s.n, seed++);  // int8 values or fp8 codes
     const auto bt = transposed(b);
-    MatrixI32 want, want_bt, want_lut, want_bt_lut;
+    const auto b4 = nibble_codes(b), bt4 = transposed(b4);
+    MatrixI32 want, want_bt, want_lut, want_bt_lut, want_4, want_bt_4;
     qgemm_naive(a, b, want);
     qgemm_bt_naive(a, bt, want_bt);
     qgemm_naive(a, decoded(b, lut), want_lut);
     qgemm_bt_naive(a, decoded(bt, lut), want_bt_lut);
+    qgemm_naive(a, decoded(b4, lut4), want_4);
+    qgemm_bt_naive(a, decoded(bt4, lut4), want_bt_4);
 
+    const RowSpanI8 b_run{b.data(), b.rows()}, bt_run{bt.data(), bt.rows()};
+    const RowSpanListI8 b_dense_codes = dense_list(b, b_run, lut);
+    const RowSpanListI8 bt_dense_codes = dense_list(bt, bt_run, lut);
     const SpanOperand b_spans(b, nullptr), bt_spans(bt, nullptr);
     const SpanOperand b_codes(b, lut), bt_codes(bt, lut);
+    const SpanOperand b_nibbles(b4, lut4, true), bt_nibbles(bt4, lut4, true);
     std::vector<int8_t> pack(qgemm_pack_elems(s.n));
     for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
                                 &pool}) {
@@ -210,20 +256,27 @@ TEST(QGemmEntryPoints, EveryEntryPointMatchesNaiveOracle) {
             [&] { qgemm_spans_into(a, b_spans.list(), got, pack, p); });
       check("qgemm_bt_spans_into", want_bt,
             [&] { qgemm_bt_spans_into(a, bt_spans.list(), got, pack, p); });
-      check("qgemm_lut_into", want_lut,
-            [&] { qgemm_lut_into(a, b, lut, got, pack, p); });
-      check("qgemm_bt_lut_into", want_bt_lut,
-            [&] { qgemm_bt_lut_into(a, bt, lut, got, pack, p); });
+      check("qgemm_spans_into (dense codes)", want_lut,
+            [&] { qgemm_spans_into(a, b_dense_codes, got, pack, p); });
+      check("qgemm_bt_spans_into (dense codes)", want_bt_lut,
+            [&] { qgemm_bt_spans_into(a, bt_dense_codes, got, pack, p); });
       check("qgemm_spans_into (decode)", want_lut,
             [&] { qgemm_spans_into(a, b_codes.list(), got, pack, p); });
       check("qgemm_bt_spans_into (decode)", want_bt_lut,
             [&] { qgemm_bt_spans_into(a, bt_codes.list(), got, pack, p); });
+      check("qgemm_spans_into (nibbles)", want_4,
+            [&] { qgemm_spans_into(a, b_nibbles.list(), got, pack, p); });
+      check("qgemm_bt_spans_into (nibbles)", want_bt_4, [&] {
+        qgemm_bt_spans_into(a, bt_nibbles.list(), got, pack, p);
+      });
     }
   }
 }
 
 TEST(QGemmEntryPoints, ArgumentChecksHoldOnBothPaths) {
   // The direct path never packs, yet its callers get the same contract.
+  const int8_t* lut4 = numeric::kv_codec(numeric::KvStorage::kFp4E2M1)
+                           ->decode.data();
   for (size_t m : {1, 8}) {
     const auto a = random_i8(m, 16, 600);
     const auto b = random_i8(16, 12, 601);
@@ -232,7 +285,34 @@ TEST(QGemmEntryPoints, ArgumentChecksHoldOnBothPaths) {
     MatrixI32 c(m, 12), wrong(m, 11);
     EXPECT_THROW(qgemm_into(a, b, c, short_pack), std::invalid_argument);
     EXPECT_THROW(qgemm_into(a, b, wrong, pack), std::invalid_argument);
-    EXPECT_THROW(qgemm_lut_into(a, b, nullptr, c, pack),
+
+    // Nibble rows need a decode table, and a stride of at least
+    // (cols + 1) / 2 bytes: B as 16 rows of 12 codes (6 bytes), B^T as
+    // 12 rows of 15 codes (8 bytes, odd width).
+    const RowSpanI8 run{b.data(), 16}, run_t{b.data(), 12};
+    RowSpanListI8 nb{.runs = {&run, 1},
+                     .rows = 16,
+                     .cols = 12,
+                     .row_stride = 6,
+                     .nibbles = true};
+    EXPECT_THROW(qgemm_spans_into(a, nb, c, pack), std::invalid_argument);
+    nb.decode = lut4;
+    EXPECT_NO_THROW(qgemm_spans_into(a, nb, c, pack));
+    nb.row_stride = 5;
+    EXPECT_THROW(qgemm_spans_into(a, nb, c, pack), std::invalid_argument);
+
+    const auto a15 = random_i8(m, 15, 602);
+    RowSpanListI8 nbt{.runs = {&run_t, 1},
+                      .rows = 12,
+                      .cols = 15,
+                      .row_stride = 8,
+                      .nibbles = true};
+    EXPECT_THROW(qgemm_bt_spans_into(a15, nbt, c, pack),
+                 std::invalid_argument);
+    nbt.decode = lut4;
+    EXPECT_NO_THROW(qgemm_bt_spans_into(a15, nbt, c, pack));
+    nbt.row_stride = 7;
+    EXPECT_THROW(qgemm_bt_spans_into(a15, nbt, c, pack),
                  std::invalid_argument);
   }
 }
