@@ -41,9 +41,9 @@ double median_time_ms(int reps, const Fn& fn) {
 }
 
 /// The paper's GOPS columns use a more generous operation-counting
-/// convention than ops_total(): across every Table I row where both
-/// numbers are recoverable, the ratio paper_ops / ops_total() is a
-/// constant 1.338 (see EXPERIMENTS.md, "Throughput convention").
+/// convention than ops_total(): across the Table I rows the ratio
+/// paper_ops / ops_total() is 1.309-1.354, mean 1.337 (see README.md,
+/// "Calibration notes").
 /// Applied only in the columns that quote the paper's convention.
 inline constexpr double kPaperOpsFactor = 1.338;
 

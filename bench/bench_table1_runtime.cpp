@@ -47,7 +47,8 @@ int main() {
   table.set_title(
       "TABLE I — overall results for ProTEA (simulated; one synthesis, "
       "nine runtime programs)\n"
-      "GOPS* uses the paper's throughput convention (see EXPERIMENTS.md).");
+      "GOPS* uses the paper's throughput convention (see README.md, "
+      "Calibration notes).");
 
   util::CsvWriter csv(
       bench::results_dir() + "/table1_runtime.csv",

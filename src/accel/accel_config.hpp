@@ -21,8 +21,8 @@ enum class PaddingPolicy {
   kRuntimeAdaptive,  // ablation: both tile loops shrink with d_model
 };
 
-/// Calibrated micro-architecture timing constants (see EXPERIMENTS.md,
-/// "Latency calibration"). The pipeline depth is the single fitted value:
+/// Calibrated micro-architecture timing constants (see README.md,
+/// "Calibration notes"). The pipeline depth is the single fitted value:
 /// it covers BRAM read latency, the DSP cascade through the unrolled
 /// reduction, and the accumulation write-back — ~87 cycles for a 64–128
 /// wide tree, fitted so the BERT-variant baseline lands on Table I's

@@ -1,7 +1,9 @@
 #include "accel/decoder_accelerator.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "hw/frequency_model.hpp"
 #include "hw/hbm.hpp"
@@ -11,30 +13,6 @@
 
 namespace protea::accel {
 namespace {
-
-/// FFN-engine tile geometry shared by the full-forward and incremental
-/// cycle models (one source of truth for the PaddingPolicy handling).
-/// `per_access` is the per-target-row engine access cost; callers
-/// multiply by their row count.
-struct FfnTiling {
-  uint64_t rows_d = 0, rows_f = 0, cols_d = 0, cols_f = 0;
-  hw::Cycles per_access = 0;
-};
-
-FfnTiling ffn_tiling(const AccelConfig& config, uint64_t d, uint64_t f) {
-  const hw::SynthParams& sp = config.synth;
-  const bool fixed_rows = config.padding == PaddingPolicy::kSynthFixedRows;
-  const auto ts_ffn = static_cast<uint64_t>(sp.ts_ffn);
-  using util::ceil_div;
-  FfnTiling t;
-  t.rows_d = fixed_rows ? sp.tiles_ffn_max() : ceil_div(d, ts_ffn);
-  t.rows_f = fixed_rows ? 4ull * sp.tiles_ffn_max() : ceil_div(f, ts_ffn);
-  t.cols_d = ceil_div(d, ts_ffn);
-  t.cols_f = ceil_div(f, ts_ffn);
-  t.per_access = hw::pipelined_loop(ts_ffn, hw::achieved_ii(2 * sp.ts_ffn),
-                                    config.timing.pipeline_depth);
-  return t;
-}
 
 /// Shared tail of every decoder cycle model: derives clocking, latency,
 /// throughput and DSP utilization from total_cycles and macs.
@@ -49,6 +27,182 @@ void finalize_report(const AccelConfig& config, PerfReport& report) {
       static_cast<double>(report.macs) /
       (static_cast<double>(resources.total_pes) *
        static_cast<double>(report.total_cycles));
+}
+
+/// One pass of the decoder stack over `rows` target rows starting at
+/// position `start`. Its self-attention spans the start + rows rows
+/// cached so far, so chunking a prefill really changes the QK/SV
+/// totals: every estimator walks the pass list the runtime executes.
+struct Pass {
+  uint64_t start = 0;
+  uint64_t rows = 0;
+};
+
+/// The decoder cycle model: the encoder's engines sequenced per pass.
+/// Charges the 13 row stages and the MACs of every pass, the one-time
+/// cross_kv memory projection when `cross_kv` is set (a cached cross
+/// projection skips it), and, unless `dequant_storage` is int8, a
+/// bytes-only kv_dequant stage for the stored K/V codes each pass
+/// streams.
+PerfReport cost_passes(const AccelConfig& config,
+                       const ref::ModelConfig& model, uint64_t memory_len,
+                       std::span<const Pass> passes, bool cross_kv,
+                       numeric::KvStorage dequant_storage) {
+  enum Stage {
+    kSelfQkv, kSelfQk, kSelfSoftmax, kSelfSv,
+    kCrossQ, kCrossKv, kCrossQk, kCrossSoftmax, kCrossSv,
+    kSelfProj, kCrossProj, kFfnExpand, kFfnContract, kLayernorm,
+    kKvDequant, kStages
+  };
+  static constexpr const char* kNames[kStages] = {
+      "self_qkv", "self_qk", "self_softmax", "self_sv",
+      "cross_q", "cross_kv", "cross_qk", "cross_softmax", "cross_sv",
+      "self_proj", "cross_proj", "ffn_expand", "ffn_contract", "layernorm",
+      "kv_dequant"};
+
+  const hw::SynthParams& sp = config.synth;
+  const TimingConstants& tc = config.timing;
+  const uint64_t s_len = memory_len;
+  const uint64_t h = model.num_heads;
+  const uint64_t d = model.d_model;
+  const uint64_t dk = d / h;
+  const uint64_t f = model.ffn_hidden();
+  const hw::Cycles depth = tc.pipeline_depth;
+  using util::ceil_div;
+
+  const uint64_t tiles_d = ceil_div(d, static_cast<uint64_t>(sp.ts_mha));
+  const uint32_t ii_qkv = hw::achieved_ii(4 * sp.ts_mha);
+  const uint32_t ii_proj = hw::achieved_ii(2 * sp.ts_mha);
+  // QK reductions are unrolled for the synthesized head width; SV
+  // loops over `keys` rows at sl_unroll PEs.
+  const auto ii_qk = static_cast<uint32_t>(
+      ceil_div(dk, static_cast<uint64_t>(sp.head_dim_max())));
+  const auto ii_sv = [&sp](uint64_t keys) {
+    return static_cast<uint32_t>(
+        ceil_div(keys, static_cast<uint64_t>(sp.sl_unroll)));
+  };
+  const FfnTiling ft = ffn_tiling(config, model);
+  const hw::Cycles ln_row =
+      3 * ceil_div(d, static_cast<uint64_t>(tc.ln_lanes)) +
+      tc.ln_row_overhead;
+
+  struct Tally {
+    uint64_t invocations = 0;
+    hw::Cycles cycles = 0;
+    uint64_t bytes = 0;
+  };
+  Tally tally[kStages];
+  const auto charge = [&tally](Stage s, uint64_t invocations,
+                               hw::Cycles cycles, uint64_t bytes = 0) {
+    tally[s].invocations += invocations;
+    tally[s].cycles += cycles;
+    tally[s].bytes += bytes;
+  };
+  const bool dequant = dequant_storage != numeric::KvStorage::kInt8;
+  uint64_t layer_macs = 0;  // per layer; scaled by num_layers below
+
+  for (const Pass& p : passes) {
+    const uint64_t n = p.rows;
+    const uint64_t kv = p.start + p.rows;
+    // Self-attention (engines in parallel across heads): the pass's K/V
+    // append to the cache, then QK/softmax/SV span all kv cached rows.
+    charge(kSelfQkv, tiles_d,
+           tiles_d * n * hw::pipelined_loop(dk, ii_qkv, depth));
+    charge(kSelfQk, 1, n * hw::pipelined_loop(kv, ii_qk, depth));
+    charge(kSelfSoftmax, 1, n * (2 * kv + tc.softmax_row_overhead));
+    charge(kSelfSv, 1, n * hw::pipelined_loop(dk, ii_sv(kv), depth));
+    // Cross-attention: Q from the pass rows against the memory's K/V —
+    // single-projection passes at half the QKV engine's read parallelism.
+    charge(kCrossQ, tiles_d,
+           tiles_d * n * hw::pipelined_loop(dk, ii_proj, depth));
+    charge(kCrossQk, 1, n * hw::pipelined_loop(s_len, ii_qk, depth));
+    charge(kCrossSoftmax, 1, n * (2 * s_len + tc.softmax_row_overhead));
+    charge(kCrossSv, 1, n * hw::pipelined_loop(dk, ii_sv(s_len), depth));
+    // Projections + FFN on the FFN engines (same tiling as the encoder).
+    const hw::Cycles access = n * ft.row_cycles;
+    charge(kSelfProj, ft.rows_d * ft.cols_d, ft.rows_d * ft.cols_d * access);
+    charge(kCrossProj, ft.rows_d * ft.cols_d, ft.rows_d * ft.cols_d * access);
+    charge(kFfnExpand, ft.rows_d * ft.cols_f, ft.rows_d * ft.cols_f * access);
+    charge(kFfnContract, ft.rows_f * ft.cols_d,
+           ft.rows_f * ft.cols_d * access);
+    charge(kLayernorm, 3, 3 * n * ln_row);
+    if (dequant) {
+      // Over a quantized cache the QK/SV kernels stream the stored codes
+      // and decode them through the LUT in flight: zero engine cycles
+      // (the LUT rides the existing pack and read loops), but the stored
+      // prefix bytes are real traffic the int8 path's in-place reads
+      // don't re-count.
+      charge(kKvDequant, h, 0,
+             h * numeric::kv_storage_bytes(2 * kv * dk, dequant_storage));
+    }
+    layer_macs += 3 * n * d * d + 2 * n * kv * d + n * d * d;  // self
+    layer_macs += n * d * d + 2 * n * s_len * d + n * d * d;   // cross
+    layer_macs += 2 * n * d * f;                               // ffn
+  }
+  if (cross_kv) {
+    charge(kCrossKv, tiles_d,
+           2 * tiles_d * s_len * hw::pipelined_loop(dk, ii_proj, depth));
+    layer_macs += 2 * s_len * d * d;
+  }
+
+  PerfReport report;
+  for (int s = 0; s < kStages; ++s) {
+    if ((s == kCrossKv && !cross_kv) || (s == kKvDequant && !dequant)) {
+      continue;
+    }
+    report.stages.push_back(StageTiming{.name = kNames[s],
+                                        .invocations = tally[s].invocations,
+                                        .compute = tally[s].cycles,
+                                        .total = tally[s].cycles,
+                                        .bytes_loaded = tally[s].bytes});
+    report.layer_cycles += tally[s].cycles;
+    report.bytes_loaded += tally[s].bytes;
+  }
+  report.total_cycles = report.layer_cycles * model.num_layers;
+  report.bytes_loaded *= model.num_layers;
+  report.macs = model.num_layers * layer_macs;
+  finalize_report(config, report);
+  return report;
+}
+
+/// KV-cached generation: the prefill `costing` describes, then `width`
+/// decode steps at every position in [prefill_len, steps_end), rolled up
+/// as the two stages "prefill" and `steps_stage`.
+PerfReport cost_generation(const AccelConfig& config,
+                           const ref::ModelConfig& model,
+                           uint32_t prefill_len, uint32_t memory_len,
+                           const GenerationCosting& costing,
+                           uint32_t steps_end, uint32_t width,
+                           const char* steps_stage) {
+  const PerfReport prefill = estimate_prefill_performance(
+      config, model, prefill_len, memory_len, costing);
+  std::vector<Pass> steps;
+  for (uint32_t pos = prefill_len; pos < steps_end; ++pos) {
+    steps.push_back(Pass{.start = pos, .rows = 1});
+  }
+  const PerfReport decode = cost_passes(config, model, memory_len, steps,
+                                        /*cross_kv=*/false,
+                                        costing.kv_storage);
+  const hw::Cycles step_cycles = width * decode.total_cycles;
+  const uint64_t step_bytes = width * decode.bytes_loaded;
+
+  PerfReport report;
+  report.stages.push_back(StageTiming{.name = "prefill",
+                                      .invocations = 1,
+                                      .compute = prefill.total_cycles,
+                                      .total = prefill.total_cycles,
+                                      .bytes_loaded = 0});
+  report.stages.push_back(StageTiming{.name = steps_stage,
+                                      .invocations = width * steps.size(),
+                                      .compute = step_cycles,
+                                      .total = step_cycles,
+                                      .bytes_loaded = step_bytes});
+  report.bytes_loaded = step_bytes;
+  report.total_cycles = prefill.total_cycles + step_cycles;
+  report.layer_cycles = report.total_cycles / model.num_layers;
+  report.macs = prefill.macs + width * decode.macs;
+  finalize_report(config, report);
+  return report;
 }
 
 }  // namespace
@@ -123,108 +277,21 @@ PerfReport ProteaDecoderAccelerator::step_performance(
                                           memory_len);
 }
 
+uint64_t kv_row_bytes(const ref::ModelConfig& model,
+                      numeric::KvStorage storage) {
+  model.validate();
+  // Per-head stored width, NOT kv_storage_bytes(row elements): this is
+  // exactly how KvCache/KvBlockPool size their rows, and packed fp4
+  // rounds up per head (odd head_dim is rejected by the runtime).
+  return uint64_t{model.num_layers} * model.num_heads * 2 *
+         numeric::kv_storage_bytes(model.head_dim(), storage);
+}
+
 PerfReport estimate_decoder_performance(const AccelConfig& config,
                                         const ref::ModelConfig& model,
                                         uint32_t target_len,
                                         uint32_t memory_len) {
-  config.validate();
-  validate_runtime(config.synth, model);
-  if (target_len == 0 || target_len > model.seq_len) {
-    throw std::invalid_argument("decoder perf: bad target length");
-  }
-  if (memory_len == 0 || memory_len > config.synth.max_seq_len) {
-    throw std::invalid_argument("decoder perf: bad memory length");
-  }
-
-  const hw::SynthParams& sp = config.synth;
-  const TimingConstants& tc = config.timing;
-  const uint64_t t_len = target_len;
-  const uint64_t s_len = memory_len;
-  const uint64_t d = model.d_model;
-  const uint64_t dk = d / model.num_heads;
-  const uint64_t f = model.ffn_hidden();
-  const hw::Cycles depth = tc.pipeline_depth;
-  using util::ceil_div;
-
-  PerfReport report;
-  const uint64_t tiles_d = ceil_div(d, static_cast<uint64_t>(sp.ts_mha));
-  const uint32_t ii_qkv = hw::achieved_ii(4 * sp.ts_mha);
-  const uint32_t ii_proj = hw::achieved_ii(2 * sp.ts_mha);
-
-  auto add_stage = [&report](const char* name, uint64_t invocations,
-                             hw::Cycles cycles) {
-    report.stages.push_back(StageTiming{
-        .name = name, .invocations = invocations, .compute = cycles,
-        .total = cycles, .bytes_loaded = 0});
-  };
-
-  // Self-attention (engines in parallel across heads).
-  add_stage("self_qkv", tiles_d,
-            tiles_d * t_len * hw::pipelined_loop(dk, ii_qkv, depth));
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(dk, static_cast<uint64_t>(sp.head_dim_max())));
-    add_stage("self_qk", 1, t_len * hw::pipelined_loop(t_len, ii, depth));
-  }
-  add_stage("self_softmax", 1,
-            t_len * (2 * t_len + tc.softmax_row_overhead));
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(t_len, static_cast<uint64_t>(sp.sl_unroll)));
-    add_stage("self_sv", 1, t_len * hw::pipelined_loop(dk, ii, depth));
-  }
-
-  // Cross-attention: Q from the target stream, K/V streamed over the
-  // encoder memory — single-projection passes at half the QKV engine's
-  // read parallelism.
-  add_stage("cross_q", tiles_d,
-            tiles_d * t_len * hw::pipelined_loop(dk, ii_proj, depth));
-  add_stage("cross_kv", tiles_d,
-            2 * tiles_d * s_len * hw::pipelined_loop(dk, ii_proj, depth));
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(dk, static_cast<uint64_t>(sp.head_dim_max())));
-    add_stage("cross_qk", 1, t_len * hw::pipelined_loop(s_len, ii, depth));
-  }
-  add_stage("cross_softmax", 1,
-            t_len * (2 * s_len + tc.softmax_row_overhead));
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(s_len, static_cast<uint64_t>(sp.sl_unroll)));
-    add_stage("cross_sv", 1, t_len * hw::pipelined_loop(dk, ii, depth));
-  }
-
-  // Projections + FFN on the FFN engines (same tiling rules as encoder).
-  const FfnTiling ft = ffn_tiling(config, d, f);
-  const hw::Cycles per_access = t_len * ft.per_access;
-  add_stage("self_proj", ft.rows_d * ft.cols_d,
-            ft.rows_d * ft.cols_d * per_access);
-  add_stage("cross_proj", ft.rows_d * ft.cols_d,
-            ft.rows_d * ft.cols_d * per_access);
-  add_stage("ffn_expand", ft.rows_d * ft.cols_f,
-            ft.rows_d * ft.cols_f * per_access);
-  add_stage("ffn_contract", ft.rows_f * ft.cols_d,
-            ft.rows_f * ft.cols_d * per_access);
-
-  const hw::Cycles ln_row =
-      3 * ceil_div(d, static_cast<uint64_t>(tc.ln_lanes)) +
-      tc.ln_row_overhead;
-  add_stage("layernorm", 3, 3 * t_len * ln_row);
-
-  for (const auto& stage : report.stages) {
-    report.layer_cycles += stage.total;
-  }
-  report.total_cycles = report.layer_cycles * model.num_layers;
-
-  // Operation counts for a decoder stack.
-  const uint64_t self_macs =
-      3 * t_len * d * d + 2 * t_len * t_len * d + t_len * d * d;
-  const uint64_t cross_macs = t_len * d * d + 2 * s_len * d * d +
-                              2 * t_len * s_len * d + t_len * d * d;
-  const uint64_t ffn_macs = 2 * t_len * d * f;
-  report.macs = model.num_layers * (self_macs + cross_macs + ffn_macs);
-  finalize_report(config, report);
-  return report;
+  return estimate_prefill_performance(config, model, target_len, memory_len);
 }
 
 PerfReport estimate_decode_step_performance(const AccelConfig& config,
@@ -245,110 +312,12 @@ PerfReport estimate_decode_step_performance(const AccelConfig& config,
   if (memory_len == 0 || memory_len > config.synth.max_seq_len) {
     throw std::invalid_argument("decode step perf: bad memory length");
   }
-
-  const hw::SynthParams& sp = config.synth;
-  const TimingConstants& tc = config.timing;
-  const uint64_t kv_len = uint64_t{pos} + 1;  // cached prefix + this row
-  const uint64_t s_len = memory_len;
-  const uint64_t d = model.d_model;
-  const uint64_t dk = d / model.num_heads;
-  const uint64_t f = model.ffn_hidden();
-  const hw::Cycles depth = tc.pipeline_depth;
-  using util::ceil_div;
-
-  PerfReport report;
-  const uint64_t tiles_d = ceil_div(d, static_cast<uint64_t>(sp.ts_mha));
-  const uint32_t ii_qkv = hw::achieved_ii(4 * sp.ts_mha);
-  const uint32_t ii_proj = hw::achieved_ii(2 * sp.ts_mha);
-
-  auto add_stage = [&report](const char* name, uint64_t invocations,
-                             hw::Cycles cycles) {
-    report.stages.push_back(StageTiming{
-        .name = name, .invocations = invocations, .compute = cycles,
-        .total = cycles, .bytes_loaded = 0});
-  };
-
-  // Self-attention: one query row; K/V of the new row append into the
-  // cache and QK/softmax/SV span the kv_len cached rows.
-  add_stage("self_qkv", tiles_d,
-            tiles_d * hw::pipelined_loop(dk, ii_qkv, depth));
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(dk, static_cast<uint64_t>(sp.head_dim_max())));
-    add_stage("self_qk", 1, hw::pipelined_loop(kv_len, ii, depth));
-  }
-  add_stage("self_softmax", 1, 2 * kv_len + tc.softmax_row_overhead);
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(kv_len, static_cast<uint64_t>(sp.sl_unroll)));
-    add_stage("self_sv", 1, hw::pipelined_loop(dk, ii, depth));
-  }
-
-  // Cross-attention: only the Q projection of the new row is computed —
-  // the memory's K/V projections were cached at prefill, so the per-step
-  // cross_kv stage (the full model's dominant memory-length term)
-  // disappears entirely.
-  add_stage("cross_q", tiles_d,
-            tiles_d * hw::pipelined_loop(dk, ii_proj, depth));
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(dk, static_cast<uint64_t>(sp.head_dim_max())));
-    add_stage("cross_qk", 1, hw::pipelined_loop(s_len, ii, depth));
-  }
-  add_stage("cross_softmax", 1, 2 * s_len + tc.softmax_row_overhead);
-  {
-    const uint32_t ii = static_cast<uint32_t>(
-        ceil_div(s_len, static_cast<uint64_t>(sp.sl_unroll)));
-    add_stage("cross_sv", 1, hw::pipelined_loop(dk, ii, depth));
-  }
-
-  // Single-row projections + FFN on the FFN engines.
-  const FfnTiling ft = ffn_tiling(config, d, f);
-  add_stage("self_proj", ft.rows_d * ft.cols_d,
-            ft.rows_d * ft.cols_d * ft.per_access);
-  add_stage("cross_proj", ft.rows_d * ft.cols_d,
-            ft.rows_d * ft.cols_d * ft.per_access);
-  add_stage("ffn_expand", ft.rows_d * ft.cols_f,
-            ft.rows_d * ft.cols_f * ft.per_access);
-  add_stage("ffn_contract", ft.rows_f * ft.cols_d,
-            ft.rows_f * ft.cols_d * ft.per_access);
-
-  const hw::Cycles ln_row =
-      3 * ceil_div(d, static_cast<uint64_t>(tc.ln_lanes)) +
-      tc.ln_row_overhead;
-  add_stage("layernorm", 3, 3 * ln_row);
-
-  if (kv_storage != numeric::KvStorage::kInt8) {
-    // Block-strided path over a quantized cache: the QK/SV kernels
-    // stream the stored codes and decode them through the LUT in
-    // flight. Zero engine cycles (the LUT rides the existing pack and
-    // read loops), but the stored prefix bytes are real traffic the
-    // int8 path's in-place reads don't re-count — model them so the
-    // energy/bandwidth side of a quantized run is honest.
-    report.stages.push_back(StageTiming{
-        .name = "kv_dequant",
-        .invocations = model.num_heads,
-        .compute = 0,
-        .total = 0,
-        .bytes_loaded = uint64_t{model.num_heads} *
-                        numeric::kv_storage_bytes(2 * kv_len * dk, kv_storage)});
-  }
-
-  for (const auto& stage : report.stages) {
-    report.layer_cycles += stage.total;
-    report.bytes_loaded += stage.bytes_loaded;
-  }
-  report.total_cycles = report.layer_cycles * model.num_layers;
-  report.bytes_loaded *= model.num_layers;
-
-  // Per-step MAC count, matching the executed incremental schedule (and
-  // the EngineStats deltas a real decode_step records).
-  const uint64_t self_macs = 3 * d * d + 2 * kv_len * d + d * d;
-  const uint64_t cross_macs = d * d + 2 * s_len * d + d * d;
-  const uint64_t ffn_macs = 2 * d * f;
-  report.macs = model.num_layers * (self_macs + cross_macs + ffn_macs);
-  finalize_report(config, report);
-  return report;
+  // One query row over the pos + 1 cached rows. The memory's K/V
+  // projections were cached at prefill, so the per-step cross_kv stage
+  // (the full model's dominant memory-length term) disappears.
+  const Pass step{.start = pos, .rows = 1};
+  return cost_passes(config, model, memory_len, {&step, 1},
+                     /*cross_kv=*/false, kv_storage);
 }
 
 KvFootprint estimate_kv_footprint(const ref::ModelConfig& model,
@@ -358,15 +327,11 @@ KvFootprint estimate_kv_footprint(const ref::ModelConfig& model,
     throw std::invalid_argument("kv footprint: bad rows/block_rows");
   }
   KvFootprint fp;
-  // Per-head stored width, NOT kv_storage_bytes(row elements): this is
-  // exactly how KvCache/KvBlockPool size their rows, and packed fp4
-  // rounds up per head (odd head_dim is rejected by the runtime).
-  fp.row_bytes = uint64_t{model.num_layers} * model.num_heads * 2 *
-                 numeric::kv_storage_bytes(model.head_dim(), storage);
+  fp.row_bytes = kv_row_bytes(model, storage);
   // Dense arena stays 1 byte/element regardless of storage (quantized
   // formats round-trip in place there; only the paged pool packs).
-  fp.dense_bytes = uint64_t{model.num_layers} * model.num_heads * 2 *
-                   model.head_dim() * model.seq_len;
+  fp.dense_bytes =
+      kv_row_bytes(model, numeric::KvStorage::kInt8) * model.seq_len;
   fp.blocks = util::ceil_div(rows, block_rows);
   fp.paged_bytes = uint64_t{fp.blocks} * block_rows * fp.row_bytes;
   return fp;
@@ -383,8 +348,7 @@ ForkedKvFootprint estimate_forked_kv_footprint(const ref::ModelConfig& model,
     throw std::invalid_argument("forked kv footprint: bad arguments");
   }
   ForkedKvFootprint fp;
-  fp.row_bytes = uint64_t{model.num_layers} * model.num_heads * 2 *
-                 numeric::kv_storage_bytes(model.head_dim(), storage);
+  fp.row_bytes = kv_row_bytes(model, storage);
   const uint64_t block_bytes = uint64_t{block_rows} * fp.row_bytes;
   const uint32_t full = util::ceil_div(prompt_rows + new_rows, block_rows);
   fp.shared_blocks = util::ceil_div(prompt_rows, block_rows);
@@ -412,36 +376,8 @@ PerfReport estimate_beam_generation_performance(const AccelConfig& config,
       total_len > uint32_t{model.seq_len} + 1) {
     throw std::invalid_argument("beam generation perf: bad lengths");
   }
-  const PerfReport prefill =
-      estimate_decoder_performance(config, model, prefill_len, memory_len);
-
-  PerfReport report;
-  hw::Cycles step_cycles = 0;
-  uint64_t step_macs = 0;
-  for (uint32_t pos = prefill_len; pos + 1 < total_len; ++pos) {
-    const PerfReport step =
-        estimate_decode_step_performance(config, model, pos, memory_len);
-    step_cycles += beam_width * step.total_cycles;
-    step_macs += beam_width * step.macs;
-  }
-  report.stages.push_back(StageTiming{.name = "prefill",
-                                      .invocations = 1,
-                                      .compute = prefill.total_cycles,
-                                      .total = prefill.total_cycles,
-                                      .bytes_loaded = 0});
-  const uint64_t beam_steps =
-      uint64_t{beam_width} *
-      (total_len > prefill_len ? total_len - prefill_len - 1 : 0);
-  report.stages.push_back(StageTiming{.name = "beam_steps",
-                                      .invocations = beam_steps,
-                                      .compute = step_cycles,
-                                      .total = step_cycles,
-                                      .bytes_loaded = 0});
-  report.total_cycles = prefill.total_cycles + step_cycles;
-  report.layer_cycles = report.total_cycles / model.num_layers;
-  report.macs = prefill.macs + step_macs;
-  finalize_report(config, report);
-  return report;
+  return cost_generation(config, model, prefill_len, memory_len, {},
+                         total_len - 1, beam_width, "beam_steps");
 }
 
 PerfReport estimate_prefill_performance(const AccelConfig& config,
@@ -461,132 +397,19 @@ PerfReport estimate_prefill_performance(const AccelConfig& config,
     throw std::invalid_argument(
         "prefill perf: adopted_rows must leave a tail row");
   }
-
-  const hw::SynthParams& sp = config.synth;
-  const TimingConstants& tc = config.timing;
-  const uint64_t s_len = memory_len;
-  const uint64_t d = model.d_model;
-  const uint64_t dk = d / model.num_heads;
-  const uint64_t f = model.ffn_hidden();
-  const hw::Cycles depth = tc.pipeline_depth;
-  using util::ceil_div;
-
-  PerfReport report;
-  const uint64_t tiles_d = ceil_div(d, static_cast<uint64_t>(sp.ts_mha));
-  const uint32_t ii_qkv = hw::achieved_ii(4 * sp.ts_mha);
-  const uint32_t ii_proj = hw::achieved_ii(2 * sp.ts_mha);
-  const uint32_t ii_dk = static_cast<uint32_t>(
-      ceil_div(dk, static_cast<uint64_t>(sp.head_dim_max())));
-  const FfnTiling ft = ffn_tiling(config, d, f);
-  const hw::Cycles ln_row =
-      3 * ceil_div(d, static_cast<uint64_t>(tc.ln_lanes)) +
-      tc.ln_row_overhead;
-
-  // Replay the executed pass schedule: rows [adopted_rows, prefill_len)
-  // in chunk-sized passes, each pass's self-attention spanning every row
-  // cached so far (pos + n keys, NOT prefill_len — chunking genuinely
-  // changes the QK/SV totals, which is why the model must walk it).
-  struct Acc {
-    uint64_t inv = 0;
-    hw::Cycles cyc = 0;
-  };
-  Acc self_qkv, self_qk, self_softmax, self_sv, cross_q, cross_qk,
-      cross_softmax, cross_sv, self_proj, cross_proj, ffn_expand,
-      ffn_contract, layernorm;
-  uint64_t layer_macs = 0;  // per layer; scaled by num_layers below
-
-  const uint64_t t_len = prefill_len;
+  // The executed pass schedule: rows [adopted_rows, prefill_len) in
+  // chunk-row passes.
   const uint64_t start = costing.adopted_rows;
-  const uint64_t chunk =
-      costing.prefill_chunk == 0 ? t_len - start : costing.prefill_chunk;
-  for (uint64_t pos = start; pos < t_len; pos += chunk) {
-    const uint64_t n = std::min(chunk, t_len - pos);
-    const uint64_t kv = pos + n;
-    self_qkv.inv += tiles_d;
-    self_qkv.cyc += tiles_d * n * hw::pipelined_loop(dk, ii_qkv, depth);
-    self_qk.inv += 1;
-    self_qk.cyc += n * hw::pipelined_loop(kv, ii_dk, depth);
-    self_softmax.inv += 1;
-    self_softmax.cyc += n * (2 * kv + tc.softmax_row_overhead);
-    {
-      const uint32_t ii = static_cast<uint32_t>(
-          ceil_div(kv, static_cast<uint64_t>(sp.sl_unroll)));
-      self_sv.inv += 1;
-      self_sv.cyc += n * hw::pipelined_loop(dk, ii, depth);
-    }
-    cross_q.inv += tiles_d;
-    cross_q.cyc += tiles_d * n * hw::pipelined_loop(dk, ii_proj, depth);
-    cross_qk.inv += 1;
-    cross_qk.cyc += n * hw::pipelined_loop(s_len, ii_dk, depth);
-    cross_softmax.inv += 1;
-    cross_softmax.cyc += n * (2 * s_len + tc.softmax_row_overhead);
-    {
-      const uint32_t ii = static_cast<uint32_t>(
-          ceil_div(s_len, static_cast<uint64_t>(sp.sl_unroll)));
-      cross_sv.inv += 1;
-      cross_sv.cyc += n * hw::pipelined_loop(dk, ii, depth);
-    }
-    const hw::Cycles per_access = n * ft.per_access;
-    self_proj.inv += ft.rows_d * ft.cols_d;
-    self_proj.cyc += ft.rows_d * ft.cols_d * per_access;
-    cross_proj.inv += ft.rows_d * ft.cols_d;
-    cross_proj.cyc += ft.rows_d * ft.cols_d * per_access;
-    ffn_expand.inv += ft.rows_d * ft.cols_f;
-    ffn_expand.cyc += ft.rows_d * ft.cols_f * per_access;
-    ffn_contract.inv += ft.rows_f * ft.cols_d;
-    ffn_contract.cyc += ft.rows_f * ft.cols_d * per_access;
-    layernorm.inv += 3;
-    layernorm.cyc += 3 * n * ln_row;
-
-    layer_macs += 3 * n * d * d + 2 * n * kv * d + n * d * d;  // self
-    layer_macs += n * d * d + 2 * n * s_len * d + n * d * d;   // cross
-    layer_macs += 2 * n * d * f;                               // ffn
+  const uint64_t chunk = costing.prefill_chunk == 0 ? prefill_len - start
+                                                    : costing.prefill_chunk;
+  std::vector<Pass> passes;
+  for (uint64_t pos = start; pos < prefill_len; pos += chunk) {
+    passes.push_back(
+        Pass{.start = pos, .rows = std::min(chunk, prefill_len - pos)});
   }
-
-  auto add_stage = [&report](const char* name, uint64_t invocations,
-                             hw::Cycles cycles) {
-    report.stages.push_back(StageTiming{
-        .name = name, .invocations = invocations, .compute = cycles,
-        .total = cycles, .bytes_loaded = 0});
-  };
-  add_stage("self_qkv", self_qkv.inv, self_qkv.cyc);
-  add_stage("self_qk", self_qk.inv, self_qk.cyc);
-  add_stage("self_softmax", self_softmax.inv, self_softmax.cyc);
-  add_stage("self_sv", self_sv.inv, self_sv.cyc);
-  add_stage("cross_q", cross_q.inv, cross_q.cyc);
-  if (!costing.cross_cached) {
-    // The one-time memory projection — the stage a cross-cache hit
-    // removes wholesale.
-    add_stage("cross_kv", tiles_d,
-              2 * tiles_d * s_len * hw::pipelined_loop(dk, ii_proj, depth));
-    layer_macs += 2 * s_len * d * d;
-  }
-  add_stage("cross_qk", cross_qk.inv, cross_qk.cyc);
-  add_stage("cross_softmax", cross_softmax.inv, cross_softmax.cyc);
-  add_stage("cross_sv", cross_sv.inv, cross_sv.cyc);
-  add_stage("self_proj", self_proj.inv, self_proj.cyc);
-  add_stage("cross_proj", cross_proj.inv, cross_proj.cyc);
-  add_stage("ffn_expand", ffn_expand.inv, ffn_expand.cyc);
-  add_stage("ffn_contract", ffn_contract.inv, ffn_contract.cyc);
-  add_stage("layernorm", layernorm.inv, layernorm.cyc);
-
-  for (const auto& stage : report.stages) {
-    report.layer_cycles += stage.total;
-  }
-  report.total_cycles = report.layer_cycles * model.num_layers;
-  report.macs = model.num_layers * layer_macs;
-  finalize_report(config, report);
-  return report;
-}
-
-PerfReport estimate_generation_performance(const AccelConfig& config,
-                                           const ref::ModelConfig& model,
-                                           uint32_t prefill_len,
-                                           uint32_t total_len,
-                                           uint32_t memory_len) {
-  return estimate_generation_performance(config, model, prefill_len,
-                                         total_len, memory_len,
-                                         GenerationCosting{});
+  return cost_passes(config, model, memory_len, passes,
+                     /*cross_kv=*/!costing.cross_cached,
+                     numeric::KvStorage::kInt8);
 }
 
 PerfReport estimate_generation_performance(const AccelConfig& config,
@@ -599,36 +422,8 @@ PerfReport estimate_generation_performance(const AccelConfig& config,
       total_len > model.seq_len) {
     throw std::invalid_argument("generation perf: bad lengths");
   }
-  const PerfReport prefill = estimate_prefill_performance(
-      config, model, prefill_len, memory_len, costing);
-
-  PerfReport report;
-  hw::Cycles step_cycles = 0;
-  uint64_t step_macs = 0;
-  uint64_t step_bytes = 0;
-  for (uint32_t pos = prefill_len; pos < total_len; ++pos) {
-    const PerfReport step = estimate_decode_step_performance(
-        config, model, pos, memory_len, false, costing.kv_storage);
-    step_cycles += step.total_cycles;
-    step_macs += step.macs;
-    step_bytes += step.bytes_loaded;
-  }
-  report.stages.push_back(StageTiming{.name = "prefill",
-                                      .invocations = 1,
-                                      .compute = prefill.total_cycles,
-                                      .total = prefill.total_cycles,
-                                      .bytes_loaded = 0});
-  report.stages.push_back(StageTiming{.name = "decode_steps",
-                                      .invocations = total_len - prefill_len,
-                                      .compute = step_cycles,
-                                      .total = step_cycles,
-                                      .bytes_loaded = step_bytes});
-  report.bytes_loaded = step_bytes;
-  report.total_cycles = prefill.total_cycles + step_cycles;
-  report.layer_cycles = report.total_cycles / model.num_layers;
-  report.macs = prefill.macs + step_macs;
-  finalize_report(config, report);
-  return report;
+  return cost_generation(config, model, prefill_len, memory_len, costing,
+                         total_len, 1, "decode_steps");
 }
 
 PrefixCacheSavings estimate_prefix_cache_savings(
@@ -649,13 +444,11 @@ PrefixCacheSavings estimate_prefix_cache_savings(
   // width (matching the runtime's prefix_bytes_saved, which multiplies
   // by the pool's storage-aware row_bytes). Cross projections below
   // stay 1 byte/element: the cross cache always stores int8 rows.
-  const uint64_t row_bytes =
-      uint64_t{model.num_layers} * model.num_heads * 2 *
-      numeric::kv_storage_bytes(model.head_dim(), costing.kv_storage);
-  s.kv_bytes = uint64_t{costing.adopted_rows} * row_bytes;
+  s.kv_bytes = uint64_t{costing.adopted_rows} *
+               kv_row_bytes(model, costing.kv_storage);
   s.cross_bytes = costing.cross_cached
-                      ? uint64_t{model.num_layers} * model.num_heads * 2 *
-                            memory_len * model.head_dim()
+                      ? uint64_t{memory_len} *
+                            kv_row_bytes(model, numeric::KvStorage::kInt8)
                       : 0;
   s.ms_saved = cold_r.latency_ms - warm_r.latency_ms;
   return s;

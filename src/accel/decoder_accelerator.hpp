@@ -80,7 +80,17 @@ class ProteaDecoderAccelerator {
   std::unique_ptr<runtime::GenerationSession> gen_;
 };
 
-/// Analytic decoder-layer cycle model (shares all encoder constants).
+// --- Decoder cycle models --------------------------------------------------
+// One private costing function prices a list of stack passes (start
+// position, rows): the 13 per-row engine stages and MACs of each pass,
+// the one-time cross_kv memory projection unless it is cached, and a
+// bytes-only kv_dequant stage for decode steps over a quantized cache.
+// Every estimator below builds the pass list its runtime schedule
+// executes and hands it to that function, so the stage math exists once.
+
+/// Analytic decoder-layer cycle model (shares all encoder constants): a
+/// full forward of `target_len` rows, i.e. estimate_prefill_performance
+/// with default costing (one pass, cross_kv charged).
 PerfReport estimate_decoder_performance(const AccelConfig& config,
                                         const ref::ModelConfig& model,
                                         uint32_t target_len,
@@ -113,6 +123,15 @@ PerfReport estimate_decode_step_performance(
     uint32_t memory_len, bool kv_gather_fallback = false,
     numeric::KvStorage kv_storage = numeric::KvStorage::kInt8);
 
+/// K+V bytes per cached token row across the whole stack, at `storage`'s
+/// stored width: layers x heads x 2 x kv_storage_bytes(head_dim, storage).
+/// Per-head, exactly as KvCache/KvBlockPool carve their rows (packed fp4
+/// rounds up per head). The one row-width rule for the footprint,
+/// prefix-savings and preemption estimators and the runtime's pools.
+/// Validates `model` first (throws std::invalid_argument).
+uint64_t kv_row_bytes(const ref::ModelConfig& model,
+                      numeric::KvStorage storage);
+
 /// Self-K/V memory model for a sequence of `rows` cached target rows:
 /// the dense layout reserves the full programmed capacity
 /// (model.seq_len) per slot regardless of the sequence, while the paged
@@ -121,10 +140,9 @@ PerfReport estimate_decode_step_performance(
 /// block pool buys at equal arena footprint — what
 /// bench_decoder_scaling's paged-vs-dense records measure executed.
 struct KvFootprint {
-  /// K+V bytes per token row across the stack, at the POOL's stored
-  /// width: layers x heads x 2 x kv_storage_bytes(head_dim, storage).
-  /// Matches KvCache/KvBlockPool row accounting exactly per format
-  /// (int8 and fp8 are 1 byte/element; fp4-e2m1 packs 2 per byte).
+  /// kv_row_bytes(model, storage): the POOL's stored width. Matches
+  /// KvCache/KvBlockPool row accounting exactly per format (int8 and fp8
+  /// are 1 byte/element; fp4-e2m1 packs 2 per byte).
   uint64_t row_bytes = 0;
   /// Per-slot dense reservation (capacity rows). The dense layout's
   /// arena is ALWAYS 1 byte/element — quantized formats round-trip
@@ -212,29 +230,21 @@ PerfReport estimate_prefill_performance(const AccelConfig& config,
                                         uint32_t memory_len,
                                         const GenerationCosting& costing = {});
 
-/// Total cycle model for a KV-cached generation: one full prefill of
-/// `prefill_len` rows (which includes the one-time cross K/V projection)
-/// plus incremental steps for positions [prefill_len, total_len). The
-/// report aggregates the two phases as stages "prefill" and
-/// "decode_steps"; compare against summing estimate_decoder_performance
-/// over growing prefixes to quantify the O(T^2) -> O(T) win.
-PerfReport estimate_generation_performance(const AccelConfig& config,
-                                           const ref::ModelConfig& model,
-                                           uint32_t prefill_len,
-                                           uint32_t total_len,
-                                           uint32_t memory_len);
-
-/// Costing-aware overload: the prefill phase follows `costing` (chunked
-/// passes, adopted prefix, cached cross projections) while the decode
-/// phase is unchanged — decode after adoption runs the identical
-/// schedule, that is the whole point. All-default costing matches the
-/// 5-argument overload exactly.
-PerfReport estimate_generation_performance(const AccelConfig& config,
-                                           const ref::ModelConfig& model,
-                                           uint32_t prefill_len,
-                                           uint32_t total_len,
-                                           uint32_t memory_len,
-                                           const GenerationCosting& costing);
+/// Total cycle model for a KV-cached generation: the prefill of
+/// `prefill_len` rows that `costing` describes (chunked passes, adopted
+/// prefix, cached cross projections; all-default costing is one full
+/// prefill including the one-time cross K/V projection) plus incremental
+/// steps for positions [prefill_len, total_len). The decode phase ignores
+/// the prefill knobs — decode after adoption runs the identical
+/// schedule, that is the whole point — except kv_storage, which charges
+/// each step's kv_dequant bytes. The report aggregates the two phases as
+/// stages "prefill" and "decode_steps" (the latter carrying the steps'
+/// bytes); compare against summing estimate_decoder_performance over
+/// growing prefixes to quantify the O(T^2) -> O(T) win.
+PerfReport estimate_generation_performance(
+    const AccelConfig& config, const ref::ModelConfig& model,
+    uint32_t prefill_len, uint32_t total_len, uint32_t memory_len,
+    const GenerationCosting& costing = {});
 
 /// Modeled per-request savings of the prefix cache: a cold prefill
 /// (adopted_rows = 0, cross_cached = false, same chunking) minus the

@@ -17,6 +17,23 @@ using util::ceil_div;
 
 }  // namespace
 
+FfnTiling ffn_tiling(const AccelConfig& config,
+                     const ref::ModelConfig& model) {
+  const hw::SynthParams& sp = config.synth;
+  const bool fixed_rows = config.padding == PaddingPolicy::kSynthFixedRows;
+  const uint64_t ts_ffn = sp.ts_ffn;
+  const uint64_t d = model.d_model;
+  const uint64_t f = model.ffn_hidden();
+  FfnTiling t;
+  t.rows_d = fixed_rows ? sp.tiles_ffn_max() : ceil_div(d, ts_ffn);
+  t.rows_f = fixed_rows ? 4ull * sp.tiles_ffn_max() : ceil_div(f, ts_ffn);
+  t.cols_d = ceil_div(d, ts_ffn);
+  t.cols_f = ceil_div(f, ts_ffn);
+  t.row_cycles = hw::pipelined_loop(ts_ffn, hw::achieved_ii(2 * sp.ts_ffn),
+                                    config.timing.pipeline_depth);
+  return t;
+}
+
 const StageTiming& PerfReport::stage(const std::string& name) const {
   for (const auto& s : stages) {
     if (s.name == name) return s;
@@ -35,7 +52,6 @@ PerfReport estimate_performance(const AccelConfig& config,
   const uint64_t d = model.d_model;
   const uint64_t h = model.num_heads;
   const uint64_t dk = d / h;
-  const uint64_t f = model.ffn_hidden();
   const uint64_t word = sp.bits / 8;
   const Cycles depth = tc.pipeline_depth;
 
@@ -105,21 +121,9 @@ PerfReport estimate_performance(const AccelConfig& config,
   }
 
   // --- FFN engines (Algorithm 4, Fig. 6 two-dimensional tiling) --------------
-  // Row-tile loop bounds are frozen at synthesis under kSynthFixedRows
-  // (the hardware walks zero-padded tiles when d_model shrinks — this is
-  // what Table I's d_model scaling shows); column tiles adapt at runtime.
-  const bool fixed_rows = config.padding == PaddingPolicy::kSynthFixedRows;
-  const uint64_t ts_ffn = sp.ts_ffn;
-  const uint64_t rows_d =
-      fixed_rows ? sp.tiles_ffn_max() : ceil_div(d, ts_ffn);
-  const uint64_t rows_f =
-      fixed_rows ? 4ull * sp.tiles_ffn_max() : ceil_div(f, ts_ffn);
-  const uint64_t cols_d = ceil_div(d, ts_ffn);
-  const uint64_t cols_f = ceil_div(f, ts_ffn);
-  const uint32_t ffn_ii = hw::achieved_ii(2 * sp.ts_ffn);
-  const Cycles per_access =
-      sl * hw::pipelined_loop(ts_ffn, ffn_ii, depth) + tc.tile_control;
-  const uint64_t ffn_tile_bytes = ts_ffn * ts_ffn * word;
+  const FfnTiling ft = ffn_tiling(config, model);
+  const Cycles per_access = sl * ft.row_cycles + tc.tile_control;
+  const uint64_t ffn_tile_bytes = uint64_t{sp.ts_ffn} * sp.ts_ffn * word;
 
   const auto ffn_stage = [&](const char* name, uint64_t accesses) {
     StageTiming s{.name = name};
@@ -130,9 +134,9 @@ PerfReport estimate_performance(const AccelConfig& config,
         tile_latency(accesses, load_cycles(ffn_tile_bytes), per_access);
     report.stages.push_back(s);
   };
-  ffn_stage("ffn1", rows_d * cols_d);  // projection d -> d
-  ffn_stage("ffn2", rows_d * cols_f);  // expansion d -> 4d
-  ffn_stage("ffn3", rows_f * cols_d);  // contraction 4d -> d
+  ffn_stage("ffn1", ft.rows_d * ft.cols_d);  // projection d -> d
+  ffn_stage("ffn2", ft.rows_d * ft.cols_f);  // expansion d -> 4d
+  ffn_stage("ffn3", ft.rows_f * ft.cols_d);  // contraction 4d -> d
 
   // --- LayerNorm units (two per layer, fused residual) -----------------------
   {

@@ -48,6 +48,24 @@ struct PerfReport {
   const StageTiming& stage(const std::string& name) const;
 };
 
+/// FFN-engine tile walk (Algorithm 4, Fig. 6 two-dimensional tiling),
+/// shared by the encoder and decoder cycle models so the PaddingPolicy
+/// decision lives in one place. Row-tile loop bounds are frozen at
+/// synthesis under kSynthFixedRows (the hardware walks zero-padded tiles
+/// when d_model shrinks, which is what Table I's d_model scaling shows);
+/// column tiles adapt at runtime. A stage with K-side rows and N-side
+/// columns makes rows x cols engine accesses, each costing `row_cycles`
+/// per target row it streams.
+struct FfnTiling {
+  uint64_t rows_d = 0;  // row tiles over d_model (projection, expansion)
+  uint64_t rows_f = 0;  // row tiles over the FFN width (contraction)
+  uint64_t cols_d = 0;  // column tiles over d_model
+  uint64_t cols_f = 0;  // column tiles over the FFN width
+  hw::Cycles row_cycles = 0;  // one access's pipelined loop, per row
+};
+
+FfnTiling ffn_tiling(const AccelConfig& config, const ref::ModelConfig& model);
+
 /// Estimates a full forward pass of `model` on hardware `config`.
 /// Throws when the runtime program does not fit the synthesis
 /// (validate_runtime).

@@ -13,7 +13,7 @@ namespace {
 // terms cover the softmax LUT cores, the LN units, AXI masters and the
 // control FSMs. Calibrated once so the paper's synthesis point
 // (TS_MHA=64, TS_FFN=128, h=8) reproduces Table I's 993107 LUTs /
-// 704115 FFs; see EXPERIMENTS.md "Resource calibration".
+// 704115 FFs; see README.md "Calibration notes".
 constexpr uint64_t kLutPerPe = 177;
 constexpr uint64_t kLutPerBank = 80;
 constexpr uint64_t kLutSoftmaxPerHead = 8192;

@@ -7,7 +7,8 @@
 // which evaluates to 3612 for the paper's synthesis point — exactly the
 // 40 % of the U55C's 9024 DSPs that Table I reports. LUT/FF counts are a
 // linear model over PEs, memory banks and fixed infrastructure whose
-// coefficients are calibrated once against Table I (see EXPERIMENTS.md).
+// coefficients are calibrated once against Table I (see README.md,
+// "Calibration notes").
 #pragma once
 
 #include <cstdint>

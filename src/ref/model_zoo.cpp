@@ -19,7 +19,7 @@ ModelConfig model_peng21() {
   // Peng et al. [21] evaluate a pruned shallow BERT on a U200; the paper
   // reports ProTEA running their workload in 4.48 ms. A single-layer
   // d=256 encoder at SL=36 reproduces that latency on the simulator
-  // (4.36 ms, 2.7 % off — see EXPERIMENTS.md "Model-zoo calibration").
+  // (4.36 ms, 2.7 % off — see README.md "Calibration notes").
   ModelConfig c;
   c.name = "peng21";
   c.seq_len = 36;

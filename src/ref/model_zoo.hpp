@@ -5,7 +5,7 @@
 // The remaining entries model the workloads of the cited comparison points
 // in Tables II/III; the cited papers do not publish full hyperparameters,
 // so shapes are chosen to reproduce the ProTEA-side latencies the paper
-// reports for those rows (see EXPERIMENTS.md for the calibration note).
+// reports for those rows (see README.md, "Calibration notes").
 #pragma once
 
 #include <string_view>

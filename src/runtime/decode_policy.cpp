@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "accel/decoder_accelerator.hpp"
 #include "util/math_util.hpp"
 
 namespace protea::runtime {
@@ -321,9 +322,8 @@ BeamSearchDecoder::BeamSearchDecoder(const accel::AccelConfig& config,
   }
   const size_t k = options_.beam_width;
   const size_t d = model.config.d_model;
-  const size_t row_bytes = size_t{model.config.num_layers} *
-                           model.config.num_heads * 2 *
-                           model.config.head_dim();
+  const size_t row_bytes =
+      accel::kv_row_bytes(model.config, numeric::KvStorage::kInt8);
 
   if (options_.kv_pool != nullptr) {
     if (!options_.kv_pool->configured() ||

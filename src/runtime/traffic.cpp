@@ -1270,10 +1270,8 @@ std::vector<TrafficResult> TrafficEngine::run(
                   util::ceil_div<size_t>(mc.seq_len, opts.kv_block_rows);
     // Storage-aware row width (packed fp4 rows are half as wide); must
     // match what each seat's KvCache derives for the same format.
-    owned_pool.configure(
-        blocks, opts.kv_block_rows,
-        mc.num_layers * mc.num_heads * 2 *
-            numeric::kv_storage_bytes(mc.head_dim(), opts.kv_storage));
+    owned_pool.configure(blocks, opts.kv_block_rows,
+                         accel::kv_row_bytes(mc, opts.kv_storage));
     pool = &owned_pool;
   }
 

@@ -505,6 +505,9 @@ TEST(ForkedKvFootprint, ModelsSharedVsPrivateBlocksAndSavings) {
                std::invalid_argument);
   EXPECT_THROW(accel::estimate_forked_kv_footprint(m, 60, 8, 4, 8),
                std::invalid_argument);
+  m.num_heads = 0;
+  EXPECT_THROW(accel::estimate_forked_kv_footprint(m, 24, 8, 4, 8),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "accel/decoder_accelerator.hpp"
@@ -319,6 +320,107 @@ TEST(GenerationPerf, GenerationEstimateSumsPrefillAndSteps) {
   }
   EXPECT_EQ(total.total_cycles, expected);
   EXPECT_EQ(total.stage("decode_steps").invocations, 9u);
+}
+
+void expect_same_report(const accel::PerfReport& a,
+                        const accel::PerfReport& b) {
+  ASSERT_EQ(a.stages.size(), b.stages.size());
+  for (size_t i = 0; i < a.stages.size(); ++i) {
+    SCOPED_TRACE(a.stages[i].name);
+    EXPECT_EQ(a.stages[i].name, b.stages[i].name);
+    EXPECT_EQ(a.stages[i].invocations, b.stages[i].invocations);
+    EXPECT_EQ(a.stages[i].compute, b.stages[i].compute);
+    EXPECT_EQ(a.stages[i].total, b.stages[i].total);
+    EXPECT_EQ(a.stages[i].bytes_loaded, b.stages[i].bytes_loaded);
+  }
+  EXPECT_EQ(a.layer_cycles, b.layer_cycles);
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.fmax_mhz, b.fmax_mhz);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  EXPECT_EQ(a.macs, b.macs);
+  EXPECT_EQ(a.ops, b.ops);
+  EXPECT_EQ(a.gops, b.gops);
+  EXPECT_EQ(a.dsp_utilization, b.dsp_utilization);
+  EXPECT_EQ(a.bytes_loaded, b.bytes_loaded);
+}
+
+TEST(GenerationPerf, ScheduleShapesAgreeStageByStage) {
+  // The decoder estimators are all one stack pass repeated: a full
+  // forward is a one-pass prefill, a cross-cached prefill in 1-row
+  // chunks is the run of decode steps over the same positions, and a
+  // generation's decode phase streams exactly its steps' dequant bytes.
+  ref::ModelConfig wide = small_config();
+  wide.seq_len = 80;  // spans past sl_unroll
+  wide.d_model = 512;
+  wide.num_heads = 4;  // head_dim 128 > head_dim_max: two QK passes
+  wide.num_layers = 3;
+  const std::pair<ref::ModelConfig, uint32_t> shapes[] = {
+      {small_config(), 8}, {wide, 70}};
+  for (const auto padding : {accel::PaddingPolicy::kSynthFixedRows,
+                             accel::PaddingPolicy::kRuntimeAdaptive}) {
+    accel::AccelConfig acfg;
+    acfg.padding = padding;
+    for (const auto& [cfg, mem] : shapes) {
+      SCOPED_TRACE(cfg.d_model);
+      const uint32_t t_len = cfg.seq_len;
+      for (const uint32_t t : {1u, t_len / 2, t_len}) {
+        expect_same_report(
+            accel::estimate_decoder_performance(acfg, cfg, t, mem),
+            accel::estimate_prefill_performance(acfg, cfg, t, mem));
+      }
+
+      const uint32_t adopted = 3;
+      accel::GenerationCosting rowwise;
+      rowwise.prefill_chunk = 1;
+      rowwise.adopted_rows = adopted;
+      rowwise.cross_cached = true;
+      const auto chunked =
+          accel::estimate_prefill_performance(acfg, cfg, t_len, mem, rowwise);
+      std::vector<accel::StageTiming> summed;
+      uint64_t step_macs = 0;
+      for (uint32_t pos = adopted; pos < t_len; ++pos) {
+        const auto step =
+            accel::estimate_decode_step_performance(acfg, cfg, pos, mem);
+        summed.resize(step.stages.size());
+        for (size_t i = 0; i < step.stages.size(); ++i) {
+          summed[i].name = step.stages[i].name;
+          summed[i].invocations += step.stages[i].invocations;
+          summed[i].compute += step.stages[i].compute;
+          summed[i].total += step.stages[i].total;
+        }
+        step_macs += step.macs;
+      }
+      ASSERT_EQ(chunked.stages.size(), summed.size());
+      for (size_t i = 0; i < summed.size(); ++i) {
+        SCOPED_TRACE(summed[i].name);
+        EXPECT_EQ(chunked.stages[i].name, summed[i].name);
+        EXPECT_EQ(chunked.stages[i].invocations, summed[i].invocations);
+        EXPECT_EQ(chunked.stages[i].compute, summed[i].compute);
+        EXPECT_EQ(chunked.stages[i].total, summed[i].total);
+      }
+      EXPECT_EQ(chunked.macs, step_macs);
+
+      for (const auto storage :
+           {numeric::KvStorage::kFp8E4M3, numeric::KvStorage::kFp8E5M2,
+            numeric::KvStorage::kFp4E2M1}) {
+        SCOPED_TRACE(numeric::kv_storage_name(storage));
+        accel::GenerationCosting costing;
+        costing.kv_storage = storage;
+        const uint32_t prefill_len = 2;
+        const auto gen = accel::estimate_generation_performance(
+            acfg, cfg, prefill_len, t_len, mem, costing);
+        uint64_t step_bytes = 0;
+        for (uint32_t pos = prefill_len; pos < t_len; ++pos) {
+          step_bytes += accel::estimate_decode_step_performance(
+                            acfg, cfg, pos, mem, false, storage)
+                            .bytes_loaded;
+        }
+        EXPECT_GT(step_bytes, 0u);
+        EXPECT_EQ(gen.stage("decode_steps").bytes_loaded, step_bytes);
+        EXPECT_EQ(gen.bytes_loaded, step_bytes);
+      }
+    }
+  }
 }
 
 TEST(GenerationPerf, CachedGenerationBeatsFullRecompute) {

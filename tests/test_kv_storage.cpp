@@ -112,6 +112,11 @@ TEST(KvStorageBytes, FootprintRowBytesMatchPoolGeometry) {
   EXPECT_EQ(fx.row_bytes(KvStorage::kFp8E4M3), fx.row_bytes(KvStorage::kInt8));
   EXPECT_EQ(fx.row_bytes(KvStorage::kFp4E2M1),
             fx.row_bytes(KvStorage::kInt8) / 2);
+  // A model with no heads has no row width: reject it, don't divide by 0.
+  ref::ModelConfig headless = fx.cfg;
+  headless.num_heads = 0;
+  EXPECT_THROW(accel::estimate_kv_footprint(headless, 7, 2),
+               std::invalid_argument);
 }
 
 TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {

@@ -23,8 +23,8 @@ PerfReport run(const ref::ModelConfig& model,
 // --- Table I reproduction ----------------------------------------------------
 // Paper values: Tests 1..9 latency in ms. Test 9 (SL=32) is the one row
 // the structural model underestimates (paper 165, structural ~139 — the
-// paper's own SL-scaling is anomalous there; see EXPERIMENTS.md), so its
-// tolerance is wider.
+// paper's own SL-scaling is anomalous there; see README.md, "Calibration
+// notes"), so its tolerance is wider.
 
 struct Table1Row {
   size_t index;

@@ -753,6 +753,10 @@ TEST(TrafficRobustness, PreemptionCostMatchesExecutedReplay) {
                std::invalid_argument);
   EXPECT_THROW(accel::estimate_preemption_cost(fx.acfg, fx.cfg, 6, 8, 0),
                std::invalid_argument);
+  ref::ModelConfig headless = fx.cfg;
+  headless.num_heads = 0;
+  EXPECT_THROW(accel::estimate_preemption_cost(fx.acfg, headless, 6, 8, 4),
+               std::invalid_argument);
 }
 
 TEST(TrafficTrace, GeneratorIsDeterministicAndBounded) {
