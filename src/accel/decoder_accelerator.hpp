@@ -137,8 +137,8 @@ uint64_t kv_row_bytes(const ref::ModelConfig& model,
 /// (model.seq_len) per slot regardless of the sequence, while the paged
 /// layout holds ceil(rows / block_rows) blocks. The ratio
 /// dense_bytes / paged_bytes is the concurrency multiplier a shared
-/// block pool buys at equal arena footprint — what
-/// bench_decoder_scaling's paged-vs-dense records measure executed.
+/// block pool buys at equal arena footprint (bench_decoder_scaling
+/// tabulates it).
 struct KvFootprint {
   /// kv_row_bytes(model, storage): the POOL's stored width. Matches
   /// KvCache/KvBlockPool row accounting exactly per format (int8 and fp8
@@ -163,8 +163,8 @@ KvFootprint estimate_kv_footprint(
 /// rows. COW shares the prompt lineage once (each beam privately holds
 /// only its divergent tail plus the write-triggered copy of the
 /// straddling block); the eager reference copies the full lineage per
-/// beam. `bytes_saved` is the COW win — what bench_decoder_scaling's
-/// beam-K records measure executed via pool accounting.
+/// beam. `bytes_saved` is the COW win (bench_decoder_scaling tabulates
+/// it for 2, 4 and 8 beams).
 struct ForkedKvFootprint {
   uint64_t row_bytes = 0;          // K+V bytes per token row (whole stack)
   uint32_t shared_blocks = 0;      // prompt lineage, counted once

@@ -503,49 +503,4 @@ void write_chrome_trace(const std::string& path,
   }
 }
 
-namespace {
-
-std::string unit_of(const std::string& name) {
-  const auto ends_with = [&](std::string_view suffix) {
-    return name.size() >= suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-  };
-  if (ends_with("_rounds")) return "rounds";
-  if (ends_with("_blocks")) return "blocks";
-  if (ends_with("_bytes")) return "bytes";
-  if (ends_with("_ns")) return "ns";
-  if (ends_with("_us")) return "us";
-  if (ends_with("_ms")) return "ms";
-  return "value";
-}
-
-}  // namespace
-
-std::vector<MetricSample> metric_samples(const Telemetry& telemetry) {
-  std::vector<MetricSample> out;
-  for (const auto* h : telemetry.metrics.histograms()) {
-    const std::string unit = unit_of(h->name);
-    const Histogram& hist = h->histogram;
-    out.push_back({h->name, "p50",
-                   static_cast<double>(hist.percentile(50.0)), unit});
-    out.push_back({h->name, "p95",
-                   static_cast<double>(hist.percentile(95.0)), unit});
-    out.push_back({h->name, "p99",
-                   static_cast<double>(hist.percentile(99.0)), unit});
-    out.push_back({h->name, "mean", hist.mean(), unit});
-    out.push_back(
-        {h->name, "count", static_cast<double>(hist.count()), "count"});
-  }
-  for (const auto* c : telemetry.metrics.counters()) {
-    out.push_back({c->name, "count",
-                   static_cast<double>(c->counter.value()), "count"});
-  }
-  for (const auto* g : telemetry.metrics.gauges()) {
-    out.push_back({g->name, "value", g->gauge.value(), unit_of(g->name)});
-    out.push_back({g->name, "max", g->gauge.max(), unit_of(g->name)});
-  }
-  return out;
-}
-
 }  // namespace protea::runtime

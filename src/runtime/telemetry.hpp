@@ -15,10 +15,9 @@
 //     downtime, pool occupancy) with nearest-rank p50/p95/p99
 //     extraction: exact below the linear threshold, bounded relative
 //     error (<= 1/8) above it.
-//   * Exporters — Chrome trace-event JSON (loads in chrome://tracing /
+//   * Exporter — Chrome trace-event JSON (loads in chrome://tracing /
 //     Perfetto: one async track per sequence plus pool counter and
-//     scheduler tracks) and a flattener that folds metrics into the
-//     BENCH_*.json record schema.
+//     scheduler tracks).
 //
 // Determinism contract: every event's VIRTUAL fields (type, seq, round,
 // a, b) are produced by coordinator-serial code in the traffic engine,
@@ -316,19 +315,5 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 /// the file cannot be written.
 void write_chrome_trace(const std::string& path,
                         const std::vector<TraceEvent>& events);
-
-/// Flattened metric sample in the BENCH_*.json record vocabulary.
-struct MetricSample {
-  std::string name;    // instrument name, e.g. "ttft_rounds"
-  std::string metric;  // "p50" / "p95" / "p99" / "mean" / "count" / ...
-  double value = 0.0;
-  std::string unit;    // "rounds", "blocks", "us", "count"
-};
-
-/// Every registered histogram -> {p50, p95, p99, mean, count} samples
-/// (unit inferred from the instrument-name suffix), every counter ->
-/// one "count" sample, every gauge -> "value"/"max" samples. Empty when
-/// telemetry is unconfigured or compiled out.
-std::vector<MetricSample> metric_samples(const Telemetry& telemetry);
 
 }  // namespace protea::runtime

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <limits>
 #include <numeric>
@@ -130,6 +129,9 @@ void validate_traffic_request(const TrafficRequest& t,
   }
   if (r.prefix.rows() == 0 || r.prefix.cols() != cfg.d_model) {
     throw std::invalid_argument("traffic request: bad prefix shape");
+  }
+  if (r.prefix.rows() > cfg.seq_len) {
+    throw std::invalid_argument("traffic request: prefix exceeds seq_len");
   }
   if (r.prefix.rows() + r.max_new_tokens > cfg.seq_len + 1) {
     throw std::invalid_argument(
@@ -1201,25 +1203,6 @@ std::vector<StatSample> flatten_stats(const SchedulerStats& stats) {
   push("prefix_evictions", static_cast<double>(stats.prefix_evictions));
   push("max_active", static_cast<double>(stats.max_active));
   push("wall_ms", stats.wall_ms, "ms");
-  return out;
-}
-
-std::string scheduler_stats_json(const SchedulerStats& stats) {
-  std::string out = "{";
-  bool first = true;
-  char buf[64];
-  for (const StatSample& s : flatten_stats(stats)) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + s.metric + "\":";
-    if (s.value == std::floor(s.value) && std::abs(s.value) < 9.0e15) {
-      std::snprintf(buf, sizeof buf, "%.0f", s.value);
-    } else {
-      std::snprintf(buf, sizeof buf, "%.6g", s.value);
-    }
-    out += buf;
-  }
-  out += "}";
   return out;
 }
 

@@ -37,9 +37,8 @@
 // units (one prefill chunk or decode step per active seat) over a worker
 // pool bracketed by the MHA/FFN module gates. Outputs AND SchedulerStats
 // are therefore bit-identical between stepped and threaded runs (only
-// wall-clock fields differ), which is what makes the fault-injection
-// stress harness (bench_traffic) a real invariant gate rather than a
-// smoke test.
+// wall-clock fields differ), which is what lets the seeded storm tests
+// (TrafficStorm in tests/test_traffic.cpp) compare the modes bit for bit.
 #pragma once
 
 #include <array>
@@ -85,9 +84,13 @@ enum class TrafficOutcome : uint32_t {
 };
 const char* traffic_outcome_name(TrafficOutcome o);
 
-/// How a preemption victim's KV state is recovered at restore.
+/// How a preemption victim's KV state is recovered at restore. A victim
+/// is swapped only while a swap slot is free (TrafficOptions::swap_slots)
+/// and its block table is not shared; otherwise it is recomputed. So
+/// kSwapOut behaves exactly like kAuto, and kRecompute like
+/// swap_slots = 0.
 enum class PreemptionRecovery : uint32_t {
-  kSwapOut = 0,   // spill blocks to the side buffer, rescatter on restore
+  kSwapOut = 0,   // same as kAuto
   kRecompute,     // release everything, re-prefill from token history
   kAuto,          // swap while a swap slot is free, recompute beyond
 };
@@ -145,7 +148,8 @@ struct TrafficOptions {
   KvBlockPool* kv_pool = nullptr;  // external pool (must outlive the run)
   PreemptionRecovery recovery = PreemptionRecovery::kAuto;
   /// Concurrently swapped-out victims the side buffer holds; victims
-  /// beyond this fall back to drop-and-recompute.
+  /// beyond this, and victims whose block table may be shared, fall back
+  /// to drop-and-recompute. 0 never swaps (the same as kRecompute).
   size_t swap_slots = 2;
   /// false disables victim preemption entirely (requests then stall
   /// until blocks free up, with the stall valve as the backstop).
@@ -241,9 +245,7 @@ struct SchedulerStats {
   }
 };
 
-/// One flattened SchedulerStats field in the BENCH_*.json record
-/// vocabulary (bench_common.hpp's {name, metric, value, unit} minus the
-/// bench name the caller supplies).
+/// One flattened SchedulerStats field: a {metric, value, unit} record.
 struct StatSample {
   std::string metric;  // e.g. "preemptions", "interactive.completed"
   double value = 0.0;
@@ -252,13 +254,9 @@ struct StatSample {
 
 /// THE serializer for SchedulerStats: every aggregate counter, every
 /// per-class counter (prefixed "<class>.") and the scalar fields, in a
-/// fixed deterministic order. Benches append these to their BENCH_*.json
-/// records and tests diff them — nobody hand-re-serializes the struct.
+/// fixed deterministic order. The benchmark (perfbench) reports its
+/// storm counters through it, so nobody hand-re-serializes the struct.
 std::vector<StatSample> flatten_stats(const SchedulerStats& stats);
-
-/// flatten_stats rendered as one JSON object {"metric": value, ...}
-/// (doubles for wall_ms, integers otherwise; no trailing newline).
-std::string scheduler_stats_json(const SchedulerStats& stats);
 
 /// Continuous-batching engine with preemption, deadlines and shedding.
 /// Owns the model (shared read-only by every seat); run() is reentrant

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -694,6 +695,18 @@ TEST(ClosedBatch, ValidatesRequests) {
   requests[0] = make_request(fx, 132, 4);
   requests[0].next_token = nullptr;
   EXPECT_THROW(engine.run(requests), std::invalid_argument);
+
+  // A prompt longer than seq_len is rejected up front even when it asks
+  // for no tokens, before the KV layer could see it mid-run.
+  requests[0] = make_request(fx, 134, 0);
+  requests[0].prefix = random_input(fx.cfg.seq_len + 1, fx.cfg.d_model, 134);
+  try {
+    engine.run(requests);
+    ADD_FAILURE() << "an oversized prompt was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("traffic request", 0), 0u)
+        << e.what();
+  }
 
   requests[0] = make_request(fx, 133, 4);
   runtime::TrafficOptions opts;

@@ -11,6 +11,8 @@
 //     included) == dense, byte-exact across COW forks, swap round trips,
 //     prefix adoption and repeat runs — decode output depends only on
 //     the storage choice, never on paging history;
+//   * the concurrency win: at one pool byte budget, fp4 runs at least
+//     twice the int8 run's concurrent sequences, executed;
 //   * the mixed-format guards: a pool serving int8 and fp8 sequences has
 //     IDENTICAL row widths for both, so adoption/forking across formats
 //     must be refused by contract, not caught by geometry;
@@ -30,6 +32,7 @@
 #include "runtime/generation.hpp"
 #include "runtime/kv_cache.hpp"
 #include "runtime/prefix_cache.hpp"
+#include "runtime/traffic.hpp"
 #include "tensor/qgemm.hpp"
 #include "util/rng.hpp"
 
@@ -218,6 +221,52 @@ TEST(KvStorageDecode, RepeatRunsAreBitIdentical) {
     }
     EXPECT_EQ(runs[0], runs[1]);
   }
+}
+
+// --- fp4 concurrency at a fixed pool byte budget ------------------------------
+
+TEST(KvStorageConcurrency, Fp4ServesTwiceTheInt8SequencesAtEqualPoolBytes) {
+  // Packed fp4 rows are half the int8 width, so the byte budget that
+  // carves 32 four-row int8 blocks carves 64 fp4 blocks. A mix of short
+  // sequences (one block each) with the pool as the only limiter must
+  // then run at least twice as many sequences at once.
+  Fixture fx;
+  const uint32_t d = fx.cfg.d_model;
+  std::vector<runtime::GenerationRequest> requests;
+  for (uint64_t i = 0; i < 96; ++i) {
+    runtime::GenerationRequest req;
+    req.prefix = random_input(2, d, 950 + i);
+    req.memory = &fx.memory;
+    req.max_new_tokens = 2;
+    req.next_token = [d](std::span<const float> state, tensor::MatrixF& next) {
+      if (next.rows() != 1 || next.cols() != d) next = tensor::MatrixF(1, d);
+      for (size_t c = 0; c < d; ++c) next(0, c) = 0.5f * state[c];
+      return true;
+    };
+    requests.push_back(std::move(req));
+  }
+
+  constexpr size_t kBlockRows = 4;
+  const size_t budget_bytes = 32 * kBlockRows * fx.row_bytes(KvStorage::kInt8);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  uint32_t max_active[2] = {0, 0};
+  const KvStorage formats[2] = {KvStorage::kInt8, KvStorage::kFp4E2M1};
+  for (size_t f = 0; f < 2; ++f) {
+    SCOPED_TRACE(numeric::kv_storage_name(formats[f]));
+    runtime::TrafficOptions opts;
+    opts.kv_storage = formats[f];
+    opts.kv_block_rows = kBlockRows;
+    opts.kv_pool_blocks =
+        budget_bytes / (kBlockRows * fx.row_bytes(formats[f]));
+    opts.slots = requests.size();  // the pool is the limiter
+    const auto results = engine.run(requests, opts);
+    for (const auto& r : results) {
+      EXPECT_EQ(r.outcome, runtime::TrafficOutcome::kCompleted);
+    }
+    max_active[f] = engine.last_run().max_active;
+  }
+  EXPECT_EQ(max_active[0], 32u);
+  EXPECT_GE(max_active[1], 2 * max_active[0]);
 }
 
 // --- COW fork + swap round trip, per format ----------------------------------

@@ -4,7 +4,9 @@
 // agreement of the executed MAC savings with the perf model
 // (estimate_prefix_cache_savings); LRU eviction under pool pressure
 // that never touches a live table; and pool drain after teardown —
-// plus the closed-batch and traffic-engine integrations.
+// plus the shared-document fleet's hit counts and prefill cut, the
+// closed-batch and traffic-engine integrations, and the seeded
+// shared-prefix storm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +20,16 @@
 #include "runtime/generation.hpp"
 #include "runtime/kv_cache.hpp"
 #include "runtime/prefix_cache.hpp"
+#include "runtime/telemetry.hpp"
 #include "runtime/traffic.hpp"
+#include "traffic_fixture.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
 namespace {
+
+using test::expect_same_traffic_stats;
+using test::random_input;
 
 ref::ModelConfig small_config() {
   ref::ModelConfig c;
@@ -32,15 +39,6 @@ ref::ModelConfig small_config() {
   c.num_layers = 2;
   c.activation = ref::Activation::kGelu;
   return c;
-}
-
-tensor::MatrixF random_input(size_t rows, size_t cols, uint64_t seed) {
-  tensor::MatrixF m(rows, cols);
-  util::Xoshiro256 rng(seed);
-  for (float& x : m.flat()) {
-    x = static_cast<float>(std::clamp(rng.normal(), -3.0, 3.0));
-  }
-  return m;
 }
 
 struct Fixture {
@@ -430,6 +428,98 @@ TEST(PrefixCache, RandomizedSharedDocumentSweepStaysBitIdentical) {
   EXPECT_EQ(pool.used_blocks(), 0u);
 }
 
+// --- shared-document fleet ---------------------------------------------------
+
+TEST(PrefixCache, SharedDocumentFleetHitsForEveryLaterPromptAndCutsPrefill) {
+  // Six prompts share one 12-row document (75% of each 16-row prompt)
+  // over one memory. A cold pass prefills each on a private cache; the
+  // warm pass routes them through one PrefixCache, so prompt 0 publishes
+  // and prompts 1..5 adopt the document blocks and reuse the cached
+  // cross projections: five prefix hits and five cross hits, with the
+  // adopters' prefill MACs at least 2x below their cold runs.
+  ref::ModelConfig cfg = small_config();
+  cfg.seq_len = 32;
+  cfg.d_model = 128;
+  cfg.activation = ref::Activation::kRelu;
+  const auto weights = ref::make_random_decoder_weights(cfg, 51);
+  tensor::MatrixF memory(8, cfg.d_model);
+  tensor::MatrixF calib(cfg.seq_len, cfg.d_model);
+  util::Xoshiro256 rng(52);
+  for (float& x : memory.flat()) x = static_cast<float>(rng.normal());
+  for (float& x : calib.flat()) x = static_cast<float>(rng.normal());
+  const auto qd = accel::prepare_decoder(weights, calib, memory);
+  const accel::AccelConfig acfg;
+
+  constexpr size_t kRequests = 6;
+  constexpr size_t kDocRows = 12;
+  constexpr size_t kPromptRows = 16;
+  constexpr size_t kBlockRows = 4;
+  constexpr size_t kChunk = 3;
+  tensor::MatrixF doc(kDocRows, cfg.d_model);
+  for (float& x : doc.flat()) x = static_cast<float>(rng.normal());
+  std::vector<tensor::MatrixF> prompts;
+  for (size_t i = 0; i < kRequests; ++i) {
+    tensor::MatrixF p(kPromptRows, cfg.d_model);
+    for (size_t r = 0; r < kDocRows; ++r) {
+      std::copy(doc.row(r).begin(), doc.row(r).end(), p.row(r).begin());
+    }
+    for (size_t r = kDocRows; r < kPromptRows; ++r) {
+      for (float& x : p.row(r)) x = static_cast<float>(rng.normal());
+    }
+    prompts.push_back(std::move(p));
+  }
+
+  std::vector<tensor::MatrixF> cold_states;
+  std::vector<uint64_t> cold_macs;
+  for (const tensor::MatrixF& prompt : prompts) {
+    accel::EngineStats st;
+    runtime::GenerationSession s(
+        acfg, qd, &st, {.kv_block_rows = kBlockRows, .prefill_chunk = kChunk});
+    const uint64_t before = st.macs;
+    tensor::MatrixF states(kPromptRows, cfg.d_model);
+    s.prefill_begin(memory, nullptr);
+    feed_chunks(s, prompt, 0, kChunk, states);
+    cold_macs.push_back(st.macs - before);
+    cold_states.push_back(std::move(states));
+    s.end_sequence();
+  }
+
+  runtime::KvBlockPool pool;
+  pool.configure(64, kBlockRows,
+                 cfg.num_layers * cfg.num_heads * 2 * cfg.head_dim());
+  runtime::PrefixCache cache;
+  cache.configure(pool, kBlockRows, cfg.d_model);
+  size_t adopters = 0;
+  uint64_t cold_adopter_macs = 0, warm_adopter_macs = 0;
+  for (size_t i = 0; i < kRequests; ++i) {
+    accel::EngineStats st;
+    runtime::GenerationSession s(acfg, qd, &st,
+                                 {.kv_block_rows = kBlockRows,
+                                  .kv_pool = &pool,
+                                  .prefill_chunk = kChunk});
+    const uint64_t before = st.macs;
+    tensor::MatrixF states(kPromptRows, cfg.d_model);
+    const size_t adopted =
+        s.prefill_begin_cached(cache, prompts[i], memory, states);
+    feed_chunks(s, prompts[i], adopted, kChunk, states);
+    EXPECT_EQ(states, cold_states[i]) << "prompt " << i;
+    if (adopted > 0) {
+      ++adopters;
+      cold_adopter_macs += cold_macs[i];
+      warm_adopter_macs += st.macs - before;
+    }
+    s.publish_prefix(cache, prompts[i], memory, states);
+    s.end_sequence();
+  }
+  const runtime::PrefixCacheStats ps = cache.stats();
+  EXPECT_EQ(adopters, kRequests - 1);
+  EXPECT_EQ(ps.prefix_hits, kRequests - 1);
+  EXPECT_EQ(ps.cross_hits, kRequests - 1);
+  EXPECT_GE(cold_adopter_macs, 2 * warm_adopter_macs);
+  cache.clear();
+  EXPECT_EQ(pool.used_blocks(), 0u);
+}
+
 // --- closed-batch integration ------------------------------------------------
 
 runtime::GenerationRequest make_request(const tensor::MatrixF& prompt,
@@ -508,46 +598,6 @@ TEST(PrefixCacheScheduler, CachedRunsBitIdenticalAndCount) {
 }
 
 // --- traffic-engine integration ----------------------------------------------
-
-/// Every SchedulerStats field except wall_ms must be bit-identical
-/// between stepped and threaded runs — including the prefix counters,
-/// because the cache runs coordinator-side in both modes.
-void expect_same_traffic_stats(const runtime::SchedulerStats& a,
-                               const runtime::SchedulerStats& b) {
-  for (size_t c = 0; c < runtime::kTrafficClasses; ++c) {
-    const runtime::TrafficClassStats& x = a.per_class[c];
-    const runtime::TrafficClassStats& y = b.per_class[c];
-    EXPECT_EQ(x.submitted, y.submitted) << "class " << c;
-    EXPECT_EQ(x.completed, y.completed) << "class " << c;
-    EXPECT_EQ(x.completed_late, y.completed_late) << "class " << c;
-    EXPECT_EQ(x.shed_overload, y.shed_overload) << "class " << c;
-    EXPECT_EQ(x.shed_deadline, y.shed_deadline) << "class " << c;
-    EXPECT_EQ(x.shed_capacity, y.shed_capacity) << "class " << c;
-    EXPECT_EQ(x.cancelled, y.cancelled) << "class " << c;
-    EXPECT_EQ(x.failed, y.failed) << "class " << c;
-    EXPECT_EQ(x.preemptions, y.preemptions) << "class " << c;
-    EXPECT_EQ(x.swap_outs, y.swap_outs) << "class " << c;
-    EXPECT_EQ(x.recomputes, y.recomputes) << "class " << c;
-    EXPECT_EQ(x.restores, y.restores) << "class " << c;
-    EXPECT_EQ(x.deadline_misses, y.deadline_misses) << "class " << c;
-    EXPECT_EQ(x.kv_block_waits, y.kv_block_waits) << "class " << c;
-  }
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.prefill_chunks, b.prefill_chunks);
-  EXPECT_EQ(a.replayed_rows, b.replayed_rows);
-  EXPECT_EQ(a.swap_bytes, b.swap_bytes);
-  EXPECT_EQ(a.kv_blocks_peak, b.kv_blocks_peak);
-  EXPECT_EQ(a.failpoint_trips, b.failpoint_trips);
-  EXPECT_EQ(a.prefix_hits, b.prefix_hits);
-  EXPECT_EQ(a.prefix_misses, b.prefix_misses);
-  EXPECT_EQ(a.prefix_rows_adopted, b.prefix_rows_adopted);
-  EXPECT_EQ(a.prefix_bytes_saved, b.prefix_bytes_saved);
-  EXPECT_EQ(a.cross_kv_hits, b.cross_kv_hits);
-  EXPECT_EQ(a.cross_kv_misses, b.cross_kv_misses);
-  EXPECT_EQ(a.prefix_evictions, b.prefix_evictions);
-  EXPECT_EQ(a.max_active, b.max_active);
-}
 
 std::vector<runtime::TrafficRequest> storm_requests(
     const Fixture& fx, const std::vector<tensor::MatrixF>& prompts) {
@@ -667,6 +717,124 @@ TEST(PrefixCacheTraffic, PressureWithCacheTerminatesAndStaysExact) {
     EXPECT_EQ(stressed_mt[i].outcome, stressed[i].outcome) << "request " << i;
     EXPECT_EQ(stressed_mt[i].states, stressed[i].states) << "request " << i;
   }
+}
+
+TEST(PrefixCacheTraffic, SeededSharedPrefixStormHoldsEveryInvariant) {
+  // generate_trace's shared-prefix mode: every request opens with one of
+  // four 8-row system prompts before its unique tail, served with the
+  // prefix cache on over an undersized pool with failpoints armed.
+  // Completed and cancelled bits match the solo references, the threaded
+  // run reproduces the stepped one (prefix counters and trace included),
+  // the cache fired, and adoption and reclaim never deadlock admission
+  // while the pool stays under pressure.
+  const test::StormModel hx;
+  runtime::TraceConfig pcfg;
+  pcfg.requests = 40;
+  pcfg.mean_interarrival_rounds = 1.0;
+  pcfg.burst_prob = 0.2;
+  pcfg.burst_factor = 5.0;
+  pcfg.heavy_tail_alpha = 1.1;
+  pcfg.min_prompt = 1;  // unique tail rows; the 8 shared rows stack on top
+  pcfg.max_prompt = 4;
+  pcfg.min_new = 1;
+  pcfg.max_new = 8;
+  pcfg.sampled_fraction = 0.3;
+  pcfg.beam_fraction = 0.0;
+  pcfg.interactive_fraction = 0.25;
+  pcfg.batch_fraction = 0.25;
+  pcfg.deadline_fraction = 0.5;
+  pcfg.deadline_slack = 0.8;
+  pcfg.cancel_on_deadline_fraction = 0.1;
+  pcfg.shared_prefix_count = 4;
+  pcfg.shared_prefix_rows = 8;
+  pcfg.seed = 20260808;
+  const auto items = runtime::generate_trace(pcfg);
+  const uint32_t shared = pcfg.shared_prefix_rows;
+  const auto reference = test::solo_references(hx, items, shared);
+
+  runtime::TrafficOptions popts;
+  popts.slots = 5;
+  popts.prefill_chunk = 2;
+  popts.kv_block_rows = 4;
+  popts.kv_pool_blocks = 16;  // live set + cached prefixes cannot all fit
+  popts.recovery = runtime::PreemptionRecovery::kAuto;
+  popts.swap_slots = 1;
+  popts.shed_queue_depth = 6;
+  popts.stall_limit = 64;
+  popts.prefix_cache = true;
+#ifdef PROTEA_FAILPOINTS
+  popts.fail_skip = 20;
+  popts.fail_count = 8;
+#endif
+  runtime::Telemetry tel_stepped, tel_threaded;
+#ifdef PROTEA_TELEMETRY
+  tel_stepped.configure();
+  tel_threaded.configure();
+#endif
+  popts.telemetry = &tel_stepped;
+
+  runtime::TrafficEngine engine(hx.acfg, hx.qd);
+  auto stepped_built = test::build_storm_requests(hx, items, shared);
+  const auto stepped = engine.run(stepped_built.reqs, popts);
+  const runtime::SchedulerStats st = engine.last_run();
+  ASSERT_EQ(stepped.size(), reference.size());
+  size_t completed = 0, shed = 0;
+  for (size_t i = 0; i < stepped.size(); ++i) {
+    const runtime::TrafficResult& res = stepped[i];
+    switch (res.outcome) {
+      case runtime::TrafficOutcome::kCompleted:
+      case runtime::TrafficOutcome::kCompletedLate:
+        ++completed;
+        EXPECT_EQ(res.steps, reference[i].steps) << "request " << i;
+        EXPECT_EQ(res.states, reference[i].states) << "request " << i;
+        break;
+      case runtime::TrafficOutcome::kCancelled:
+        ASSERT_LE(res.states.rows(), reference[i].states.rows());
+        EXPECT_EQ(res.states, reference[i].states.slice_rows(
+                                  0, res.states.rows()))
+            << "request " << i;
+        break;
+      case runtime::TrafficOutcome::kShedOverload:
+      case runtime::TrafficOutcome::kShedDeadline:
+      case runtime::TrafficOutcome::kShedCapacity:
+        ++shed;
+        break;
+      default:
+        ADD_FAILURE() << "request " << i << " ended "
+                      << runtime::traffic_outcome_name(res.outcome) << ": "
+                      << res.shed_reason;
+    }
+  }
+
+  runtime::TrafficOptions threaded_opts = popts;
+  threaded_opts.threads = 4;
+  threaded_opts.mha_slots = 2;
+  threaded_opts.ffn_slots = 2;
+  threaded_opts.telemetry = &tel_threaded;
+  auto threaded_built = test::build_storm_requests(hx, items, shared);
+  test::expect_same_results(stepped,
+                            engine.run(threaded_built.reqs, threaded_opts));
+  expect_same_traffic_stats(st, engine.last_run());
+
+  EXPECT_GE(completed, 1u);
+  EXPECT_GE(st.prefix_hits, 1u);
+  EXPECT_GE(st.prefix_rows_adopted, 1u);
+  EXPECT_GE(st.cross_kv_hits, 1u);
+  EXPECT_GT(st.prefix_bytes_saved, 0u);
+  EXPECT_GE(st.total(&runtime::TrafficClassStats::preemptions) + shed, 1u);
+#ifdef PROTEA_FAILPOINTS
+  EXPECT_GE(st.failpoint_trips, 1u);
+#endif
+#ifdef PROTEA_TELEMETRY
+  // Adoption and publication are part of the deterministic virtual-time
+  // sequence too.
+  EXPECT_TRUE(runtime::virtual_equal(tel_stepped.trace.snapshot(),
+                                     tel_threaded.trace.snapshot()));
+  EXPECT_GE(tel_stepped.trace.count(runtime::TraceEventType::kPrefixAdopt),
+            1u);
+  EXPECT_GE(tel_stepped.trace.count(runtime::TraceEventType::kPrefixPublish),
+            1u);
+#endif
 }
 
 }  // namespace

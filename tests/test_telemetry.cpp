@@ -13,8 +13,7 @@
 //   * steady-state recording and histogram observation are
 //     allocation-free (global operator-new counter, the PR-4 pin
 //     pattern);
-//   * exporters: Chrome-trace JSON wraps the expected tracks, metric
-//     samples carry the percentile vocabulary;
+//   * the Chrome-trace exporter wraps the expected tracks;
 //   * compiled-out builds (PROTEA_TELEMETRY off): configure and the
 //     registry setters throw std::logic_error, record/observe are inert
 //     no-ops.
@@ -29,11 +28,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "accel/decoder_accelerator.hpp"
-#include "accel/decoder_model.hpp"
-#include "ref/weights.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/traffic.hpp"
+#include "traffic_fixture.hpp"
 #include "util/rng.hpp"
 
 // --- global allocation counter ----------------------------------------------
@@ -89,85 +86,11 @@ using runtime::Telemetry;
 using runtime::TraceEvent;
 using runtime::TraceEventType;
 using runtime::TraceRecorder;
-using runtime::TrafficPriority;
 
 #ifdef PROTEA_TELEMETRY
 
-// --- traffic-engine fixture (mirrors tests/test_traffic.cpp) ----------------
-
-tensor::MatrixF random_input(size_t rows, size_t cols, uint64_t seed) {
-  tensor::MatrixF m(rows, cols);
-  util::Xoshiro256 rng(seed);
-  for (float& x : m.flat()) {
-    x = static_cast<float>(std::clamp(rng.normal(), -3.0, 3.0));
-  }
-  return m;
-}
-
-struct TrafficFixture {
-  ref::ModelConfig cfg;
-  accel::AccelConfig acfg;
-  accel::QuantizedDecoder qd;
-  tensor::MatrixF memory;
-
-  explicit TrafficFixture(uint64_t seed = 500) {
-    cfg.seq_len = 12;
-    cfg.d_model = 48;
-    cfg.num_heads = 4;
-    cfg.num_layers = 2;
-    cfg.activation = ref::Activation::kGelu;
-    const auto weights = ref::make_random_decoder_weights(cfg, seed);
-    memory = random_input(8, cfg.d_model, seed + 1);
-    const auto calib = random_input(cfg.seq_len, cfg.d_model, seed + 2);
-    qd = accel::prepare_decoder(weights, calib, memory);
-  }
-};
-
-runtime::GenerationRequest make_gen_request(const TrafficFixture& fx,
-                                            size_t prefix_rows,
-                                            uint32_t max_new, float scale,
-                                            int eos_after, uint64_t seed) {
-  runtime::GenerationRequest req;
-  req.prefix = random_input(prefix_rows, fx.cfg.d_model, seed);
-  req.memory = &fx.memory;
-  req.max_new_tokens = max_new;
-  const uint32_t d = fx.cfg.d_model;
-  auto countdown = std::make_shared<int>(eos_after);
-  req.next_token = [d, scale, countdown](std::span<const float> state,
-                                         tensor::MatrixF& next) {
-    if (*countdown == 0) return false;
-    if (*countdown > 0) --*countdown;
-    if (next.rows() != 1 || next.cols() != d) next = tensor::MatrixF(1, d);
-    for (size_t c = 0; c < d; ++c) next(0, c) = scale * state[c];
-    return true;
-  };
-  return req;
-}
-
-std::vector<runtime::TrafficRequest> build_mix(const TrafficFixture& fx,
-                                               size_t count, uint64_t seed) {
-  std::vector<runtime::TrafficRequest> requests;
-  util::Xoshiro256 rng(seed);
-  for (size_t i = 0; i < count; ++i) {
-    size_t prefix_rows = 1 + rng.next() % (fx.cfg.seq_len - 2);
-    uint32_t max_new = static_cast<uint32_t>(
-        std::min<size_t>(rng.next() % 7, fx.cfg.seq_len + 1 - prefix_rows));
-    if (i == 0) {  // capacity edge: full-length prompt
-      prefix_rows = fx.cfg.seq_len;
-      max_new = 1;
-    }
-    const float scale = 0.25f + 0.05f * static_cast<float>(i % 5);
-    const int eos_after =
-        (i % 3 == 2) ? static_cast<int>(rng.next() % 3) : -1;
-    runtime::TrafficRequest req;
-    req.gen = make_gen_request(fx, prefix_rows, max_new, scale, eos_after,
-                               seed + 10 + i);
-    req.priority = static_cast<TrafficPriority>(i % 3);
-    req.arrival_round = static_cast<uint32_t>(i / 2);
-    requests.push_back(std::move(req));
-  }
-  return requests;
-}
+using test::build_mix;
+using test::TrafficFixture;
 
 TEST(Telemetry, SteppedAndThreadedVirtualSequencesBitIdentical) {
   // The tentpole determinism gate: a preemption storm (pool too small
@@ -279,17 +202,12 @@ TEST(Telemetry, SteppedAndThreadedVirtualSequencesBitIdentical) {
     EXPECT_GT(tel_a.ttft_rounds->count(), 0u);
     EXPECT_GT(tel_a.preempt_downtime_rounds->count(), 0u);
 
-    // The exporters see the same storm: spans + counter track present.
+    // The exporter sees the same storm: spans + counter track present.
     const std::string json = runtime::chrome_trace_json(ea);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-    const auto samples = runtime::metric_samples(tel_a);
-    EXPECT_FALSE(samples.empty());
-    bool saw_p99 = false;
-    for (const auto& s : samples) saw_p99 |= s.metric == "p99";
-    EXPECT_TRUE(saw_p99);
   }
 }
 
@@ -403,7 +321,6 @@ TEST(Telemetry, SettersThrowWhenCompiledOut) {
   rec.set_round(3);
   EXPECT_EQ(rec.total(), 0u);
   EXPECT_TRUE(rec.snapshot().empty());
-  EXPECT_TRUE(runtime::metric_samples(tel).empty());
 }
 
 #endif  // PROTEA_TELEMETRY

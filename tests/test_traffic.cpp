@@ -8,6 +8,10 @@
 //     deterministic failpoint storms injected into the block pool;
 //   * stepped and threaded modes agree on outputs AND every per-class
 //     scheduler counter (only wall-clock fields may differ);
+//   * the seeded overload storm (generate_trace, token-stream policies,
+//     an undersized pool, failpoints): solo bits for every completion
+//     under both recovery strategies, stepped == threaded down to the
+//     virtual-time trace, and every lifecycle stage actually fired;
 //   * deadlines, overload shedding, cooperative cancellation and the
 //     capacity reject all retire with a reason instead of throwing or
 //     parking forever, and the stall valve force-sheds when preemption
@@ -29,13 +33,12 @@
 #include <vector>
 
 #include "accel/decoder_accelerator.hpp"
-#include "accel/decoder_model.hpp"
-#include "ref/weights.hpp"
 #include "runtime/generation.hpp"
 #include "runtime/kv_cache.hpp"
+#include "runtime/telemetry.hpp"
 #include "runtime/traffic.hpp"
+#include "traffic_fixture.hpp"
 #include "util/math_util.hpp"
-#include "util/rng.hpp"
 
 namespace protea {
 namespace {
@@ -43,92 +46,11 @@ namespace {
 using runtime::TrafficClassStats;
 using runtime::TrafficOutcome;
 using runtime::TrafficPriority;
-
-tensor::MatrixF random_input(size_t rows, size_t cols, uint64_t seed) {
-  tensor::MatrixF m(rows, cols);
-  util::Xoshiro256 rng(seed);
-  for (float& x : m.flat()) {
-    x = static_cast<float>(std::clamp(rng.normal(), -3.0, 3.0));
-  }
-  return m;
-}
-
-struct TrafficFixture {
-  ref::ModelConfig cfg;
-  accel::AccelConfig acfg;
-  accel::QuantizedDecoder qd;
-  tensor::MatrixF memory;
-
-  explicit TrafficFixture(uint64_t seed = 500) {
-    cfg.seq_len = 12;
-    cfg.d_model = 48;
-    cfg.num_heads = 4;
-    cfg.num_layers = 2;
-    cfg.activation = ref::Activation::kGelu;
-    const auto weights = ref::make_random_decoder_weights(cfg, seed);
-    memory = random_input(8, cfg.d_model, seed + 1);
-    const auto calib = random_input(cfg.seq_len, cfg.d_model, seed + 2);
-    qd = accel::prepare_decoder(weights, calib, memory);
-  }
-
-  size_t kv_row_bytes() const {
-    return cfg.num_layers * cfg.num_heads * 2 * cfg.head_dim();
-  }
-};
-
-/// Deterministic pure token policy: feed a scaled copy of the newest
-/// state back as the next embedding. `eos_after` >= 0 finishes early
-/// after that many invocations (the countdown is per-request state, so
-/// requests must be rebuilt fresh for every run).
-runtime::GenerationRequest make_gen_request(const TrafficFixture& fx,
-                                            size_t prefix_rows,
-                                            uint32_t max_new, float scale,
-                                            int eos_after, uint64_t seed) {
-  runtime::GenerationRequest req;
-  req.prefix = random_input(prefix_rows, fx.cfg.d_model, seed);
-  req.memory = &fx.memory;
-  req.max_new_tokens = max_new;
-  const uint32_t d = fx.cfg.d_model;
-  auto countdown = std::make_shared<int>(eos_after);
-  req.next_token = [d, scale, countdown](std::span<const float> state,
-                                         tensor::MatrixF& next) {
-    if (*countdown == 0) return false;
-    if (*countdown > 0) --*countdown;
-    if (next.rows() != 1 || next.cols() != d) next = tensor::MatrixF(1, d);
-    for (size_t c = 0; c < d; ++c) next(0, c) = scale * state[c];
-    return true;
-  };
-  return req;
-}
-
-/// Fresh randomized mix mirroring the generation stress builder: prompts
-/// 1..seq_len-2, max_new 0..6, every third request finishes early, one
-/// capacity-edge request, priorities cycling through the classes and
-/// pairwise-staggered arrivals.
-std::vector<runtime::TrafficRequest> build_mix(const TrafficFixture& fx,
-                                               size_t count, uint64_t seed) {
-  std::vector<runtime::TrafficRequest> requests;
-  util::Xoshiro256 rng(seed);
-  for (size_t i = 0; i < count; ++i) {
-    size_t prefix_rows = 1 + rng.next() % (fx.cfg.seq_len - 2);
-    uint32_t max_new = static_cast<uint32_t>(
-        std::min<size_t>(rng.next() % 7, fx.cfg.seq_len + 1 - prefix_rows));
-    if (i == 0) {  // capacity edge: full-length prompt
-      prefix_rows = fx.cfg.seq_len;
-      max_new = 1;
-    }
-    const float scale = 0.25f + 0.05f * static_cast<float>(i % 5);
-    const int eos_after =
-        (i % 3 == 2) ? static_cast<int>(rng.next() % 3) : -1;
-    runtime::TrafficRequest req;
-    req.gen = make_gen_request(fx, prefix_rows, max_new, scale, eos_after,
-                               seed + 10 + i);
-    req.priority = static_cast<TrafficPriority>(i % 3);
-    req.arrival_round = static_cast<uint32_t>(i / 2);
-    requests.push_back(std::move(req));
-  }
-  return requests;
-}
+using test::build_mix;
+using test::expect_same_class_stats;
+using test::make_gen_request;
+using test::random_input;
+using test::TrafficFixture;
 
 std::vector<runtime::GenerationRequest> to_gen(
     std::vector<runtime::TrafficRequest> requests) {
@@ -148,24 +70,6 @@ void expect_rows_equal(const tensor::MatrixF& got, const tensor::MatrixF& want,
       ASSERT_EQ(got(r, c), want(r, c)) << what << " row " << r << " col " << c;
     }
   }
-}
-
-void expect_same_class_stats(const TrafficClassStats& a,
-                             const TrafficClassStats& b, const char* what) {
-  EXPECT_EQ(a.submitted, b.submitted) << what;
-  EXPECT_EQ(a.completed, b.completed) << what;
-  EXPECT_EQ(a.completed_late, b.completed_late) << what;
-  EXPECT_EQ(a.shed_overload, b.shed_overload) << what;
-  EXPECT_EQ(a.shed_deadline, b.shed_deadline) << what;
-  EXPECT_EQ(a.shed_capacity, b.shed_capacity) << what;
-  EXPECT_EQ(a.cancelled, b.cancelled) << what;
-  EXPECT_EQ(a.failed, b.failed) << what;
-  EXPECT_EQ(a.preemptions, b.preemptions) << what;
-  EXPECT_EQ(a.swap_outs, b.swap_outs) << what;
-  EXPECT_EQ(a.recomputes, b.recomputes) << what;
-  EXPECT_EQ(a.restores, b.restores) << what;
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses) << what;
-  EXPECT_EQ(a.kv_block_waits, b.kv_block_waits) << what;
 }
 
 TEST(TrafficEngine, RecoveryStrategiesBitIdenticalUnderPreemptionStorm) {
@@ -574,6 +478,158 @@ TEST(TrafficEngine, DenseSeatIsPreemptedByRankThroughRecompute) {
   EXPECT_THROW(engine.run(build(), bad), std::invalid_argument);
 }
 
+TEST(TrafficStorm, SeededOverloadHoldsEveryInvariant) {
+  // A seeded bursty trace (heavy-tailed lengths, greedy and sampled token
+  // streams, three classes, deadlines, some cancel-on-deadline) against
+  // a pool far below the working set, a one-slot swap buffer, an
+  // overload watermark and an injected pool-exhaustion storm. Beam items
+  // are left out: BeamSearch.GroupPreemptRestoreIsBitIdentical covers
+  // beam groups under preemption.
+  const test::StormModel hx;
+  runtime::TraceConfig trace_cfg;
+  trace_cfg.requests = 56;
+  trace_cfg.mean_interarrival_rounds = 1.0;  // faster than service: overload
+  trace_cfg.burst_prob = 0.2;
+  trace_cfg.burst_factor = 6.0;
+  trace_cfg.heavy_tail_alpha = 1.1;
+  trace_cfg.min_prompt = 1;
+  trace_cfg.max_prompt = 10;
+  trace_cfg.min_new = 1;
+  trace_cfg.max_new = 10;
+  trace_cfg.sampled_fraction = 0.35;
+  trace_cfg.beam_fraction = 0.1;
+  trace_cfg.interactive_fraction = 0.25;
+  trace_cfg.batch_fraction = 0.25;
+  trace_cfg.deadline_fraction = 0.6;
+  trace_cfg.deadline_slack = 0.8;
+  trace_cfg.cancel_on_deadline_fraction = 0.1;
+  trace_cfg.seed = 20260807;
+  std::vector<runtime::TraceItem> items;
+  for (const auto& item : runtime::generate_trace(trace_cfg)) {
+    if (!item.beam) items.push_back(item);
+  }
+  const auto reference = test::solo_references(hx, items);
+
+  runtime::TrafficOptions overload;
+  overload.slots = 6;
+  overload.prefill_chunk = 2;
+  overload.kv_block_rows = 4;
+  overload.kv_pool_blocks = 10;  // far below the working set: contention
+  overload.recovery = runtime::PreemptionRecovery::kAuto;
+  overload.swap_slots = 1;  // a second concurrent victim must recompute
+  overload.shed_queue_depth = 6;
+  overload.stall_limit = 64;
+#ifdef PROTEA_FAILPOINTS
+  overload.fail_skip = 24;  // let the pool warm up, then storm
+  overload.fail_count = 12;
+#endif
+  // Unconfigured bundles are inert; configure() throws when telemetry is
+  // compiled out.
+  runtime::Telemetry tel_stepped, tel_threaded;
+#ifdef PROTEA_TELEMETRY
+  tel_stepped.configure();
+  tel_threaded.configure();
+#endif
+  overload.telemetry = &tel_stepped;
+
+  runtime::TrafficEngine engine(hx.acfg, hx.qd);
+  auto stepped_built = test::build_storm_requests(hx, items);
+  const auto stepped = engine.run(stepped_built.reqs, overload);
+  const runtime::SchedulerStats stepped_stats = engine.last_run();
+  ASSERT_EQ(stepped.size(), reference.size());
+
+  // Completed requests carry their solo bits; a cancelled one returns an
+  // exact prefix of them; every shed names its reason; nothing fails and
+  // nothing is left pending.
+  size_t completed = 0;
+  for (size_t i = 0; i < stepped.size(); ++i) {
+    const runtime::TrafficResult& res = stepped[i];
+    switch (res.outcome) {
+      case TrafficOutcome::kCompleted:
+      case TrafficOutcome::kCompletedLate:
+        ++completed;
+        EXPECT_EQ(res.steps, reference[i].steps) << "request " << i;
+        EXPECT_EQ(res.states, reference[i].states) << "request " << i;
+        break;
+      case TrafficOutcome::kCancelled:
+        expect_rows_equal(res.states, reference[i].states, res.states.rows(),
+                          "cancelled prefix");
+        break;
+      case TrafficOutcome::kShedOverload:
+      case TrafficOutcome::kShedDeadline:
+      case TrafficOutcome::kShedCapacity:
+        EXPECT_FALSE(res.shed_reason.empty()) << "request " << i;
+        break;
+      default:
+        ADD_FAILURE() << "request " << i << " ended "
+                      << runtime::traffic_outcome_name(res.outcome) << ": "
+                      << res.shed_reason;
+    }
+  }
+
+  // The threaded run reproduces the stepped one exactly (wall clock
+  // excepted), trace included.
+  runtime::TrafficOptions threaded_opts = overload;
+  threaded_opts.threads = 4;
+  threaded_opts.mha_slots = 2;
+  threaded_opts.ffn_slots = 2;
+  threaded_opts.telemetry = &tel_threaded;
+  auto threaded_built = test::build_storm_requests(hx, items);
+  test::expect_same_results(stepped,
+                            engine.run(threaded_built.reqs, threaded_opts));
+  test::expect_same_traffic_stats(stepped_stats, engine.last_run());
+
+  // The same storm with recovery forced to drop-and-recompute: every
+  // preemption re-prefills from token history, the bits still match the
+  // solo references, and the swap buffer is never touched.
+  runtime::TrafficOptions recompute_opts = overload;
+  recompute_opts.recovery = runtime::PreemptionRecovery::kRecompute;
+  recompute_opts.telemetry = nullptr;
+  auto recompute_built = test::build_storm_requests(hx, items);
+  const auto recomputed = engine.run(recompute_built.reqs, recompute_opts);
+  const runtime::SchedulerStats& recompute_stats = engine.last_run();
+  for (size_t i = 0; i < recomputed.size(); ++i) {
+    if (recomputed[i].outcome == TrafficOutcome::kCompleted ||
+        recomputed[i].outcome == TrafficOutcome::kCompletedLate) {
+      EXPECT_EQ(recomputed[i].steps, reference[i].steps) << "request " << i;
+      EXPECT_EQ(recomputed[i].states, reference[i].states) << "request " << i;
+    }
+  }
+  EXPECT_EQ(recompute_stats.total(&TrafficClassStats::swap_outs), 0u);
+  EXPECT_EQ(recompute_stats.swap_bytes, 0u);
+  EXPECT_GT(recompute_stats.replayed_rows, 0u);
+
+  // The storm happened: both recovery paths, shedding, deadline misses
+  // and completions all fired.
+  EXPECT_GE(stepped_stats.total(&TrafficClassStats::preemptions), 1u);
+  EXPECT_GE(stepped_stats.total(&TrafficClassStats::swap_outs), 1u);
+  EXPECT_GE(recompute_stats.total(&TrafficClassStats::recomputes), 1u);
+  EXPECT_GE(stepped_stats.total(&TrafficClassStats::shed_overload) +
+                stepped_stats.total(&TrafficClassStats::shed_deadline) +
+                stepped_stats.total(&TrafficClassStats::shed_capacity),
+            1u);
+  EXPECT_GE(stepped_stats.total(&TrafficClassStats::deadline_misses), 1u);
+  EXPECT_GE(completed, 1u);
+#ifdef PROTEA_FAILPOINTS
+  EXPECT_GE(stepped_stats.failpoint_trips, 1u);
+#endif
+
+#ifdef PROTEA_TELEMETRY
+  // The virtual-time event sequence is identical between the modes,
+  // every lifecycle stage the storm drives left events in the trace, and
+  // each completed request retired with exactly one complete event.
+  EXPECT_TRUE(runtime::virtual_equal(tel_stepped.trace.snapshot(),
+                                     tel_threaded.trace.snapshot()));
+  using TE = runtime::TraceEventType;
+  EXPECT_EQ(tel_stepped.trace.count(TE::kComplete), completed);
+  for (const TE t : {TE::kAdmit, TE::kShed, TE::kPreempt, TE::kSwapOut,
+                     TE::kSwapIn, TE::kRestore, TE::kDeadlineMiss,
+                     TE::kComplete, TE::kPoolOccupancy}) {
+    EXPECT_GE(tel_stepped.trace.count(t), 1u) << runtime::trace_event_name(t);
+  }
+#endif
+}
+
 TEST(TrafficRobustness, SequenceScopeReleasesBlocksOnUnwind) {
   TrafficFixture fx;
   runtime::KvBlockPool pool;
@@ -793,7 +849,9 @@ TEST(TrafficTrace, GeneratorIsDeterministicAndBounded) {
     EXPECT_GE(a[i].max_new, cfg.min_new) << i;
     EXPECT_LE(a[i].max_new, cfg.max_new) << i;
     EXPECT_FALSE(a[i].sampled && a[i].beam) << i;
-    if (a[i].cancel_on_deadline) EXPECT_GT(a[i].deadline_rounds, 0u) << i;
+    if (a[i].cancel_on_deadline) {
+      EXPECT_GT(a[i].deadline_rounds, 0u) << i;
+    }
 
     ++classes[static_cast<size_t>(a[i].priority)];
     sampled += a[i].sampled;
