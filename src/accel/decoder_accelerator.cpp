@@ -347,19 +347,30 @@ ForkedKvFootprint estimate_forked_kv_footprint(const ref::ModelConfig& model,
       prompt_rows + new_rows > model.seq_len) {
     throw std::invalid_argument("forked kv footprint: bad arguments");
   }
-  ForkedKvFootprint fp;
+  ForkedKvFootprint fp =
+      forked_kv_blocks(prompt_rows, new_rows, beams, block_rows);
   fp.row_bytes = kv_row_bytes(model, storage);
   const uint64_t block_bytes = uint64_t{block_rows} * fp.row_bytes;
   const uint32_t full = util::ceil_div(prompt_rows + new_rows, block_rows);
+  fp.cow_bytes = fp.cow_blocks * block_bytes;
+  fp.eager_bytes = uint64_t{beams} * full * block_bytes;
+  fp.bytes_saved = fp.eager_bytes - fp.cow_bytes;
+  return fp;
+}
+
+ForkedKvFootprint forked_kv_blocks(uint32_t prompt_rows, uint32_t new_rows,
+                                   uint32_t beams, uint32_t block_rows) {
+  if (prompt_rows == 0 || beams == 0 || block_rows == 0) {
+    throw std::invalid_argument("forked kv blocks: zero argument");
+  }
+  ForkedKvFootprint fp;
   fp.shared_blocks = util::ceil_div(prompt_rows, block_rows);
   // A beam's private worst case: every block past the last fully-shared
   // one — its divergent tail plus the COW copy of the straddling block.
-  fp.private_blocks = full - prompt_rows / block_rows;
-  fp.cow_bytes =
-      (uint64_t{fp.shared_blocks} + uint64_t{beams} * fp.private_blocks) *
-      block_bytes;
-  fp.eager_bytes = uint64_t{beams} * full * block_bytes;
-  fp.bytes_saved = fp.eager_bytes - fp.cow_bytes;
+  fp.private_blocks = util::ceil_div(prompt_rows + new_rows, block_rows) -
+                      prompt_rows / block_rows;
+  fp.cow_blocks =
+      uint64_t{fp.shared_blocks} + uint64_t{beams} * fp.private_blocks;
   return fp;
 }
 
@@ -441,7 +452,7 @@ PrefixCacheSavings estimate_prefix_cache_savings(
   s.macs_saved = cold_r.macs - warm_r.macs;
   s.rows_skipped = costing.adopted_rows;
   // Adopted rows live in the shared pool, so they count at the stored
-  // width (matching the runtime's prefix_bytes_saved, which multiplies
+  // width (matching PrefixCacheStats::bytes_adopted, which multiplies
   // by the pool's storage-aware row_bytes). Cross projections below
   // stay 1 byte/element: the cross cache always stores int8 rows.
   s.kv_bytes = uint64_t{costing.adopted_rows} *

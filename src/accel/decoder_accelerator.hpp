@@ -169,7 +169,8 @@ struct ForkedKvFootprint {
   uint64_t row_bytes = 0;          // K+V bytes per token row (whole stack)
   uint32_t shared_blocks = 0;      // prompt lineage, counted once
   uint32_t private_blocks = 0;     // worst-case divergent blocks per beam
-  uint64_t cow_bytes = 0;          // shared + beams x private
+  uint64_t cow_blocks = 0;         // shared + beams x private
+  uint64_t cow_bytes = 0;          // cow_blocks x block bytes
   uint64_t eager_bytes = 0;        // beams x full per-beam lineage
   uint64_t bytes_saved = 0;        // eager_bytes - cow_bytes
 };
@@ -178,6 +179,15 @@ ForkedKvFootprint estimate_forked_kv_footprint(
     const ref::ModelConfig& model, uint32_t prompt_rows, uint32_t new_rows,
     uint32_t beams, uint32_t block_rows,
     numeric::KvStorage storage = numeric::KvStorage::kInt8);
+
+/// The block counts of estimate_forked_kv_footprint, which need no model:
+/// fills shared_blocks, private_blocks and cow_blocks and leaves the byte
+/// fields 0. runtime::beam_worst_case_blocks reserves cow_blocks at a
+/// beam group's admission, so that bound and this memory model are one
+/// count. Throws std::invalid_argument on a zero prompt, beam count or
+/// block size.
+ForkedKvFootprint forked_kv_blocks(uint32_t prompt_rows, uint32_t new_rows,
+                                   uint32_t beams, uint32_t block_rows);
 
 /// Cycle model of width-K beam search over the KV-cached engine,
 /// mirroring BeamSearchDecoder's executed schedule: ONE prefill of
@@ -249,8 +259,8 @@ PerfReport estimate_generation_performance(
 /// Modeled per-request savings of the prefix cache: a cold prefill
 /// (adopted_rows = 0, cross_cached = false, same chunking) minus the
 /// warm one. macs_saved is exact against the executed cold-vs-warm
-/// EngineStats delta; kv_bytes/cross_bytes match the runtime's
-/// prefix_bytes_saved accounting term for term.
+/// EngineStats delta; kv_bytes/cross_bytes match PrefixCacheStats'
+/// bytes_adopted/cross_bytes_reused term for term.
 struct PrefixCacheSavings {
   uint64_t macs_saved = 0;
   uint64_t rows_skipped = 0;  // adopted prompt rows

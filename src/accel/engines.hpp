@@ -45,13 +45,13 @@ class ThreadPool;
 
 namespace protea::accel {
 
+/// Work the engines execute, counted where it runs. Serving counters
+/// have their own owners: pool occupancy is KvBlockPool's
+/// (runtime/kv_cache.hpp), prefix-cache hits and bytes are
+/// PrefixCacheStats (runtime/prefix_cache.hpp), and the traffic engine
+/// copies both into SchedulerStats.
 struct EngineStats {
   uint64_t macs = 0;
-  /// Paged-KV pool occupancy, mirrored by the generation runtime after
-  /// every block reserve/release (pool-wide when the pool is shared;
-  /// 0 for dense caches).
-  uint64_t kv_blocks_in_use = 0;
-  uint64_t kv_blocks_peak = 0;
   /// Bytes copied out of the paged KV cache into contiguous scratch.
   /// Paged reads are block-strided for every storage format, so nothing
   /// writes this and it reads 0 (pinned in tests/test_generation.cpp);
@@ -60,16 +60,6 @@ struct EngineStats {
   /// Block-table runs streamed by the span-accepting QK/SV engines (one
   /// per contiguous run per engine call; grows as block_rows shrinks).
   uint64_t span_runs = 0;
-  /// Cross-request prefix cache (mirrored by the generation runtime from
-  /// runtime::PrefixCache outcomes; all 0 when the cache is off).
-  uint64_t prefix_hits = 0;          // prefills that adopted >= 1 cached block
-  uint64_t prefix_misses = 0;        // prefills with no usable cached prefix
-  uint64_t prefix_rows_adopted = 0;  // prompt rows whose prefill was skipped
-  /// Bytes not produced because of the cache: adopted rows x KV row bytes,
-  /// plus cross-K/V projection bytes copied instead of recomputed.
-  uint64_t prefix_bytes_saved = 0;
-  uint64_t cross_kv_hits = 0;    // fill_cross_kv_cache passes skipped
-  uint64_t cross_kv_misses = 0;  // memories that had to be projected
 };
 
 /// Algorithm 1. `x` is the full (SL x d_model) int8 input; outputs are

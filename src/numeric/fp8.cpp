@@ -26,13 +26,6 @@ constexpr MiniFloat kE5M2{.mant_bits = 2, .bias = 15, .e_max = 31,
 constexpr MiniFloat kE2M1{.mant_bits = 1, .bias = 1, .e_max = 3,
                           .q_max = 3, .has_inf = false};
 
-/// Largest finite magnitude: q_max * 2^(e_top - mant_bits) where e_top
-/// is the top exponent that still holds finites.
-double max_finite(const MiniFloat& f) {
-  const int e_top = (f.has_inf ? f.e_max - 1 : f.e_max) - f.bias;
-  return std::ldexp(static_cast<double>(f.q_max), e_top - f.mant_bits);
-}
-
 /// Code of the largest finite value (sign bit clear).
 uint8_t max_finite_code(const MiniFloat& f) {
   const int m = f.mant_bits;

@@ -289,19 +289,19 @@ size_t beam_worst_case_blocks(size_t prompt_rows, size_t max_new_tokens,
   }
   // The last selected token's embedding is never appended, so K beams
   // emitting max_new tokens cache prompt + max_new - 1 rows each.
-  const size_t total = prompt_rows + max_new_tokens - 1;
-  const size_t full = util::ceil_div(total, block_rows);
-  if (!cow) {
-    // Eager forks: two generations of K private lineages are live while
-    // the next generation is copied off the current one.
-    return 2 * beam_width * full;
+  const size_t new_rows = max_new_tokens - 1;
+  if (cow) {
+    // COW: the prompt lineage once, plus each beam's private worst case
+    // — the forked-KV memory model's own count.
+    return accel::forked_kv_blocks(static_cast<uint32_t>(prompt_rows),
+                                   static_cast<uint32_t>(new_rows),
+                                   static_cast<uint32_t>(beam_width),
+                                   static_cast<uint32_t>(block_rows))
+        .cow_blocks;
   }
-  // COW: the prompt lineage is counted once; each beam can privately
-  // hold only blocks past the last fully-shared one (its divergent tail
-  // plus the write-triggered copy of the straddling block).
-  const size_t shared = util::ceil_div(prompt_rows, block_rows);
-  const size_t tail = full - prompt_rows / block_rows;
-  return shared + beam_width * tail;
+  // Eager forks: two generations of K private lineages are live while
+  // the next generation is copied off the current one.
+  return 2 * beam_width * util::ceil_div(prompt_rows + new_rows, block_rows);
 }
 
 BeamSearchDecoder::BeamSearchDecoder(const accel::AccelConfig& config,

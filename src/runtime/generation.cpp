@@ -30,16 +30,6 @@ GenerationSession::GenerationSession(const accel::AccelConfig& config,
   warm();
 }
 
-void GenerationSession::refresh_kv_stats() {
-  if (!kv_.paged() || kv_.pool() == nullptr) return;
-  // Pool-wide occupancy: with a shared pool this aggregates every
-  // sequence currently holding blocks, which is the serving-relevant
-  // number (how full is the KV memory, how close is backpressure).
-  stats_->kv_blocks_in_use = kv_.pool()->used_blocks();
-  stats_->kv_blocks_peak = std::max<uint64_t>(
-      stats_->kv_blocks_peak, kv_.pool()->peak_used_blocks());
-}
-
 void GenerationSession::run_rows(const tensor::MatrixF& rows,
                                  tensor::MatrixF& states, StageGate* gate,
                                  accel::EngineStats* stats) {
@@ -52,9 +42,7 @@ void GenerationSession::run_rows(const tensor::MatrixF& rows,
   // session with a private pool can always cover its capacity, while the
   // traffic engine pre-reserves every unit's rows so this never throws
   // mid-flight.
-  const size_t reserved_before = kv_.reserved_rows();
   kv_.reserve_rows(pos + n);
-  if (kv_.reserved_rows() != reserved_before) refresh_kv_stats();
 
   const auto m = ws_.mark();
   auto x = ws_.matrix_i8(n, d);
@@ -183,23 +171,9 @@ size_t GenerationSession::prefill_begin_cached(
 
   bool cross_hit = false;
   const size_t adopted = cache.adopt(memory, prefix, kv_, states, &cross_hit);
-  if (cross_hit) {
-    ++stats_->cross_kv_hits;
-    // Bytes the skipped projection pass would have written.
-    stats_->prefix_bytes_saved += uint64_t{cfg.num_layers} * cfg.num_heads *
-                                  2 * memory.rows() * cfg.head_dim();
-  } else {
-    ++stats_->cross_kv_misses;
+  if (!cross_hit) {
     fill_cross(memory, gate);
     cache.publish_cross(memory, kv_);
-  }
-  if (adopted > 0) {
-    ++stats_->prefix_hits;
-    stats_->prefix_rows_adopted += adopted;
-    stats_->prefix_bytes_saved += adopted * kv_.pool()->row_bytes();
-    refresh_kv_stats();
-  } else {
-    ++stats_->prefix_misses;
   }
   if (cross_hit_out != nullptr) *cross_hit_out = cross_hit;
   return adopted;
@@ -216,13 +190,7 @@ bool GenerationSession::prefill_begin_cross(PrefixCache& cache,
     throw std::invalid_argument("prefill: bad memory length");
   }
   kv_.begin_sequence(memory.rows());
-  if (cache.cross_into(memory, kv_)) {
-    ++stats_->cross_kv_hits;
-    stats_->prefix_bytes_saved += uint64_t{cfg.num_layers} * cfg.num_heads *
-                                  2 * memory.rows() * cfg.head_dim();
-    return true;
-  }
-  ++stats_->cross_kv_misses;
+  if (cache.cross_into(memory, kv_)) return true;
   fill_cross(memory, gate);
   cache.publish_cross(memory, kv_);
   return false;
@@ -301,16 +269,10 @@ void GenerationSession::decode_step(const tensor::MatrixF& token,
 }
 
 bool GenerationSession::try_reserve_rows(size_t rows) {
-  const size_t reserved_before = kv_.reserved_rows();
-  const bool ok = kv_.try_reserve_rows(rows);
-  if (kv_.reserved_rows() != reserved_before) refresh_kv_stats();
-  return ok;
+  return kv_.try_reserve_rows(rows);
 }
 
-void GenerationSession::end_sequence() {
-  kv_.release_blocks();
-  refresh_kv_stats();
-}
+void GenerationSession::end_sequence() { kv_.release_blocks(); }
 
 void GenerationSession::fork_from(GenerationSession& parent,
                                   bool eager_copy) {
@@ -322,7 +284,6 @@ void GenerationSession::fork_from(GenerationSession& parent,
         "GenerationSession::fork_from: sessions must share one model");
   }
   kv_.fork_from(parent.kv_, eager_copy);  // enforces the shared pool
-  refresh_kv_stats();
 }
 
 void GenerationSession::bind_kv_credit(KvPoolCredit* credit) {
@@ -330,16 +291,12 @@ void GenerationSession::bind_kv_credit(KvPoolCredit* credit) {
 }
 
 size_t GenerationSession::swap_out(std::vector<int8_t>& dst) {
-  const size_t rows = kv_.swap_out(dst);
-  refresh_kv_stats();
-  return rows;
+  return kv_.swap_out(dst);
 }
 
 bool GenerationSession::try_swap_in(std::span<const int8_t> src,
                                     size_t rows) {
-  const bool ok = kv_.try_swap_in(src, rows);
-  if (ok) refresh_kv_stats();
-  return ok;
+  return kv_.try_swap_in(src, rows);
 }
 
 }  // namespace protea::runtime

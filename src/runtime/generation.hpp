@@ -82,8 +82,8 @@ class GenerationSession {
   /// session). Sizes the KV cache at the synthesized maxima and warms the
   /// workspace arena with one worst-case decode step, so every real
   /// decode_step() — at any cached length — runs without heap
-  /// allocations. `stats` optionally redirects MAC accounting (and KV
-  /// pool occupancy) to an external counter (the accel wrapper's).
+  /// allocations. `stats` optionally redirects MAC accounting to an
+  /// external counter (the accel wrapper's).
   GenerationSession(const accel::AccelConfig& config,
                     const accel::QuantizedDecoder& model,
                     accel::EngineStats* stats = nullptr,
@@ -113,9 +113,9 @@ class GenerationSession {
   /// longest cached prefix of `prefix` by refcount — its stored prefill
   /// outputs land in rows [0, returned) of `states` (resized to
   /// prefix.rows() x d when smaller). Returns the prompt rows already
-  /// covered; the caller prefill_rows()'s only the tail. Hit/miss/bytes
-  /// counters are mirrored into EngineStats. Decode after adoption is
-  /// bit-identical to a cold prefill of the same prompt.
+  /// covered; the caller prefill_rows()'s only the tail. The cache counts
+  /// hits, misses and bytes (PrefixCache::stats()). Decode after adoption
+  /// is bit-identical to a cold prefill of the same prompt.
   size_t prefill_begin_cached(PrefixCache& cache,
                               const tensor::MatrixF& prefix,
                               const tensor::MatrixF& memory,
@@ -206,9 +206,6 @@ class GenerationSession {
   /// Sizes the arena at the worst-case decode step (full cache, longest
   /// memory) so later steps never grow it.
   void warm();
-
-  /// Mirrors pool occupancy into the stats sink after reserve/release.
-  void refresh_kv_stats();
 
   const accel::AccelConfig* config_;
   const accel::QuantizedDecoder* model_;

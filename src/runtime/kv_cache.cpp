@@ -123,8 +123,7 @@ uint32_t KvBlockPool::pop_one_locked(KvPoolCredit* credit, bool skip_zero) {
   return b;
 }
 
-bool KvBlockPool::take_locked(size_t n, std::vector<uint32_t>& out,
-                              KvPoolCredit* credit, bool skip_zero) {
+bool KvBlockPool::admit_locked(size_t n, KvPoolCredit* credit) {
   if (credit != nullptr) {
     // Credited takes draw on the group's admission reservation. Headroom
     // is guaranteed by the credit invariant (free >= credit_outstanding_
@@ -136,54 +135,65 @@ bool KvBlockPool::take_locked(size_t n, std::vector<uint32_t>& out,
       throw std::logic_error(
           "KvBlockPool: credited take exceeds its admission bound");
     }
-  } else {
-    const bool trip = failpoint_hit_locked();
-    if (trip) note_failpoint_locked();
-    if (trip || n > uncommitted_free_locked()) {
-      ++exhaustion_events_;
-      return false;
+    return true;
+  }
+  // One failpoint decision per uncredited attempt: forced exhaustion
+  // always trips; otherwise the schedule lets `skip` through, then trips
+  // `next` times.
+  bool trip = force_exhausted_;
+  if (!trip && fail_skip_ > 0) {
+    --fail_skip_;
+  } else if (!trip && fail_next_ > 0) {
+    --fail_next_;
+    trip = true;
+  }
+  if (trip) {
+    ++failpoint_trips_;
+    if (trace_ != nullptr) {
+      trace_->record(TraceEventType::kFailpointTrip, kNoTraceSeq,
+                     failpoint_trips_, 0);
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(pop_one_locked(credit, skip_zero));
+  if (trip || n > uncommitted_free_locked()) {
+    ++exhaustion_events_;
+    return false;
   }
-  note_occupancy_locked();
   return true;
 }
 
-bool KvBlockPool::take_retry_locked(size_t n, std::vector<uint32_t>& out,
-                                    KvPoolCredit* credit, bool skip_zero) {
-  if (n > uncommitted_free_locked()) return false;
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(pop_one_locked(credit, skip_zero));
+template <typename Grant>
+bool KvBlockPool::admit_or_reclaim(std::unique_lock<std::mutex>& lock,
+                                   size_t n, KvPoolCredit* credit,
+                                   const Grant& grant) {
+  if (!admit_locked(n, credit)) {
+    // Credited takes never get here (they are admitted or throw), so the
+    // refusal is uncredited: an injected failure or a real shortfall.
+    // Only a real shortfall asks the cache layer to free cold blocks —
+    // outside the lock, since reclamation releases blocks back into this
+    // pool.
+    if (n <= uncommitted_free_locked() || !reclaim_hook_) return false;
+    lock.unlock();
+    const size_t freed = reclaim_hook_(n);
+    lock.lock();
+    if (freed == 0 || n > uncommitted_free_locked()) return false;
   }
-  note_occupancy_locked();
+  grant();
   return true;
 }
 
 bool KvBlockPool::try_reserve(size_t n, std::vector<uint32_t>& out,
                               KvPoolCredit* credit, bool skip_zero) {
   if (n == 0) return true;
-  bool honest_shortfall = false;
-  {
-    const std::lock_guard lock(mutex_);
-    if (!configured()) {
-      throw std::logic_error("KvBlockPool::try_reserve: not configured");
-    }
-    if (take_locked(n, out, credit, skip_zero)) return true;
-    // Credited takes never fall through (they succeed or throw), so a
-    // failed take here is uncredited: either an injected failure or a
-    // real shortfall.
-    honest_shortfall = n > uncommitted_free_locked();
+  std::unique_lock lock(mutex_);
+  if (!configured()) {
+    throw std::logic_error("KvBlockPool::try_reserve: not configured");
   }
-  if (!honest_shortfall || !reclaim_hook_) return false;
-  // Honest shortfall: ask the cache layer to free cold blocks — outside
-  // the lock, since reclamation releases blocks back into this pool —
-  // and retry the same attempt (no second failpoint decision, no second
-  // exhaustion event).
-  if (reclaim_hook_(n) == 0) return false;
-  const std::lock_guard lock(mutex_);
-  return take_retry_locked(n, out, credit, skip_zero);
+  return admit_or_reclaim(lock, n, credit, [&] {
+    for (size_t i = 0; i < n; ++i) {
+      out.push_back(pop_one_locked(credit, skip_zero));
+    }
+    note_occupancy_locked();
+  });
 }
 
 void KvBlockPool::wait_for_blocks_locked(std::unique_lock<std::mutex>& lock,
@@ -278,38 +288,15 @@ uint32_t KvBlockPool::duplicate_locked(uint32_t block,
   if (block >= num_blocks_ || ref_count_[block] == 0) {
     throw std::invalid_argument("KvBlockPool::duplicate: block not live");
   }
-  if (credit != nullptr) {
-    if (credit->live + 1 > credit->limit) {
-      throw std::logic_error(
-          "KvBlockPool: credited take exceeds its admission bound");
-    }
-  } else {
-    const bool trip = failpoint_hit_locked();
-    if (trip) note_failpoint_locked();
-    if (trip || uncommitted_free_locked() == 0) {
-      ++exhaustion_events_;
-      throw KvBlockExhausted(
-          "KvBlockPool: no free block to back the copy-on-write");
-    }
+  if (!admit_locked(1, credit)) {
+    throw KvBlockExhausted(
+        "KvBlockPool: no free block to back the copy-on-write");
   }
   const uint32_t fresh = pop_one_locked(credit, /*skip_zero=*/true);
   std::memcpy(data_ + size_t{fresh} * block_bytes(),
               data_ + size_t{block} * block_bytes(), block_bytes());
   note_occupancy_locked();
   return fresh;
-}
-
-uint32_t KvBlockPool::make_private(uint32_t block, KvPoolCredit* credit) {
-  const std::lock_guard lock(mutex_);
-  if (block >= num_blocks_ || ref_count_[block] == 0) {
-    throw std::invalid_argument(
-        "KvBlockPool::make_private: block not live");
-  }
-  if (ref_count_[block] == 1) return block;  // sole holder: write in place
-  const uint32_t copy = duplicate_locked(block, credit);
-  --ref_count_[block];  // cannot hit zero: it was >= 2
-  ++cow_copies_;
-  return copy;
 }
 
 bool KvBlockPool::make_private_span(std::span<uint32_t> blocks,
@@ -337,39 +324,22 @@ uint32_t KvBlockPool::duplicate(uint32_t block, KvPoolCredit* credit) {
 }
 
 bool KvBlockPool::try_reserve_credit(KvPoolCredit& credit, size_t n) {
-  bool honest_shortfall = false;
-  {
-    const std::lock_guard lock(mutex_);
-    if (!configured()) {
-      throw std::logic_error(
-          "KvBlockPool::try_reserve_credit: not configured");
-    }
-    if (credit.limit != 0 || credit.live != 0) {
-      throw std::logic_error(
-          "KvBlockPool::try_reserve_credit: credit already in use");
-    }
-    const bool trip = failpoint_hit_locked();
-    if (trip) note_failpoint_locked();
-    if (!trip && n <= uncommitted_free_locked()) {
-      credit.limit = n;
-      credit.peak = 0;
-      credit_outstanding_ += n;
-      return true;
-    }
-    ++exhaustion_events_;
-    honest_shortfall = n > uncommitted_free_locked();
+  std::unique_lock lock(mutex_);
+  if (!configured()) {
+    throw std::logic_error(
+        "KvBlockPool::try_reserve_credit: not configured");
   }
-  // Same escape valve as try_reserve: cold cache blocks yield to an
-  // admission that would otherwise be refused (no second failpoint
-  // decision, no second exhaustion event on the retry).
-  if (!honest_shortfall || !reclaim_hook_) return false;
-  if (reclaim_hook_(n) == 0) return false;
-  const std::lock_guard lock(mutex_);
-  if (n > uncommitted_free_locked()) return false;
-  credit.limit = n;
-  credit.peak = 0;
-  credit_outstanding_ += n;
-  return true;
+  if (credit.limit != 0 || credit.live != 0) {
+    throw std::logic_error(
+        "KvBlockPool::try_reserve_credit: credit already in use");
+  }
+  // The headroom itself is an uncredited take: the same admission
+  // decision and reclaim valve as try_reserve.
+  return admit_or_reclaim(lock, n, nullptr, [&] {
+    credit.limit = n;
+    credit.peak = 0;
+    credit_outstanding_ += n;
+  });
 }
 
 bool KvBlockPool::reserve_credit_wait(KvPoolCredit& credit, size_t n) {
@@ -410,16 +380,6 @@ void KvBlockPool::note_occupancy_locked() {
   }
 }
 
-void KvBlockPool::note_failpoint_locked() {
-#ifdef PROTEA_FAILPOINTS
-  if (trace_ != nullptr) {
-    trace_->record(TraceEventType::kFailpointTrip, kNoTraceSeq,
-                   failpoint_trips_, 0);
-  }
-#endif
-}
-
-#ifdef PROTEA_FAILPOINTS
 void KvBlockPool::inject_failures(uint64_t skip, uint64_t count) {
   const std::lock_guard lock(mutex_);
   fail_skip_ = skip;
@@ -442,19 +402,6 @@ uint64_t KvBlockPool::failpoint_trips() const {
   const std::lock_guard lock(mutex_);
   return failpoint_trips_;
 }
-#else
-void KvBlockPool::inject_failures(uint64_t, uint64_t) {
-  throw std::logic_error("KvBlockPool: built without PROTEA_FAILPOINTS");
-}
-
-void KvBlockPool::force_exhaustion(bool) {
-  throw std::logic_error("KvBlockPool: built without PROTEA_FAILPOINTS");
-}
-
-void KvBlockPool::clear_failures() {}
-
-uint64_t KvBlockPool::failpoint_trips() const { return 0; }
-#endif
 
 void KvBlockPool::release_credit(KvPoolCredit& credit) {
   {

@@ -103,7 +103,7 @@ struct KvPoolCredit {
 /// Blocks are REFCOUNTED for copy-on-write forking: fork_ref() lets a
 /// second cache adopt a block (refcount bump — no K/V bytes move) and
 /// release() frees a block only when its last holder lets go.
-/// make_private() is the write-triggered copy: a shared block is
+/// make_private_span() is the write-triggered copy: a shared block is
 /// duplicated into a fresh block for the writer and the source refcount
 /// drops by one. Zero-filling is lazy: a freed block is re-zeroed on its
 /// FIRST hand-out after the free — and not at all when it is about to be
@@ -142,7 +142,7 @@ class KvBlockPool {
   /// All-or-nothing reservations that found the pool short (each is one
   /// backpressure event: the caller waited or deferred admission).
   uint64_t exhaustion_events() const;
-  /// Write-triggered copies performed by make_private().
+  /// Write-triggered copies performed by make_private_span().
   uint64_t cow_copies() const;
   /// Lazy re-zeroings performed at hand-out (a COW/duplicate hand-out is
   /// fully overwritten by its copy and is never counted here).
@@ -167,16 +167,13 @@ class KvBlockPool {
   void fork_ref(std::span<const uint32_t> blocks);
   uint32_t ref_count(uint32_t block) const;
 
-  /// Write-triggered copy: returns `block` itself when the caller is the
-  /// sole holder; otherwise takes a fresh block (skipping the lazy
-  /// zero-fill — the copy overwrites every byte), duplicates the
-  /// contents, drops one reference on the source and returns the copy.
-  /// Throws KvBlockExhausted when the pool cannot back the copy.
-  uint32_t make_private(uint32_t block, KvPoolCredit* credit = nullptr);
-  /// make_private over a block-table slice under ONE lock (the per-write
-  /// COW check runs per (layer, head) on the decode hot path — batching
-  /// keeps that to one mutex acquisition per scatter). Updates shared
-  /// entries in place; returns true when any copy was made.
+  /// Write-triggered copy over a block-table slice, under ONE lock (the
+  /// per-write COW check runs per (layer, head) on the decode hot path).
+  /// An entry whose caller is the sole holder stays as it is; a shared
+  /// one is replaced in place by a fresh block (skipping the lazy
+  /// zero-fill — the copy overwrites every byte) holding its contents,
+  /// and the source drops one reference. Returns true when any copy was
+  /// made; throws KvBlockExhausted when the pool cannot back a copy.
   bool make_private_span(std::span<uint32_t> blocks,
                          KvPoolCredit* credit = nullptr);
   /// Eager copy: takes a fresh block, duplicates `block`'s contents into
@@ -226,17 +223,17 @@ class KvBlockPool {
 
   // --- deterministic fault injection (failpoints) ---------------------------
   //
-  // Tests and the traffic stress harness inject pool exhaustion at exact,
+  // Tests and the traffic engine inject pool exhaustion at exact,
   // reproducible points: after `skip` more UNCREDITED take attempts, the
   // next `count` attempts fail as if the pool were empty (recorded as
   // ordinary exhaustion events plus a failpoint_trips count). Credited
   // takes are never failpointed — their headroom is a contract the rest
-  // of the system proves deadlock-freedom against. Compiled away to zero
-  // hot-path cost when PROTEA_FAILPOINTS is off (the setters then throw).
+  // of the system proves deadlock-freedom against. Unarmed, a failpoint
+  // costs one decision per take attempt.
 
   /// Arms "after `skip` attempts, fail the next `count`". Attempts are
-  /// counted per pool operation (one try_reserve / one COW copy), not
-  /// per block.
+  /// counted per pool operation (one try_reserve, one credit reservation
+  /// or one COW copy), not per block.
   void inject_failures(uint64_t skip, uint64_t count);
   /// Forces every uncredited take to fail until cleared.
   void force_exhaustion(bool on);
@@ -253,13 +250,19 @@ class KvBlockPool {
 
  private:
   uint32_t pop_one_locked(KvPoolCredit* credit, bool skip_zero);
-  bool take_locked(size_t n, std::vector<uint32_t>& out,
-                   KvPoolCredit* credit, bool skip_zero);
-  /// Post-reclaim retry: like take_locked but consumes no failpoint
-  /// decision and records no exhaustion event — the retry belongs to the
-  /// SAME caller-visible attempt whose shortfall was already counted.
-  bool take_retry_locked(size_t n, std::vector<uint32_t>& out,
-                         KvPoolCredit* credit, bool skip_zero);
+  /// The pool's one admission decision for a take of `n` blocks. A
+  /// credited take checks the group's bound (std::logic_error past it)
+  /// and is never failpointed; an uncredited one consumes one failpoint
+  /// decision and, when refused, counts one exhaustion event.
+  bool admit_locked(size_t n, KvPoolCredit* credit);
+  /// admit_locked plus the reclaim valve, then `grant()` under the lock
+  /// when the take may proceed. A refusal for an honest shortfall runs
+  /// the reclaim hook with the mutex released and retries as part of the
+  /// SAME attempt: no second failpoint decision, no second exhaustion
+  /// event. `lock` holds mutex_ on entry and on return.
+  template <typename Grant>
+  bool admit_or_reclaim(std::unique_lock<std::mutex>& lock, size_t n,
+                        KvPoolCredit* credit, const Grant& grant);
   /// Runs the reclaim loop for a parked blocking reserve: drains the
   /// hook (unlocking around the call) and parks only when the hook made
   /// no progress, until `n` uncommitted blocks are free at once.
@@ -268,31 +271,9 @@ class KvBlockPool {
     return free_list_.size() - credit_outstanding_;
   }
   uint32_t duplicate_locked(uint32_t block, KvPoolCredit* credit);
-  /// Telemetry emitters (no-ops while trace_ is unbound; defined in the
+  /// Telemetry emitter (a no-op while trace_ is unbound; defined in the
   /// .cpp so this header needs only the forward declaration).
   void note_occupancy_locked();
-  void note_failpoint_locked();
-  /// Consumes one failpoint decision for an uncredited take attempt.
-#ifdef PROTEA_FAILPOINTS
-  bool failpoint_hit_locked() {
-    if (force_exhausted_) {
-      ++failpoint_trips_;
-      return true;
-    }
-    if (fail_skip_ > 0) {
-      --fail_skip_;
-      return false;
-    }
-    if (fail_next_ > 0) {
-      --fail_next_;
-      ++failpoint_trips_;
-      return true;
-    }
-    return false;
-  }
-#else
-  static constexpr bool failpoint_hit_locked() { return false; }
-#endif
 
   WorkspaceArena arena_;
   int8_t* data_ = nullptr;
@@ -310,12 +291,10 @@ class KvBlockPool {
   uint64_t exhaustion_events_ = 0;
   uint64_t cow_copies_ = 0;
   uint64_t zero_fills_ = 0;
-#ifdef PROTEA_FAILPOINTS
   uint64_t fail_skip_ = 0;   // uncredited attempts to let through first
   uint64_t fail_next_ = 0;   // then fail this many
   bool force_exhausted_ = false;
   uint64_t failpoint_trips_ = 0;
-#endif
   std::function<size_t(size_t)> reclaim_hook_;
   TraceRecorder* trace_ = nullptr;  // telemetry sink, see set_trace()
   mutable std::mutex mutex_;

@@ -217,109 +217,23 @@ void Histogram::reset() {
   max_ = 0;
 }
 
-// --- MetricsRegistry ---------------------------------------------------------
-
-#ifdef PROTEA_TELEMETRY
-
-Counter& MetricsRegistry::add_counter(std::string name) {
-  counter_store_.push_back(
-      std::make_unique<NamedCounter>(NamedCounter{std::move(name), {}}));
-  counter_ptrs_.push_back(counter_store_.back().get());
-  return counter_store_.back()->counter;
-}
-
-Gauge& MetricsRegistry::add_gauge(std::string name) {
-  gauge_store_.push_back(
-      std::make_unique<NamedGauge>(NamedGauge{std::move(name), {}}));
-  gauge_ptrs_.push_back(gauge_store_.back().get());
-  return gauge_store_.back()->gauge;
-}
-
-Histogram& MetricsRegistry::add_histogram(std::string name) {
-  histogram_store_.push_back(
-      std::make_unique<NamedHistogram>(NamedHistogram{std::move(name), {}}));
-  histogram_ptrs_.push_back(histogram_store_.back().get());
-  return histogram_store_.back()->histogram;
-}
-
-Counter* MetricsRegistry::find_counter(std::string_view name) {
-  for (NamedCounter* c : counter_ptrs_) {
-    if (c->name == name) return &c->counter;
-  }
-  return nullptr;
-}
-
-Gauge* MetricsRegistry::find_gauge(std::string_view name) {
-  for (NamedGauge* g : gauge_ptrs_) {
-    if (g->name == name) return &g->gauge;
-  }
-  return nullptr;
-}
-
-Histogram* MetricsRegistry::find_histogram(std::string_view name) {
-  for (NamedHistogram* h : histogram_ptrs_) {
-    if (h->name == name) return &h->histogram;
-  }
-  return nullptr;
-}
-
-void MetricsRegistry::reset() {
-  for (NamedCounter* c : counter_ptrs_) c->counter.reset();
-  for (NamedGauge* g : gauge_ptrs_) g->gauge.reset();
-  for (NamedHistogram* h : histogram_ptrs_) h->histogram.reset();
-}
-
-#else  // !PROTEA_TELEMETRY
-
-Counter& MetricsRegistry::add_counter(std::string) {
-  throw std::logic_error("MetricsRegistry: built without PROTEA_TELEMETRY");
-}
-Gauge& MetricsRegistry::add_gauge(std::string) {
-  throw std::logic_error("MetricsRegistry: built without PROTEA_TELEMETRY");
-}
-Histogram& MetricsRegistry::add_histogram(std::string) {
-  throw std::logic_error("MetricsRegistry: built without PROTEA_TELEMETRY");
-}
-Counter* MetricsRegistry::find_counter(std::string_view) { return nullptr; }
-Gauge* MetricsRegistry::find_gauge(std::string_view) { return nullptr; }
-Histogram* MetricsRegistry::find_histogram(std::string_view) {
-  return nullptr;
-}
-void MetricsRegistry::reset() {}
-
-#endif  // PROTEA_TELEMETRY
-
-const std::vector<MetricsRegistry::NamedCounter*>& MetricsRegistry::counters()
-    const {
-  return counter_ptrs_;
-}
-const std::vector<MetricsRegistry::NamedGauge*>& MetricsRegistry::gauges()
-    const {
-  return gauge_ptrs_;
-}
-const std::vector<MetricsRegistry::NamedHistogram*>&
-MetricsRegistry::histograms() const {
-  return histogram_ptrs_;
-}
-
 // --- Telemetry bundle --------------------------------------------------------
 
 #ifdef PROTEA_TELEMETRY
 
 void Telemetry::configure(const TelemetryOptions& opts) {
   trace.configure(opts.trace_capacity);
-  metrics.reset();
-  // Idempotent re-configure: reuse instruments registered earlier.
-  const auto hist = [this](const char* name) -> Histogram* {
-    if (Histogram* h = metrics.find_histogram(name)) return h;
-    return &metrics.add_histogram(name);
-  };
-  ttft_rounds = hist("ttft_rounds");
-  queue_wait_rounds = hist("queue_wait_rounds");
-  token_gap_rounds = hist("token_gap_rounds");
-  preempt_downtime_rounds = hist("preempt_downtime_rounds");
-  pool_occupancy_blocks = hist("pool_occupancy_blocks");
-  ttft_us = hist("ttft_us");
+  // Idempotent re-configure: instruments keep their addresses and start
+  // empty again.
+  for (std::unique_ptr<Histogram>* h :
+       {&ttft_rounds, &queue_wait_rounds, &token_gap_rounds,
+        &preempt_downtime_rounds, &pool_occupancy_blocks, &ttft_us}) {
+    if (*h == nullptr) {
+      *h = std::make_unique<Histogram>();
+    } else {
+      (*h)->reset();
+    }
+  }
   configured_ = true;
 }
 

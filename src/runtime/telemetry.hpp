@@ -10,11 +10,11 @@
 //     occupancy, failpoint trips), each stamped with BOTH the engine's
 //     virtual-time round and a wall-clock nanosecond annotation. Hooks
 //     in TrafficEngine, KvBlockPool and PrefixCache feed it.
-//   * MetricsRegistry — named counters, gauges and log-bucketed
-//     histograms (TTFT, per-token latency, queue wait, preemption
-//     downtime, pool occupancy) with nearest-rank p50/p95/p99
-//     extraction: exact below the linear threshold, bounded relative
-//     error (<= 1/8) above it.
+//   * Histogram — log-bucketed latency histograms (TTFT, per-token
+//     latency, queue wait, preemption downtime, pool occupancy) with
+//     nearest-rank p50/p95/p99 extraction: exact below the linear
+//     threshold, bounded relative error (<= 1/8) above it. Telemetry
+//     owns the standard ones as named members.
 //   * Exporter — Chrome trace-event JSON (loads in chrome://tracing /
 //     Perfetto: one async track per sequence plus pool counter and
 //     scheduler tracks).
@@ -24,11 +24,10 @@
 // so the recorded sequence is bit-identical between stepped and threaded
 // runs; wall_ns is the one non-compared annotation.
 //
-// Compile-out: mirrors PROTEA_FAILPOINTS. Under PROTEA_TELEMETRY=OFF
-// the recorder and registry compile to empty shells — configure() and
-// every registration setter throw std::logic_error, record()/observe()
-// are constexpr no-ops — so a production build pays nothing, not even
-// the ring's memory.
+// Compile-out: under PROTEA_TELEMETRY=OFF the recorder compiles to an
+// empty shell — configure() throws std::logic_error, record() is a
+// no-op and the instruments stay null — so a production build pays
+// nothing, not even the ring's memory.
 #pragma once
 
 #include <array>
@@ -36,7 +35,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/stopwatch.hpp"
@@ -115,7 +113,7 @@ bool virtual_equal(const std::vector<TraceEvent>& x,
 class TraceRecorder {
  public:
   /// Preallocates the ring. Throws std::logic_error when the build has
-  /// PROTEA_TELEMETRY off (mirror of the failpoint setters).
+  /// PROTEA_TELEMETRY off.
   void configure(size_t capacity);
   bool configured() const;
 
@@ -146,32 +144,7 @@ class TraceRecorder {
 #endif
 };
 
-// --- metrics -----------------------------------------------------------------
-
-class Counter {
- public:
-  void add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) {
-    value_ = v;
-    max_ = v > max_ ? v : max_;
-  }
-  double value() const { return value_; }
-  double max() const { return max_; }
-  void reset() { value_ = 0.0; max_ = 0.0; }
-
- private:
-  double value_ = 0.0;
-  double max_ = 0.0;
-};
+// --- histograms --------------------------------------------------------------
 
 /// Log-linear histogram over uint64 values: one bucket per value below
 /// kLinearMax (exact), then 8 linear sub-buckets per power-of-two range
@@ -216,60 +189,6 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-/// Named instruments with stable references: registration (setup time)
-/// allocates; lookups and the instruments themselves do not. Deque-backed
-/// so a registered instrument's address never moves.
-class MetricsRegistry {
- public:
-  /// Throws std::logic_error when the build has PROTEA_TELEMETRY off.
-  Counter& add_counter(std::string name);
-  Gauge& add_gauge(std::string name);
-  Histogram& add_histogram(std::string name);
-
-  /// nullptr when absent (and always nullptr when compiled out).
-  Counter* find_counter(std::string_view name);
-  Gauge* find_gauge(std::string_view name);
-  Histogram* find_histogram(std::string_view name);
-
-  struct NamedCounter {
-    std::string name;
-    Counter counter;
-  };
-  struct NamedGauge {
-    std::string name;
-    Gauge gauge;
-  };
-  struct NamedHistogram {
-    std::string name;
-    Histogram histogram;
-  };
-
-  const std::vector<NamedCounter*>& counters() const;
-  const std::vector<NamedGauge*>& gauges() const;
-  const std::vector<NamedHistogram*>& histograms() const;
-  void reset();
-
-#ifdef PROTEA_TELEMETRY
-
- private:
-  // unique_ptr-free stable storage: pointers into deques never move.
-  std::vector<NamedCounter*> counter_ptrs_;
-  std::vector<NamedGauge*> gauge_ptrs_;
-  std::vector<NamedHistogram*> histogram_ptrs_;
-  std::vector<std::unique_ptr<NamedCounter>> counter_store_;
-  std::vector<std::unique_ptr<NamedGauge>> gauge_store_;
-  std::vector<std::unique_ptr<NamedHistogram>> histogram_store_;
-#else
-
- private:
-  // Compiled out: find_* still needs something to return by reference
-  // for the accessor vectors.
-  std::vector<NamedCounter*> counter_ptrs_;
-  std::vector<NamedGauge*> gauge_ptrs_;
-  std::vector<NamedHistogram*> histogram_ptrs_;
-#endif
-};
-
 // --- the bundle --------------------------------------------------------------
 
 struct TelemetryOptions {
@@ -277,26 +196,25 @@ struct TelemetryOptions {
 };
 
 /// One object the engine takes a pointer to (TrafficOptions::telemetry).
-/// configure() preallocates the ring and pre-registers the standard
-/// serving instruments; a default-constructed (unconfigured) Telemetry
-/// is inert and safe to pass around. Throws std::logic_error when
-/// PROTEA_TELEMETRY is off.
+/// configure() preallocates the ring and the standard serving
+/// instruments; a re-configure empties both. A default-constructed
+/// (unconfigured) Telemetry is inert and safe to pass around. Throws
+/// std::logic_error when PROTEA_TELEMETRY is off.
 class Telemetry {
  public:
   void configure(const TelemetryOptions& opts = {});
   bool enabled() const;
 
   TraceRecorder trace;
-  MetricsRegistry metrics;
 
-  // Standard instruments, non-null after configure() (virtual-time
+  // Standard instruments, null until configure() (virtual-time
   // histograms are deterministic; *_ms/_us ones are wall annotations).
-  Histogram* ttft_rounds = nullptr;
-  Histogram* queue_wait_rounds = nullptr;
-  Histogram* token_gap_rounds = nullptr;  // per-token latency, rounds
-  Histogram* preempt_downtime_rounds = nullptr;
-  Histogram* pool_occupancy_blocks = nullptr;
-  Histogram* ttft_us = nullptr;  // wall-clock annotation
+  std::unique_ptr<Histogram> ttft_rounds;
+  std::unique_ptr<Histogram> queue_wait_rounds;
+  std::unique_ptr<Histogram> token_gap_rounds;  // per-token latency, rounds
+  std::unique_ptr<Histogram> preempt_downtime_rounds;
+  std::unique_ptr<Histogram> pool_occupancy_blocks;
+  std::unique_ptr<Histogram> ttft_us;  // wall-clock annotation
 
  private:
   bool configured_ = false;

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "accel/decoder_accelerator.hpp"
 #include "accel/decoder_model.hpp"
 #include "ref/weights.hpp"
 #include "runtime/decode_policy.hpp"
@@ -146,15 +147,19 @@ TEST(KvBlockPoolCow, MakePrivateCopiesSharedBlocksOnly) {
   std::vector<uint32_t> held;
   ASSERT_TRUE(pool.try_reserve(1, held));
   std::memset(pool.row_data(held[0], 0), 0x11, 4);
+  const auto privatize = [&pool](uint32_t block) {
+    pool.make_private_span(std::span<uint32_t>(&block, 1));
+    return block;
+  };
 
   // Sole holder: writing in place is safe, no copy happens.
-  EXPECT_EQ(pool.make_private(held[0]), held[0]);
+  EXPECT_EQ(privatize(held[0]), held[0]);
   EXPECT_EQ(pool.cow_copies(), 0u);
 
-  // Shared: make_private peels off a bit-exact copy and drops one
+  // Shared: make_private_span peels off a bit-exact copy and drops one
   // reference on the source.
   pool.fork_ref(held);
-  const uint32_t copy = pool.make_private(held[0]);
+  const uint32_t copy = privatize(held[0]);
   EXPECT_NE(copy, held[0]);
   EXPECT_EQ(pool.cow_copies(), 1u);
   EXPECT_EQ(pool.ref_count(held[0]), 1u);
@@ -576,6 +581,28 @@ TEST(BeamSearchCow, WorstCaseBoundFormula) {
   EXPECT_EQ(beam_worst_case_blocks(8, 5, 2, 4, false), 2u * 2u * 3u);
   EXPECT_THROW(beam_worst_case_blocks(0, 1, 1, 1, true),
                std::invalid_argument);
+
+  // The COW bound is the forked-KV memory model's count: K beams
+  // emitting max_new tokens each hold prompt + max_new - 1 rows.
+  const ref::ModelConfig model;  // seq_len 64 covers every shape below
+  for (const uint32_t prompt : {1u, 2u, 5u, 8u, 13u}) {
+    for (const uint32_t max_new : {1u, 2u, 7u, 16u}) {
+      for (const uint32_t width : {1u, 2u, 4u}) {
+        for (const uint32_t br : {1u, 3u, 4u, 16u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "prompt " << prompt << " max_new " << max_new
+                       << " width " << width << " block_rows " << br);
+          const size_t worst =
+              beam_worst_case_blocks(prompt, max_new, width, br, true);
+          const accel::ForkedKvFootprint fp =
+              accel::estimate_forked_kv_footprint(model, prompt,
+                                                  max_new - 1, width, br);
+          EXPECT_EQ(worst, fp.shared_blocks + width * fp.private_blocks);
+          EXPECT_EQ(worst * br * fp.row_bytes, fp.cow_bytes);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -409,7 +409,6 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
 
 // --- deterministic failpoints (traffic-engine fault injection) --------------
 
-#ifdef PROTEA_FAILPOINTS
 TEST(KvBlockPool, FailpointScheduleSkipsThenFailsThenDrains) {
   runtime::KvBlockPool pool;
   pool.configure(6, 2, 16);
@@ -460,15 +459,6 @@ TEST(KvBlockPool, ForcedExhaustionSparesCreditedTakes) {
   EXPECT_EQ(credit.live, 0u);  // release returns headroom to the group
   pool.release_credit(credit);
 }
-#else
-TEST(KvBlockPool, FailpointSettersThrowWhenCompiledOut) {
-  runtime::KvBlockPool pool;
-  pool.configure(2, 2, 16);
-  EXPECT_THROW(pool.inject_failures(0, 1), std::logic_error);
-  EXPECT_THROW(pool.force_exhaustion(true), std::logic_error);
-  EXPECT_EQ(pool.failpoint_trips(), 0u);
-}
-#endif  // PROTEA_FAILPOINTS
 
 // --- preemption swap-out / swap-in at the cache level ------------------------
 

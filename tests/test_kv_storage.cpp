@@ -430,8 +430,7 @@ TEST(KvStoragePrefix, AdoptionBitIdenticalAndSavingsExactPerFormat) {
     cold.decode_step(tok1, cold_d1);
     cold.end_sequence();
 
-    accel::EngineStats ws;
-    runtime::GenerationSession warm(fx.acfg, fx.qd, &ws, opts);
+    runtime::GenerationSession warm(fx.acfg, fx.qd, nullptr, opts);
     tensor::MatrixF warm_states(prompt.rows(), d);
     const size_t adopted =
         warm.prefill_begin_cached(cache, prompt, fx.memory, warm_states);
@@ -451,7 +450,7 @@ TEST(KvStoragePrefix, AdoptionBitIdenticalAndSavingsExactPerFormat) {
     EXPECT_EQ(warm_d1, cold_d1);
 
     // Modeled savings count adopted rows at the STORED width — exactly
-    // the runtime's prefix_bytes_saved accounting.
+    // the prefix cache's byte accounting.
     accel::GenerationCosting costing;
     costing.adopted_rows = static_cast<uint32_t>(adopted);
     costing.cross_cached = true;
@@ -461,8 +460,10 @@ TEST(KvStoragePrefix, AdoptionBitIdenticalAndSavingsExactPerFormat) {
         static_cast<uint32_t>(fx.memory.rows()), costing);
     EXPECT_EQ(sv.kv_bytes, adopted * pool.row_bytes());
     EXPECT_EQ(sv.kv_bytes, adopted * fx.row_bytes(s));
-    EXPECT_EQ(ws.prefix_rows_adopted, adopted);
-    EXPECT_EQ(ws.prefix_bytes_saved, sv.kv_bytes + sv.cross_bytes);
+    const runtime::PrefixCacheStats ps = cache.stats();
+    EXPECT_EQ(ps.rows_adopted, adopted);
+    EXPECT_EQ(ps.bytes_adopted + ps.cross_bytes_reused,
+              sv.kv_bytes + sv.cross_bytes);
 
     warm.end_sequence();
     cache.clear();

@@ -14,12 +14,14 @@
 //     allocation-free (global operator-new counter, the PR-4 pin
 //     pattern);
 //   * the Chrome-trace exporter wraps the expected tracks;
-//   * compiled-out builds (PROTEA_TELEMETRY off): configure and the
-//     registry setters throw std::logic_error, record/observe are inert
-//     no-ops.
+//   * a re-configure empties the ring and every standard instrument;
+//   * compiled-out builds (PROTEA_TELEMETRY off): configure throws
+//     std::logic_error, record is an inert no-op and the instruments
+//     stay null.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -124,10 +126,8 @@ TEST(Telemetry, SteppedAndThreadedVirtualSequencesBitIdentical) {
     stepped.prefill_chunk = 3;
     stepped.recovery = runtime::PreemptionRecovery::kAuto;
     stepped.swap_slots = 1;
-#ifdef PROTEA_FAILPOINTS
     stepped.fail_skip = 6;
     stepped.fail_count = 3;
-#endif
     Telemetry tel_a;
     tel_a.configure();
     stepped.telemetry = &tel_a;
@@ -278,41 +278,31 @@ TEST(Telemetry, RingWraparoundKeepsNewest) {
 
 TEST(Telemetry, SteadyStateRecordingDoesNotAllocate) {
   // The zero-alloc pin: once configured, recording events (through ring
-  // wraparound), observing histograms and bumping counters/gauges must
-  // not touch the heap.
+  // wraparound) and observing histograms must not touch the heap.
   Telemetry tel;
   tel.configure(runtime::TelemetryOptions{.trace_capacity = 256});
-  runtime::Counter& ctr = tel.metrics.add_counter("pin_counter");
-  runtime::Gauge& gauge = tel.metrics.add_gauge("pin_gauge");
-  runtime::Histogram& hist = *tel.metrics.find_histogram("ttft_rounds");
+  runtime::Histogram& hist = *tel.ttft_rounds;
 
   const uint64_t before = g_alloc_count.load();
   for (uint32_t i = 0; i < 2048; ++i) {  // 8x the ring: wraps repeatedly
     tel.trace.set_round(i);
     tel.trace.record(TraceEventType::kDecodeStep, i % 7, i, i * 3);
     hist.observe(i % 977);
-    ctr.add(1);
-    gauge.set(static_cast<double>(i));
   }
   const uint64_t after = g_alloc_count.load();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(tel.trace.total(), 2048u);
-  EXPECT_EQ(ctr.value(), 2048u);
+  EXPECT_EQ(hist.count(), 2048u);
 }
 
 #else  // !PROTEA_TELEMETRY
 
 TEST(Telemetry, SettersThrowWhenCompiledOut) {
-  // Compiled-out contract (mirror of the failpoint setters): anything
-  // that would enable telemetry throws, everything read-only or on the
-  // hot path is an inert no-op.
+  // Compiled-out contract: anything that would enable telemetry throws,
+  // everything read-only or on the hot path is an inert no-op.
   Telemetry tel;
   EXPECT_THROW(tel.configure(), std::logic_error);
   EXPECT_FALSE(tel.enabled());
-  EXPECT_THROW(tel.metrics.add_counter("x"), std::logic_error);
-  EXPECT_THROW(tel.metrics.add_gauge("x"), std::logic_error);
-  EXPECT_THROW(tel.metrics.add_histogram("x"), std::logic_error);
-  EXPECT_EQ(tel.metrics.find_counter("x"), nullptr);
 
   TraceRecorder rec;
   EXPECT_THROW(rec.configure(16), std::logic_error);
@@ -324,6 +314,45 @@ TEST(Telemetry, SettersThrowWhenCompiledOut) {
 }
 
 #endif  // PROTEA_TELEMETRY
+
+/// The six standard instruments, null while the bundle is unconfigured.
+std::array<runtime::Histogram*, 6> instruments(Telemetry& tel) {
+  const auto ptr = [](auto& h) -> runtime::Histogram* {
+    return h == nullptr ? nullptr : &*h;
+  };
+  return {ptr(tel.ttft_rounds),           ptr(tel.queue_wait_rounds),
+          ptr(tel.token_gap_rounds),      ptr(tel.preempt_downtime_rounds),
+          ptr(tel.pool_occupancy_blocks), ptr(tel.ttft_us)};
+}
+
+TEST(Telemetry, ReconfigureEmptiesRingAndEveryInstrument) {
+  // configure() is idempotent: a second call empties the ring and every
+  // standard instrument, so one bundle can record run after run.
+  Telemetry tel;
+#ifdef PROTEA_TELEMETRY
+  tel.configure(runtime::TelemetryOptions{.trace_capacity = 16});
+  for (uint32_t i = 0; i < 5; ++i) {
+    tel.trace.record(TraceEventType::kAdmit, i, i, 0);
+  }
+  for (runtime::Histogram* h : instruments(tel)) {
+    ASSERT_NE(h, nullptr);
+    h->observe(7);
+  }
+  ASSERT_EQ(tel.trace.total(), 5u);
+
+  tel.configure(runtime::TelemetryOptions{.trace_capacity = 16});
+  EXPECT_TRUE(tel.enabled());
+  EXPECT_EQ(tel.trace.total(), 0u);
+  EXPECT_TRUE(tel.trace.snapshot().empty());
+  for (runtime::Histogram* h : instruments(tel)) {
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count(), 0u);
+  }
+#else
+  EXPECT_THROW(tel.configure(), std::logic_error);
+  for (runtime::Histogram* h : instruments(tel)) EXPECT_EQ(h, nullptr);
+#endif
+}
 
 }  // namespace
 }  // namespace protea

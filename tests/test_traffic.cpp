@@ -108,10 +108,8 @@ TEST(TrafficEngine, RecoveryStrategiesBitIdenticalUnderPreemptionStorm) {
         opts.recovery = recovery;
         opts.swap_slots =
             recovery == runtime::PreemptionRecovery::kAuto ? 1 : 2;
-#ifdef PROTEA_FAILPOINTS
         opts.fail_skip = 4 + 3 * variant;  // storm at a per-variant point
         opts.fail_count = 4;
-#endif
         const auto results = engine.run(build_mix(fx, kRequests, kSeed), opts);
         const auto& stats = engine.last_run();
         ASSERT_EQ(results.size(), expected.size());
@@ -144,9 +142,7 @@ TEST(TrafficEngine, RecoveryStrategiesBitIdenticalUnderPreemptionStorm) {
   EXPECT_GT(swap_outs, 0u);
   EXPECT_GT(recomputes, 0u);
   EXPECT_EQ(restores, preemptions);
-#ifdef PROTEA_FAILPOINTS
   EXPECT_GT(trips, 0u);
-#endif
 }
 
 TEST(TrafficEngine, SteppedAndThreadedRunsMatchBitForBit) {
@@ -165,10 +161,8 @@ TEST(TrafficEngine, SteppedAndThreadedRunsMatchBitForBit) {
   stepped.prefill_chunk = 3;
   stepped.recovery = runtime::PreemptionRecovery::kAuto;
   stepped.swap_slots = 1;
-#ifdef PROTEA_FAILPOINTS
   stepped.fail_skip = 6;
   stepped.fail_count = 3;
-#endif
 
   runtime::TrafficEngine engine(fx.acfg, fx.qd);
   const auto a = engine.run(build_mix(fx, kRequests, kSeed), stepped);
@@ -519,10 +513,8 @@ TEST(TrafficStorm, SeededOverloadHoldsEveryInvariant) {
   overload.swap_slots = 1;  // a second concurrent victim must recompute
   overload.shed_queue_depth = 6;
   overload.stall_limit = 64;
-#ifdef PROTEA_FAILPOINTS
   overload.fail_skip = 24;  // let the pool warm up, then storm
   overload.fail_count = 12;
-#endif
   // Unconfigured bundles are inert; configure() throws when telemetry is
   // compiled out.
   runtime::Telemetry tel_stepped, tel_threaded;
@@ -610,9 +602,7 @@ TEST(TrafficStorm, SeededOverloadHoldsEveryInvariant) {
             1u);
   EXPECT_GE(stepped_stats.total(&TrafficClassStats::deadline_misses), 1u);
   EXPECT_GE(completed, 1u);
-#ifdef PROTEA_FAILPOINTS
   EXPECT_GE(stepped_stats.failpoint_trips, 1u);
-#endif
 
 #ifdef PROTEA_TELEMETRY
   // The virtual-time event sequence is identical between the modes,
@@ -675,7 +665,6 @@ TEST(TrafficRobustness, CreditLeaseReleasesHeadroomOnUnwind) {
   EXPECT_EQ(pool.uncommitted_free_blocks(), 8u);
 }
 
-#ifdef PROTEA_FAILPOINTS
 TEST(TrafficRobustness, FailpointThrownMidPrefillUnwindsCleanly) {
   // A failpoint-injected KvBlockExhausted in the middle of a chunked
   // prefill must unwind through SequenceScope without stranding blocks
@@ -711,7 +700,6 @@ TEST(TrafficRobustness, FailpointThrownMidPrefillUnwindsCleanly) {
   session.end_sequence();
   EXPECT_EQ(pool.used_blocks(), 0u);
 }
-#endif  // PROTEA_FAILPOINTS
 
 TEST(TrafficRobustness, SessionSwapRoundTripIsBitExact) {
   // swap_out spills the held block bytes; prefill_begin + try_swap_in
