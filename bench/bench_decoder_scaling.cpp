@@ -203,8 +203,8 @@ int main() {
   }
 
   // --- paged KV footprint model ----------------------------------------------
-  // Dense self-K/V reserves the full programmed capacity per slot; the
-  // paged layout holds ceil(rows / block_rows) blocks per sequence. For
+  // The modeled per-slot baseline reserves the full programmed capacity;
+  // the paged pool holds ceil(rows / block_rows) blocks per sequence. For
   // short-sequence mixes the ratio is the extra concurrency a shared
   // block pool admits at equal arena footprint.
   {

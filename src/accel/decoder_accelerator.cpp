@@ -328,8 +328,8 @@ KvFootprint estimate_kv_footprint(const ref::ModelConfig& model,
   }
   KvFootprint fp;
   fp.row_bytes = kv_row_bytes(model, storage);
-  // Dense arena stays 1 byte/element regardless of storage (quantized
-  // formats round-trip in place there; only the paged pool packs).
+  // The per-slot baseline stays 1 byte/element regardless of storage
+  // (only the paged pool packs).
   fp.dense_bytes =
       kv_row_bytes(model, numeric::KvStorage::kInt8) * model.seq_len;
   fp.blocks = util::ceil_div(rows, block_rows);

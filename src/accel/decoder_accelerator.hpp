@@ -104,7 +104,7 @@ PerfReport estimate_decoder_performance(const AccelConfig& config,
 /// GenerationSession::decode_step exactly (MAC counts are cross-checked
 /// against EngineStats in tests/test_generation.cpp).
 ///
-/// The paged path is block-strided: the QK/SV engines stream K/V
+/// The cached path is block-strided: the QK/SV engines stream K/V
 /// straight out of the block table, so an int8 step moves no gather
 /// traffic (report.bytes_loaded == 0).
 ///
@@ -133,20 +133,19 @@ uint64_t kv_row_bytes(const ref::ModelConfig& model,
                       numeric::KvStorage storage);
 
 /// Self-K/V memory model for a sequence of `rows` cached target rows:
-/// the dense layout reserves the full programmed capacity
-/// (model.seq_len) per slot regardless of the sequence, while the paged
-/// layout holds ceil(rows / block_rows) blocks. The ratio
+/// the paged pool holds ceil(rows / block_rows) blocks, against a
+/// modeled per-slot baseline that reserves the full programmed capacity
+/// (model.seq_len) unpacked, whatever the sequence. The ratio
 /// dense_bytes / paged_bytes is the concurrency multiplier a shared
-/// block pool buys at equal arena footprint (bench_decoder_scaling
-/// tabulates it).
+/// block pool buys over that baseline at equal arena footprint
+/// (bench_decoder_scaling tabulates it).
 struct KvFootprint {
   /// kv_row_bytes(model, storage): the POOL's stored width. Matches
   /// KvCache/KvBlockPool row accounting exactly per format (int8 and fp8
   /// are 1 byte/element; fp4-e2m1 packs 2 per byte).
   uint64_t row_bytes = 0;
-  /// Per-slot dense reservation (capacity rows). The dense layout's
-  /// arena is ALWAYS 1 byte/element — quantized formats round-trip
-  /// values in place there instead of packing — so this term never
+  /// The modeled per-slot baseline: capacity rows at 1 byte/element
+  /// (unpacked int8 width) for every storage format, so this term never
   /// shrinks with storage; only the paged pool does.
   uint64_t dense_bytes = 0;
   uint64_t paged_bytes = 0;  // blocks needed for `rows` rows

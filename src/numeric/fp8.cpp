@@ -211,4 +211,10 @@ const KvCodec* kv_codec(KvStorage storage) {
   return nullptr;
 }
 
+void kv_roundtrip_inplace(const KvCodec& codec, std::span<int8_t> values) {
+  for (int8_t& q : values) {
+    q = codec.roundtrip[static_cast<uint8_t>(q) ^ 0x80u];
+  }
+}
+
 }  // namespace protea::numeric

@@ -1,5 +1,5 @@
 // FP8 (e4m3 / e5m2) and FP4 (e2m1) conversion layer + the KV-storage
-// codec built on it — ROADMAP item 3's numerics floor.
+// codec built on it.
 //
 // Encoding contract (chosen up front, pinned exhaustively by
 // tests/test_fp8.cpp against an independently computed table):
@@ -38,7 +38,8 @@
 // decode∘encode is idempotent on the int8 grid (verified exhaustively),
 // so a stored row reads back the same on every access and re-encoding a
 // read-back row changes nothing — the reproducibility guarantee the
-// paged==dense / COW / swap / prefix-adoption property suites pin.
+// paged==full-recompute / COW / swap / prefix-adoption property suites
+// pin.
 // The fp8 formats keep 1 byte/element (byte-neutral storage; the win is
 // the datapath + perf-model wiring); fp4 packs TWO elements per byte
 // (low nibble = even element), which is the format that actually halves
@@ -48,6 +49,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace protea::numeric {
 
@@ -106,14 +108,18 @@ struct KvCodec {
   /// read 0, e5m2 ±inf read ±127/-128); fp4 indexes with the nibble
   /// (entries 16..255 are 0 and never addressed).
   std::array<int8_t, 256> decode{};
-  /// roundtrip[q+128] = decode[encode[q+128]] — the dense-layout
-  /// reference applied in place after a write, so dense and paged
-  /// sequences see identical values.
+  /// roundtrip[q+128] = decode[encode[q+128]] — the value a stored q
+  /// reads back as. The full-recompute reference forward snaps fresh
+  /// K/V through it, so it sees exactly what a cached sequence reads
+  /// back from its encoded blocks.
   std::array<int8_t, 256> roundtrip{};
 };
 
 /// Codec for `storage`; nullptr for kInt8 (no conversion). The tables
 /// are built once (thread-safe static init) and never mutated.
 const KvCodec* kv_codec(KvStorage storage);
+
+/// Replaces every value with codec.roundtrip of it, in place.
+void kv_roundtrip_inplace(const KvCodec& codec, std::span<int8_t> values);
 
 }  // namespace protea::numeric

@@ -270,9 +270,7 @@ void BeamSearchOptions::validate() const {
     throw std::invalid_argument("BeamSearchOptions: zero threads");
   }
   if (kv_block_rows == 0) {
-    throw std::invalid_argument(
-        "BeamSearchOptions: COW forking requires the paged layout "
-        "(kv_block_rows > 0)");
+    throw std::invalid_argument("BeamSearchOptions: zero kv_block_rows");
   }
   if (length_penalty < 0.0f) {
     throw std::invalid_argument(

@@ -172,8 +172,7 @@ struct BeamSearchOptions {
   /// 1 = deterministic stepped loop (zero steady-state allocations);
   /// > 1 steps live beams on that many workers, bit-identical to stepped.
   size_t threads = 1;
-  /// Self-K/V tokens per block (must be paged: forking needs the block
-  /// table).
+  /// Self-K/V tokens per block (0 throws std::invalid_argument).
   size_t kv_block_rows = 16;
   /// Shared pool to serve the beam group from (admission reserves the
   /// COW-aware worst case against it); nullptr gives the decoder a
@@ -207,7 +206,7 @@ struct BeamSearchStats {
   /// COW-aware worst-case unique blocks reserved at admission.
   size_t worst_case_blocks = 0;
   /// Peak unique blocks the group actually held (credit accounting) —
-  /// the executed sharing win: compare against beam_width x a dense
+  /// the executed sharing win: compare against beam_width x an unshared
   /// lineage.
   size_t kv_blocks_peak = 0;
   uint64_t cow_copies = 0;   // write-triggered block copies this run

@@ -38,10 +38,9 @@ void GenerationSession::run_rows(const tensor::MatrixF& rows,
   const size_t d = cfg.d_model;
   const size_t pos = kv_.len();
 
-  // Paged caches grow their block table here, on demand — a standalone
-  // session with a private pool can always cover its capacity, while the
-  // traffic engine pre-reserves every unit's rows so this never throws
-  // mid-flight.
+  // The block table grows here, on demand — a standalone session with a
+  // private pool can always cover its capacity, while the traffic engine
+  // pre-reserves every unit's rows so this never throws mid-flight.
   kv_.reserve_rows(pos + n);
 
   const auto m = ws_.mark();
@@ -80,21 +79,18 @@ void GenerationSession::run_rows(const tensor::MatrixF& rows,
 }
 
 void GenerationSession::warm() {
-  // Fake a full cache (configure() zero-filled the dense views, and the
-  // pool zero-fills its blocks, so the engines read defined bytes) and
-  // run one step at the worst-case shape: the arena's consolidated block
-  // then covers every real decode_step, which only ever allocates the
-  // same sequence of equal-or-smaller views. A shared pool clamps the
-  // warm shape to the rows it can back right now (sessions are
-  // constructed before serving starts, so this is normally everything).
+  // Fake a full cache (the pool zero-fills its blocks, so the engines
+  // read defined bytes) and run one step at the worst-case shape: the
+  // arena's consolidated block then covers every real decode_step, which
+  // only ever allocates the same sequence of equal-or-smaller views. A
+  // shared pool clamps the warm shape to the rows it can back right now
+  // (sessions are constructed before serving starts, so this is normally
+  // everything).
   kv_.begin_sequence(kv_.memory_capacity());
-  size_t warm_rows = kv_.capacity();
-  if (kv_.paged()) {
-    const size_t backable =
-        kv_.reserved_rows() +
-        kv_.pool()->uncommitted_free_blocks() * kv_.block_rows();
-    warm_rows = std::min(warm_rows, backable);
-  }
+  const size_t warm_rows = std::min(
+      kv_.capacity(),
+      kv_.reserved_rows() +
+          kv_.pool()->uncommitted_free_blocks() * kv_.block_rows());
   if (warm_rows == 0) {  // pool fully held elsewhere: warm lazily later
     kv_.begin_sequence(0);
     return;

@@ -14,14 +14,14 @@
 //     runs ONE new row per call, attending over the cached prefix —
 //     O(len) attention work and zero heap allocations in steady state
 //     (the constructor warms the arena at the worst-case step shape,
-//     pinned by an allocation-counting test). Self K/V defaults to the
-//     paged layout (runtime/kv_cache.hpp): blocks are reserved on demand
-//     from a private or shared KvBlockPool, so short sequences no longer
-//     strand a full-capacity reservation, and attention reads the cached
-//     rows in place in every storage format. The cached path — dense or
-//     paged, chunked or one-shot — is bit-identical to the
-//     full-recompute forward: int32 accumulation is exact and every op
-//     is row-wise.
+//     pinned by an allocation-counting test). Self K/V lives in blocks
+//     (runtime/kv_cache.hpp) reserved on demand from a private or
+//     shared KvBlockPool, so short sequences do not strand a
+//     full-capacity reservation, and attention reads the cached rows in
+//     place in every storage format. The cached path — any block size,
+//     chunked or one-shot — is bit-identical to the full-recompute
+//     forward run with the same storage (decoder_forward_into): int32
+//     accumulation is exact and every op is row-wise.
 //
 //   * GenerationRequest — one prompt + encoder memory + token callback,
 //     the unit TrafficEngine (runtime/traffic.hpp) serves. The engine is
@@ -29,7 +29,7 @@
 //     through the same coordinator as open SLO traffic, with continuous
 //     batching (a finished sequence frees its seat the round it ends),
 //     optional chunked prefill, and bit-identical outputs for every
-//     slot, thread, module-slot, KV-layout or chunk choice.
+//     slot, thread, module-slot, KV-block-size or chunk choice.
 //
 // Token policy (greedy argmax, sampling, beam bookkeeping) stays with the
 // caller: requests carry a next_token callback mapping the newest output
@@ -55,11 +55,11 @@ namespace protea::runtime {
 class PrefixCache;
 
 struct GenerationOptions {
-  /// Self-K/V tokens per block. 0 selects the dense (PR-3) layout.
+  /// Self-K/V tokens per block (0 throws std::invalid_argument).
   size_t kv_block_rows = 16;
-  /// Shared block pool (paged only); nullptr gives the session a private
-  /// pool sized at one full-capacity sequence. A shared pool must
-  /// outlive the session.
+  /// Shared block pool; nullptr gives the session a private pool sized
+  /// at one full-capacity sequence. A shared pool must outlive the
+  /// session.
   KvBlockPool* kv_pool = nullptr;
   /// prefill() runs the prompt in passes of at most this many rows
   /// (0 = one pass). Outputs are bit-identical for any chunk size.
@@ -146,10 +146,10 @@ class GenerationSession {
   void decode_step(const tensor::MatrixF& token, tensor::MatrixF& state,
                    StageGate* gate = nullptr);
 
-  /// Paged-cache admission control (no-ops returning success in dense
-  /// mode). try_reserve_rows() grows the sequence's block table to cover
-  /// `rows` total rows, all or nothing; end_sequence() releases every
-  /// held block so waiting admissions can proceed.
+  /// Block admission control: try_reserve_rows() grows the sequence's
+  /// block table to cover `rows` total rows, all or nothing;
+  /// end_sequence() releases every held block so waiting admissions can
+  /// proceed.
   bool try_reserve_rows(size_t rows);
   void end_sequence();
 
@@ -157,7 +157,7 @@ class GenerationSession {
   /// decoding state — cached length, cross projections and the self-K/V
   /// block table by refcount — without moving K/V bytes; the first
   /// divergent decode_step into a shared block copies just that block.
-  /// Both sessions must be built on the same model and ONE shared paged
+  /// Both sessions must be built on the same model and ONE shared
   /// pool. `eager_copy` materializes private block copies at fork time
   /// (the bit-exact reference mode). Any sequence this session was
   /// running is ended first.
@@ -168,7 +168,7 @@ class GenerationSession {
   /// unbinds. The session must not hold blocks.
   void bind_kv_credit(KvPoolCredit* credit);
 
-  /// Victim preemption, swap-out flavor (paged mode): spills the held
+  /// Victim preemption, swap-out flavor: spills the held
   /// blocks' contents into `dst` and releases them (returns the cached
   /// row count); try_swap_in() restores them all-or-nothing after a
   /// fresh prefill_begin() has recomputed the cross projections —
@@ -198,7 +198,7 @@ class GenerationSession {
   /// Shared stack walker: quantizes `rows` at the first layer's input
   /// scale, runs them through every decoder layer with K/V appended at
   /// the current position, advances the cache and dequantizes into
-  /// `states`. Reserves paged blocks on demand (KvBlockExhausted when
+  /// `states`. Reserves blocks on demand (KvBlockExhausted when
   /// the pool cannot cover the new rows).
   void run_rows(const tensor::MatrixF& rows, tensor::MatrixF& states,
                 StageGate* gate, accel::EngineStats* stats);

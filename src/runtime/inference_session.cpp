@@ -88,8 +88,8 @@ void decoder_forward_into(const accel::QuantizedDecoder& qd,
                           const accel::AccelConfig& config,
                           const tensor::MatrixF& target,
                           const tensor::MatrixF& memory, WorkspaceArena& ws,
-                          accel::EngineStats* stats,
-                          tensor::MatrixF& output) {
+                          accel::EngineStats* stats, tensor::MatrixF& output,
+                          numeric::KvStorage kv_storage) {
   const ref::ModelConfig& cfg = qd.config;
   if (target.cols() != cfg.d_model || memory.cols() != cfg.d_model) {
     throw std::invalid_argument("decoder forward: width mismatch");
@@ -122,12 +122,13 @@ void decoder_forward_into(const accel::QuantizedDecoder& qd,
                            .stats = stats,
                            .gemm_pool = tensor::qgemm_default_pool()};
 
+  const numeric::KvCodec* kv_codec = numeric::kv_codec(kv_storage);
   double out_scale = qd.layers.front().scales.x;
   for (const accel::QDecoderLayer& layer : qd.layers) {
     if (layer.scales.x != out_scale) {
       rescale_rows_inplace(x, out_scale, layer.scales.x);
     }
-    run_decoder_layer(ctx, layer, x, mem_q, y);
+    run_decoder_layer(ctx, layer, x, mem_q, y, kv_codec);
     std::swap(x, y);
     out_scale = layer.scales.ln3;
   }

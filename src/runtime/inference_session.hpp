@@ -41,12 +41,15 @@ void encoder_forward_into(const accel::QuantizedModel& qm,
                           StageGate* gate = nullptr);
 
 /// Decoder twin: masked self-attention + cross-attention over `memory`.
-void decoder_forward_into(const accel::QuantizedDecoder& qd,
-                          const accel::AccelConfig& config,
-                          const tensor::MatrixF& target,
-                          const tensor::MatrixF& memory, WorkspaceArena& ws,
-                          accel::EngineStats* stats,
-                          tensor::MatrixF& output);
+/// `kv_storage` snaps every self-attention K and V row to the value a
+/// KV cache of that format reads back (numeric::KvCodec::roundtrip), so
+/// this full-recompute forward is the bit-exact reference for KV-cached
+/// decode in every storage format; kInt8 leaves them untouched.
+void decoder_forward_into(
+    const accel::QuantizedDecoder& qd, const accel::AccelConfig& config,
+    const tensor::MatrixF& target, const tensor::MatrixF& memory,
+    WorkspaceArena& ws, accel::EngineStats* stats, tensor::MatrixF& output,
+    numeric::KvStorage kv_storage = numeric::KvStorage::kInt8);
 
 class InferenceSession {
  public:

@@ -54,8 +54,6 @@ void KvBlockPool::configure(size_t num_blocks, size_t block_rows,
   zero_fills_ = 0;
 }
 
-size_t KvBlockPool::bytes() const { return arena_.used(); }
-
 size_t KvBlockPool::free_blocks() const {
   const std::lock_guard lock(mutex_);
   return free_list_.size();
@@ -422,9 +420,7 @@ void KvBlockPool::release_credit(KvPoolCredit& credit) {
 KvCache::~KvCache() {
   // Give shared-pool blocks back so a dying session (exception unwind,
   // scheduler teardown) never strands capacity other sequences wait on.
-  if (pool_ != nullptr && !block_table_.empty()) {
-    pool_->release(block_table_);
-  }
+  if (!block_table_.empty()) pool_->release(block_table_);
 }
 
 void KvCache::configure(size_t num_layers, size_t num_heads,
@@ -432,25 +428,34 @@ void KvCache::configure(size_t num_layers, size_t num_heads,
                         size_t memory_capacity,
                         const KvCacheOptions& opts) {
   if (num_layers == 0 || num_heads == 0 || head_dim == 0 || capacity == 0 ||
-      memory_capacity == 0) {
+      memory_capacity == 0 || opts.block_rows == 0) {
     throw std::invalid_argument("KvCache::configure: zero dimension");
-  }
-  const bool paged = opts.block_rows > 0;
-  if (!paged && opts.pool != nullptr) {
-    throw std::invalid_argument(
-        "KvCache::configure: pool given but block_rows = 0 (dense)");
   }
   if (opts.storage == numeric::KvStorage::kFp4E2M1 && head_dim % 2 != 0) {
     throw std::invalid_argument(
         "KvCache::configure: packed fp4 storage needs an even head_dim");
   }
+  // Validate a shared pool before touching any state: a rejected
+  // configure leaves the cache as it was.
+  if (opts.pool != nullptr) {
+    if (!opts.pool->configured()) {
+      throw std::invalid_argument(
+          "KvCache::configure: shared pool not configured");
+    }
+    if (opts.pool->block_rows() != opts.block_rows ||
+        opts.pool->row_bytes() !=
+            num_layers * num_heads * 2 *
+                numeric::kv_storage_bytes(head_dim, opts.storage)) {
+      throw std::invalid_argument(
+          "KvCache::configure: shared pool geometry mismatch");
+    }
+  }
   if (configured() && layers_.size() == num_layers &&
       num_heads_ == num_heads && head_dim_ == head_dim &&
       capacity_ == capacity && memory_capacity_ == memory_capacity &&
       block_rows_ == opts.block_rows && storage_ == opts.storage &&
-      (opts.pool == nullptr ? owned_pool_ != nullptr || !paged
-                            : pool_ == opts.pool)) {
-    return;  // identical geometry and layout: keep storage and state
+      (opts.pool == nullptr ? owned_pool_ != nullptr : pool_ == opts.pool)) {
+    return;  // identical geometry and pool: keep storage and state
   }
 
   release_blocks();
@@ -482,40 +487,19 @@ void KvCache::configure(size_t num_layers, size_t num_heads,
       layer.cross_k.back().fill(0);
       layer.cross_v.back().fill(0);
     }
-    if (!paged) {
-      layer.self_k.reserve(num_heads);
-      layer.self_v.reserve(num_heads);
-      for (size_t h = 0; h < num_heads; ++h) {
-        layer.self_k.push_back(arena_.matrix_i8(capacity, head_dim));
-        layer.self_v.push_back(arena_.matrix_i8(capacity, head_dim));
-        layer.self_k.back().fill(0);
-        layer.self_v.back().fill(0);
-      }
-    }
   }
 
-  if (paged) {
-    const size_t max_blocks = util::ceil_div(capacity, block_rows_);
-    if (opts.pool != nullptr) {
-      if (!opts.pool->configured()) {
-        throw std::invalid_argument(
-            "KvCache::configure: shared pool not configured");
-      }
-      if (opts.pool->block_rows() != block_rows_ ||
-          opts.pool->row_bytes() != row_bytes()) {
-        throw std::invalid_argument(
-            "KvCache::configure: shared pool geometry mismatch");
-      }
-      pool_ = opts.pool;
-    } else {
-      owned_pool_ = std::make_unique<KvBlockPool>();
-      owned_pool_->configure(max_blocks, block_rows_, row_bytes());
-      pool_ = owned_pool_.get();
-    }
-    // Pre-size the table so steady-state growth never heap-allocates.
-    block_table_.clear();
-    block_table_.reserve(max_blocks);
+  const size_t max_blocks = util::ceil_div(capacity, block_rows_);
+  if (opts.pool != nullptr) {
+    pool_ = opts.pool;
+  } else {
+    owned_pool_ = std::make_unique<KvBlockPool>();
+    owned_pool_->configure(max_blocks, block_rows_, row_bytes());
+    pool_ = owned_pool_.get();
   }
+  // Pre-size the table so steady-state growth never heap-allocates.
+  block_table_.clear();
+  block_table_.reserve(max_blocks);
 }
 
 bool KvCache::try_reserve_rows(size_t rows) {
@@ -526,7 +510,7 @@ bool KvCache::try_reserve_rows(size_t rows) {
     throw std::invalid_argument(
         "KvCache::try_reserve_rows: rows exceed capacity");
   }
-  if (!paged() || rows <= reserved_rows()) return true;
+  if (rows <= reserved_rows()) return true;
   const size_t need =
       util::ceil_div(rows, block_rows_) - block_table_.size();
   return pool_->try_reserve(need, block_table_, credit_);
@@ -539,7 +523,7 @@ void KvCache::reserve_rows(size_t rows) {
 }
 
 void KvCache::release_blocks() {
-  if (pool_ != nullptr && !block_table_.empty()) {
+  if (!block_table_.empty()) {
     pool_->release(block_table_);
     block_table_.clear();
   }
@@ -557,12 +541,12 @@ void KvCache::bind_credit(KvPoolCredit* credit) {
 }
 
 size_t KvCache::swap_bytes() const {
-  return paged() ? block_table_.size() * pool_->block_bytes() : 0;
+  return block_table_.size() * block_rows_ * row_bytes();
 }
 
 size_t KvCache::swap_out(std::vector<int8_t>& dst) {
-  if (!paged() || pool_ == nullptr) {
-    throw std::logic_error("KvCache::swap_out: paged layout required");
+  if (!configured()) {
+    throw std::logic_error("KvCache::swap_out: not configured");
   }
   if (maybe_shared_) {
     // A fork sibling may still read these blocks; spilling and releasing
@@ -584,8 +568,8 @@ size_t KvCache::swap_out(std::vector<int8_t>& dst) {
 }
 
 bool KvCache::try_swap_in(std::span<const int8_t> src, size_t rows) {
-  if (!paged() || pool_ == nullptr) {
-    throw std::logic_error("KvCache::try_swap_in: paged layout required");
+  if (!configured()) {
+    throw std::logic_error("KvCache::try_swap_in: not configured");
   }
   if (!block_table_.empty()) {
     throw std::logic_error("KvCache::try_swap_in: cache still holds blocks");
@@ -619,10 +603,6 @@ void KvCache::fork_from(KvCache& parent, bool eager_copy) {
   }
   if (&parent == this) {
     throw std::invalid_argument("KvCache::fork_from: self fork");
-  }
-  if (!paged() || !parent.paged()) {
-    throw std::logic_error(
-        "KvCache::fork_from: forking requires the paged layout");
   }
   if (pool_ != parent.pool_) {
     throw std::invalid_argument(
@@ -686,8 +666,8 @@ void KvCache::fork_from(KvCache& parent, bool eager_copy) {
 }
 
 void KvCache::adopt_prefix(std::span<const uint32_t> blocks, size_t rows) {
-  if (!paged() || pool_ == nullptr) {
-    throw std::logic_error("KvCache::adopt_prefix: paged layout required");
+  if (!configured()) {
+    throw std::logic_error("KvCache::adopt_prefix: not configured");
   }
   if (len_ != 0) {
     throw std::logic_error(
@@ -775,22 +755,9 @@ void encode_row(const numeric::KvCodec& codec, const int8_t* src,
 
 }  // namespace
 
-void KvCache::storage_roundtrip(tensor::MatrixViewI8 rows) const {
-  if (codec_ == nullptr) return;
-  const int8_t* rt = codec_->roundtrip.data();
-  int8_t* data = rows.data();
-  const size_t n = rows.rows() * rows.cols();
-  for (size_t i = 0; i < n; ++i) {
-    data[i] = rt[static_cast<uint8_t>(data[i]) ^ 0x80u];
-  }
-}
-
 void KvCache::scatter_self(size_t layer, size_t head, size_t pos,
                            tensor::ConstMatrixViewI8 k,
                            tensor::ConstMatrixViewI8 v) {
-  if (!paged()) {
-    throw std::logic_error("KvCache::scatter_self: dense layout");
-  }
   if (layer >= layers_.size() || head >= num_heads_ ||
       k.rows() != v.rows() || k.cols() != head_dim_ ||
       v.cols() != head_dim_) {
@@ -824,9 +791,6 @@ void KvCache::scatter_self(size_t layer, size_t head, size_t pos,
 tensor::RowSpanListI8 KvCache::self_spans(
     size_t layer, size_t head, size_t which, size_t rows,
     std::span<tensor::RowSpanI8> runs) const {
-  if (!paged()) {
-    throw std::logic_error("KvCache::self_spans: dense layout");
-  }
   if (layer >= layers_.size() || head >= num_heads_ || which > 1) {
     throw std::invalid_argument("KvCache::self_spans: bad index");
   }
@@ -863,8 +827,8 @@ tensor::RowSpanListI8 KvCache::self_spans(
 }
 
 size_t KvCache::max_self_span_runs(size_t rows) const {
-  if (!paged()) {
-    throw std::logic_error("KvCache::max_self_span_runs: dense layout");
+  if (!configured()) {
+    throw std::logic_error("KvCache::max_self_span_runs: not configured");
   }
   return util::ceil_div(rows, block_rows_);
 }
@@ -889,17 +853,10 @@ void KvCache::append(size_t n) {
   if (len_ + n > capacity_) {
     throw std::invalid_argument("KvCache::append: capacity exceeded");
   }
-  if (paged() && len_ + n > reserved_rows()) {
+  if (len_ + n > reserved_rows()) {
     throw std::logic_error("KvCache::append: rows not reserved");
   }
   len_ += n;
-}
-
-size_t KvCache::self_bytes() const {
-  if (paged()) {
-    return block_table_.size() * pool_->block_bytes();
-  }
-  return layers_.size() * num_heads_ * 2 * capacity_ * head_dim_;
 }
 
 }  // namespace protea::runtime

@@ -9,22 +9,17 @@
 // what makes naive generation quadratic; caching both makes step t cost
 // O(t) attention work instead of O(t^2).
 //
-// Two self-K/V layouts share one KvCache front end:
+// Self K/V has one layout: token rows live in fixed-size blocks handed
+// out by a KvBlockPool free list. One block holds `block_rows` token
+// rows, each row packing K and V for every (layer, head) — so one
+// per-sequence block table covers the whole stack, and capacity is
+// reserved per block on demand instead of per slot up front. The pool
+// can be private (sized at one full sequence) or shared by many
+// sequences, which is where the serving win lives: short sequences hold
+// only the blocks they actually filled. A block as tall as the capacity
+// gives every sequence one block: a full-capacity reservation per slot.
 //
-//   * dense (PR-3 layout, block_rows = 0): every head gets a private
-//     (capacity x head_dim) view carved from the cache's arena at
-//     configure(). Simple and contiguous, but a short sequence strands
-//     the whole capacity reservation for its slot.
-//   * paged (default): token rows live in fixed-size blocks handed out
-//     by a KvBlockPool free list. One block holds `block_rows` token
-//     rows, each row packing K and V for every (layer, head) — so one
-//     per-sequence block table covers the whole stack, and capacity is
-//     reserved per block on demand instead of per slot up front. The
-//     pool can be private (sized at one full sequence) or shared by
-//     many sequences, which is where the serving win lives: short
-//     sequences hold only the blocks they actually filled.
-//
-// Paged self K/V has one read path for every storage format: self_spans
+// Self K/V has one read path for every storage format: self_spans
 // hands the attention engines (base, rows) runs over the block table, and
 // the GEMM kernels read the stored rows in place, decoding fp8 and packed
 // fp4 codes as they go — no decode step copies the cached prefix.
@@ -32,7 +27,7 @@
 // Cross K/V stays dense: it is written once per sequence at prefill and
 // sized by the memory, not by generation progress.
 //
-// Paged blocks are refcounted, which buys copy-on-write FORKING: a cache
+// Blocks are refcounted, which buys copy-on-write FORKING: a cache
 // can adopt another's block table by bumping refcounts (fork = O(block
 // table), no K/V bytes move), and the first divergent append into a
 // still-shared block copies just that block. Beam search and parallel
@@ -66,7 +61,7 @@ namespace protea::runtime {
 
 class TraceRecorder;  // runtime/telemetry.hpp
 
-/// Thrown when a paged cache cannot get a block from its pool. Schedulers
+/// Thrown when a cache cannot get a block from its pool. Schedulers
 /// catch-or-avoid this by reserving at admission (backpressure: the
 /// request waits instead of corrupting a neighbor's rows).
 class KvBlockExhausted : public std::runtime_error {
@@ -125,8 +120,6 @@ class KvBlockPool {
   size_t block_rows() const { return block_rows_; }
   size_t row_bytes() const { return row_bytes_; }
   size_t block_bytes() const { return block_rows_ * row_bytes_; }
-  /// Arena bytes backing all blocks.
-  size_t bytes() const;
 
   size_t free_blocks() const;
   /// Free blocks not spoken for by outstanding admission credits — what
@@ -346,22 +339,19 @@ class KvCreditLease {
   KvPoolCredit credit_;
 };
 
-/// One decoder layer's cached tensors, per attention head.
+/// One decoder layer's cross-attention tensors, per attention head (its
+/// self K/V rows live in the block pool).
 struct LayerKv {
-  /// Dense layout only: (capacity x head_dim) each; rows [0, len) hold
-  /// cached self K/V. Empty in paged mode (rows live in the block pool).
-  std::vector<tensor::MatrixViewI8> self_k, self_v;
   /// (memory_capacity x head_dim) each; rows [0, memory_len) hold the
   /// encoder memory projected through this layer's cross K/V weights.
   std::vector<tensor::MatrixViewI8> cross_k, cross_v;
 };
 
 struct KvCacheOptions {
-  /// Token rows per block. 0 selects the dense (PR-3) layout.
+  /// Token rows per block (0 is rejected like any zero dimension).
   size_t block_rows = 16;
-  /// Shared pool for paged mode; nullptr gives the cache a private pool
-  /// sized at one full-capacity sequence (same worst-case footprint as
-  /// dense, but allocated block-by-block on demand).
+  /// Shared pool; nullptr gives the cache a private pool sized at one
+  /// full-capacity sequence, allocated block by block on demand.
   KvBlockPool* pool = nullptr;
   /// Self-K/V storage format (numeric/fp8.hpp). kInt8 stores quantized
   /// rows verbatim — the bit-exact reference. The fp8 formats re-encode
@@ -383,10 +373,10 @@ class KvCache {
   KvCache(const KvCache&) = delete;
   KvCache& operator=(const KvCache&) = delete;
 
-  /// Carves the cross views (and, in dense mode, the self views) out of
-  /// the private arena and zero-fills them. Paged mode instead sizes the
-  /// block table and binds the pool. Reconfiguring with identical
-  /// geometry and layout is a no-op.
+  /// Carves the cross views out of the private arena and zero-fills
+  /// them, sizes the block table and binds the pool (private unless
+  /// `opts.pool` is given). Reconfiguring with identical geometry and
+  /// pool is a no-op.
   void configure(size_t num_layers, size_t num_heads, size_t head_dim,
                  size_t capacity, size_t memory_capacity,
                  const KvCacheOptions& opts = {});
@@ -404,28 +394,20 @@ class KvCache {
   /// Valid cross-projection rows for the current sequence.
   size_t memory_len() const { return memory_len_; }
 
-  // --- paged layout ---------------------------------------------------------
+  // --- block table ----------------------------------------------------------
 
-  bool paged() const { return block_rows_ > 0; }
   size_t block_rows() const { return block_rows_; }
   /// Self-K/V storage format (KvCacheOptions::storage).
   numeric::KvStorage storage() const { return storage_; }
-  /// Applies the storage round-trip (encode then decode) to `rows` in
-  /// place — what the DENSE layout does after appending rows, so a
-  /// dense sequence sees exactly the values a paged sequence reads back
-  /// through its encoded blocks. No-op for int8.
-  void storage_roundtrip(tensor::MatrixViewI8 rows) const;
   KvBlockPool* pool() { return pool_; }
   const KvBlockPool* pool() const { return pool_; }
-  /// Rows the current block table can hold (capacity() in dense mode).
-  size_t reserved_rows() const {
-    return paged() ? block_table_.size() * block_rows_ : capacity_;
-  }
+  /// Rows the current block table can hold.
+  size_t reserved_rows() const { return block_table_.size() * block_rows_; }
   std::span<const uint32_t> block_table() const { return block_table_; }
 
   /// Grows the block table to cover `rows` total rows (all-or-nothing;
-  /// never shrinks). Dense mode always succeeds. Returns false — taking
-  /// nothing — when the pool is short.
+  /// never shrinks). Returns false — taking nothing — when the pool is
+  /// short.
   bool try_reserve_rows(size_t rows);
   /// try_reserve_rows or throw KvBlockExhausted.
   void reserve_rows(size_t rows);
@@ -462,9 +444,9 @@ class KvCache {
 
   // --- copy-on-write forking ------------------------------------------------
 
-  /// Forks this cache off `parent` (paged mode, one SHARED pool, same
-  /// geometry): adopts the parent's sequence state, byte-copies the cross
-  /// K/V prefix and — the O(block-table) part — adopts the parent's block
+  /// Forks this cache off `parent` (one SHARED pool, same geometry):
+  /// adopts the parent's sequence state, byte-copies the cross K/V
+  /// prefix and — the O(block-table) part — adopts the parent's block
   /// table by bumping each block's refcount. No self K/V bytes move; the
   /// first divergent append into a shared block triggers a copy-on-write
   /// (see scatter_self). `eager_copy` instead materializes private copies
@@ -481,8 +463,8 @@ class KvCache {
   /// marks the rows cached, moving zero K/V bytes and taking nothing from
   /// the free list. Table entries already reserved at those positions are
   /// released (adoption strictly reduces pool pressure); entries beyond
-  /// the adopted span are kept. Requires the paged layout, an empty
-  /// sequence (len() == 0 — call begin_sequence() first) and no admission
+  /// the adopted span are kept. Requires an empty sequence
+  /// (len() == 0 — call begin_sequence() first) and no admission
   /// credit (COW live-accounting cannot span a cache the group does not
   /// own). The table becomes possibly-shared: the COW write guard covers
   /// later divergence exactly as after fork_from.
@@ -500,7 +482,7 @@ class KvCache {
   }
 
   /// Copies the new K/V rows [pos, pos + k.rows()) of (layer, head) into
-  /// their blocks (paged mode only; rows must be reserved), re-encoding
+  /// their blocks (rows must be reserved), re-encoding
   /// through the storage codec when the format is not int8 (fp8: one
   /// code byte per element; fp4: two nibbles packed per byte, low
   /// nibble = even element). Writes respect forking: a target block
@@ -522,12 +504,12 @@ class KvCache {
   /// table (RowSpanListI8::decode), and packed fp4 rows also set
   /// RowSpanListI8::nibbles — the GEMM kernels decode the stored codes
   /// as they pack or read them, so the consumer never sees codes. This
-  /// is the one read path for paged self K/V, in every storage format.
+  /// is the one read path for self K/V, in every storage format.
   tensor::RowSpanListI8 self_spans(size_t layer, size_t head, size_t which,
                                    size_t rows,
                                    std::span<tensor::RowSpanI8> runs) const;
   /// Worst-case run count self_spans can produce for `rows` rows (one per
-  /// block before merging; paged mode only).
+  /// block before merging).
   size_t max_self_span_runs(size_t rows) const;
 
   // --- sequence bookkeeping -------------------------------------------------
@@ -543,13 +525,6 @@ class KvCache {
 
   LayerKv& layer(size_t i) { return layers_.at(i); }
   const LayerKv& layer(size_t i) const { return layers_.at(i); }
-
-  /// Arena bytes backing the cache storage (cross views, plus the dense
-  /// self views; paged self rows live in the pool — see self_bytes()).
-  size_t bytes() const { return arena_.used(); }
-  /// Self-K/V bytes this cache currently holds: the dense reservation,
-  /// or the held blocks' bytes in paged mode.
-  size_t self_bytes() const;
 
  private:
   /// Makes every block overlapping rows [pos, pos + n) private to this
@@ -578,7 +553,6 @@ class KvCache {
   size_t memory_capacity_ = 0;
   size_t len_ = 0;
   size_t memory_len_ = 0;
-  // Paged state.
   size_t block_rows_ = 0;
   KvBlockPool* pool_ = nullptr;
   std::unique_ptr<KvBlockPool> owned_pool_;

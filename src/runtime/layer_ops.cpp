@@ -11,16 +11,11 @@
 namespace protea::runtime {
 namespace {
 
-/// Non-owning view of the first `rows` rows of a cache matrix (the cached
-/// prefix is contiguous in the row-major (capacity x head_dim) storage).
+/// Non-owning view of the first `rows` rows of a cross cache matrix (the
+/// valid rows are contiguous in the row-major (capacity x head_dim)
+/// storage).
 tensor::MatrixViewI8 prefix_rows(tensor::MatrixViewI8 m, size_t rows) {
   return {m.data(), rows, m.cols()};
-}
-
-/// Mutable view of cache rows [pos, pos+n) — where a step's new K/V land.
-tensor::MatrixViewI8 append_rows(tensor::MatrixViewI8 m, size_t pos,
-                                 size_t n) {
-  return {m.data() + pos * m.cols(), n, m.cols()};
 }
 
 /// Row-wise copy of a head's (n x dk) scores into its column slice of the
@@ -154,6 +149,10 @@ void run_attention_block(const LayerOpContext& ctx,
       accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha,
                             *desc.rq_q, *desc.rq_k, *desc.rq_v, q, k, v,
                             ctx.ws, ctx.stats, ctx.gemm_pool);
+      if (desc.kv_codec != nullptr) {
+        numeric::kv_roundtrip_inplace(*desc.kv_codec, k.flat());
+        numeric::kv_roundtrip_inplace(*desc.kv_codec, v.flat());
+      }
     } else {
       const accel::QCrossHeadWeights& ch = desc.cross_heads[head];
       accel::run_projection_engine(x, ch.cqt, ch.cbq, ctx.ts_mha,
@@ -327,15 +326,17 @@ void run_decoder_layer(const LayerOpContext& ctx,
                        const accel::QDecoderLayer& layer,
                        tensor::ConstMatrixViewI8 x,
                        tensor::ConstMatrixViewI8 memory,
-                       tensor::MatrixViewI8 out) {
+                       tensor::MatrixViewI8 out,
+                       const numeric::KvCodec* kv_codec) {
   const size_t t_len = x.rows();
   const size_t d = x.cols();
   const auto m = ctx.ws.mark();
 
   // Masked self-attention on the QKV/QK/SV engines + projection LN.
   auto self_concat = ctx.ws.matrix_i8(t_len, d);
-  run_attention_block(ctx, decoder_self_attention_desc(layer), x, x,
-                      self_concat);
+  AttentionBlockDesc self_desc = decoder_self_attention_desc(layer);
+  self_desc.kv_codec = kv_codec;
+  run_attention_block(ctx, self_desc, x, x, self_concat);
   auto x1 = ctx.ws.matrix_i8(t_len, d);
   run_projection_ln_block(ctx, decoder_self_projection_desc(layer),
                           self_concat, x, x1);
@@ -377,8 +378,7 @@ void run_self_attention_cached(const LayerOpContext& ctx,
     throw std::invalid_argument(
         "run_self_attention_cached: cache geometry mismatch");
   }
-  if (pos + n > cache.capacity() ||
-      (cache.paged() && pos + n > cache.reserved_rows())) {
+  if (pos + n > cache.capacity() || pos + n > cache.reserved_rows()) {
     throw std::invalid_argument(
         "run_self_attention_cached: cache capacity exceeded");
   }
@@ -387,70 +387,42 @@ void run_self_attention_cached(const LayerOpContext& ctx,
         "run_self_attention_cached: concat shape mismatch");
   }
   const size_t total = pos + n;
-  LayerKv& kv = cache.layer(layer_index);
 
   const accel::SoftmaxUnit softmax(desc.logit_scale);
   for (size_t head = 0; head < h; ++head) {
+    // Project into workspace scratch, scatter the new rows through the
+    // block table, then run QK/SV straight over the block table via
+    // span-list operands — the prefix is never copied (quantized codes
+    // are decoded by the GEMM kernels as they read them) and the fused
+    // softmax consumes the QK accumulator tile in place of a
+    // materialized logits matrix. Scatter respects copy-on-write
+    // forking: a target block still shared with a forked sibling is
+    // made private before the first write (the head-0 scatter of a
+    // layer pays the block copy; later heads see refcount 1), and since
+    // reads never privatize, the spans below always resolve through
+    // this sequence's own table.
     const auto m = ctx.ws.mark();
     auto q = ctx.ws.matrix_i8(n, dk);
     auto weights = ctx.ws.matrix_i8(n, total);
     auto scores = ctx.ws.matrix_i8(n, dk);
-    if (cache.paged()) {
-      // Paged, block-strided: project into workspace scratch, scatter
-      // the new rows through the block table, then run QK/SV straight
-      // over the block table via span-list operands — the prefix is
-      // never copied (quantized codes are decoded by the GEMM kernels
-      // as they read them) and the fused softmax consumes the QK
-      // accumulator tile in place of a materialized logits matrix.
-      // Scatter respects copy-on-write forking: a target block still
-      // shared with a forked sibling is made private before the first
-      // write (the head-0 scatter of a layer pays the block copy; later
-      // heads see refcount 1), and since reads never privatize, the
-      // spans below always resolve through this sequence's own table.
-      auto k_new = ctx.ws.matrix_i8(n, dk);
-      auto v_new = ctx.ws.matrix_i8(n, dk);
-      accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha,
-                            *desc.rq_q, *desc.rq_k, *desc.rq_v, q, k_new,
-                            v_new, ctx.ws, ctx.stats, ctx.gemm_pool);
-      cache.scatter_self(layer_index, head, pos, k_new, v_new);
-      const size_t max_runs = cache.max_self_span_runs(total);
-      auto k_runs = ctx.ws.span_of<tensor::RowSpanI8>(max_runs);
-      auto v_runs = ctx.ws.span_of<tensor::RowSpanI8>(max_runs);
-      const tensor::RowSpanListI8 k_spans =
-          cache.self_spans(layer_index, head, 0, total, k_runs);
-      const tensor::RowSpanListI8 v_spans =
-          cache.self_spans(layer_index, head, 1, total, v_runs);
-      accel::run_qk_softmax_engine(q, k_spans, *desc.rq_logit, softmax,
-                                   /*row_offset=*/pos, weights, ctx.ws,
-                                   ctx.stats, ctx.gemm_pool);
-      accel::run_sv_engine(weights, v_spans, *desc.rq_sv, scores, ctx.ws,
-                           ctx.stats, ctx.gemm_pool);
-      emit_head_scores(concat, head, dk, scores);
-      ctx.ws.rewind(m);
-      continue;
-    }
-
-    // Dense: the QKV engine writes the new K/V rows straight into the
-    // cache views, and the cached prefix is already contiguous.
-    auto k_new = append_rows(kv.self_k[head], pos, n);
-    auto v_new = append_rows(kv.self_v[head], pos, n);
+    auto k_new = ctx.ws.matrix_i8(n, dk);
+    auto v_new = ctx.ws.matrix_i8(n, dk);
     accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha, *desc.rq_q,
                           *desc.rq_k, *desc.rq_v, q, k_new, v_new, ctx.ws,
                           ctx.stats, ctx.gemm_pool);
-    // Quantized storage: snap the fresh rows to what an encoded block
-    // would read back, so dense and paged sequences stay bit-identical
-    // under non-int8 storage (no-op for int8).
-    cache.storage_roundtrip(k_new);
-    cache.storage_roundtrip(v_new);
-    auto logits = ctx.ws.matrix_i8(n, total);
-    accel::run_qk_engine(q, prefix_rows(kv.self_k[head], total),
-                         *desc.rq_logit, logits, ctx.ws, ctx.stats,
-                         ctx.gemm_pool);
-    softmax.run_causal_into(logits, weights, /*row_offset=*/pos);
-    accel::run_sv_engine(weights, prefix_rows(kv.self_v[head], total),
-                         *desc.rq_sv, scores, ctx.ws, ctx.stats,
-                         ctx.gemm_pool);
-
+    cache.scatter_self(layer_index, head, pos, k_new, v_new);
+    const size_t max_runs = cache.max_self_span_runs(total);
+    auto k_runs = ctx.ws.span_of<tensor::RowSpanI8>(max_runs);
+    auto v_runs = ctx.ws.span_of<tensor::RowSpanI8>(max_runs);
+    const tensor::RowSpanListI8 k_spans =
+        cache.self_spans(layer_index, head, 0, total, k_runs);
+    const tensor::RowSpanListI8 v_spans =
+        cache.self_spans(layer_index, head, 1, total, v_runs);
+    accel::run_qk_softmax_engine(q, k_spans, *desc.rq_logit, softmax,
+                                 /*row_offset=*/pos, weights, ctx.ws,
+                                 ctx.stats, ctx.gemm_pool);
+    accel::run_sv_engine(weights, v_spans, *desc.rq_sv, scores, ctx.ws,
+                         ctx.stats, ctx.gemm_pool);
     emit_head_scores(concat, head, dk, scores);
     ctx.ws.rewind(m);
   }
@@ -472,11 +444,11 @@ void fill_cross_kv_cache(const LayerOpContext& ctx,
     const accel::QCrossHeadWeights& ch = desc.cross_heads[head];
     accel::run_projection_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha,
                                  *desc.rq_k,
-                                 append_rows(kv.cross_k[head], 0, mem_rows),
+                                 prefix_rows(kv.cross_k[head], mem_rows),
                                  ctx.ws, ctx.stats, ctx.gemm_pool);
     accel::run_projection_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha,
                                  *desc.rq_v,
-                                 append_rows(kv.cross_v[head], 0, mem_rows),
+                                 prefix_rows(kv.cross_v[head], mem_rows),
                                  ctx.ws, ctx.stats, ctx.gemm_pool);
   }
 }

@@ -121,6 +121,10 @@ struct AttentionBlockDesc {
   const numeric::RequantParams* rq_sv = nullptr;
   double logit_scale = 1.0;
   bool causal = false;
+  /// Self-attention only: the KV storage codec the fresh K and V rows
+  /// are snapped through (numeric::kv_roundtrip_inplace) before QK and
+  /// SV read them. nullptr (int8) reads them verbatim.
+  const numeric::KvCodec* kv_codec = nullptr;
 };
 
 /// Runs all heads over int8 input `x` (queries) and `memory` (keys and
@@ -199,11 +203,13 @@ void run_encoder_layer(const LayerOpContext& ctx, const accel::QLayer& layer,
 
 /// One decoder layer: masked self-attention, cross-attention over the
 /// encoder `memory`, FFN — each with its projection + residual LN.
+/// `kv_codec` goes to the self-attention block (AttentionBlockDesc).
 void run_decoder_layer(const LayerOpContext& ctx,
                        const accel::QDecoderLayer& layer,
                        tensor::ConstMatrixViewI8 x,
                        tensor::ConstMatrixViewI8 memory,
-                       tensor::MatrixViewI8 out);
+                       tensor::MatrixViewI8 out,
+                       const numeric::KvCodec* kv_codec = nullptr);
 
 /// Descriptor builders wiring a decoder layer's weights and requant
 /// constants into the attention block shapes. One source of truth shared
@@ -217,35 +223,34 @@ AttentionBlockDesc decoder_cross_attention_desc(
 
 // --- KV-cached (incremental) variants ---------------------------------------
 // The same engine sequences, but attention state lives in a KvCache: the
-// self-attention K/V of new rows are appended in place and the
-// QK/softmax/SV stages span the cached prefix, so a decode step does
-// O(len) attention work instead of recomputing the whole O(len^2)
-// square. In the dense layout the QKV engine writes straight into the
-// cache views; in the paged layout the new rows are scattered through
-// the sequence's block table and the QK/SV engines then read the cached
-// prefix BLOCK-STRIDED: KvCache::self_spans hands the engines (base,
-// rows) runs walking the block table in place, the GEMM kernels read
-// the rows straight from block storage (decoding fp8 and packed fp4
-// codes as they read), and the fused dequant→softmax→requant pass
-// consumes the QK accumulator tile directly — no gather copy, no
-// total x head_dim scratch, no materialized logits matrix. This is the
-// only paged read path, for every storage format. The scatter respects
-// copy-on-write forking (KvCache::fork_from): writing into a block still
-// shared with a forked sibling first copies it, so divergent appends
-// never corrupt the shared prompt prefix — and because reads never
-// privatize, the span path is COW-safe by construction. int32
-// accumulation is exact, every op is row-wise, packing order is
-// immaterial and scatter is a byte copy, so BOTH layouts — dense or
-// block-strided, and COW-forked caches — are bit-identical to the
-// full-recompute path, pinned by tests/test_generation.cpp,
-// tests/test_kv_paging.cpp, tests/test_kv_storage.cpp and
-// tests/test_kv_cow.cpp.
+// self-attention K/V of new rows are appended and the QK/softmax/SV
+// stages span the cached prefix, so a decode step does O(len) attention
+// work instead of recomputing the whole O(len^2) square. The new rows
+// are scattered through the sequence's block table and the QK/SV
+// engines then read the cached prefix BLOCK-STRIDED: KvCache::self_spans
+// hands the engines (base, rows) runs walking the block table in place,
+// the GEMM kernels read the rows straight from block storage (decoding
+// fp8 and packed fp4 codes as they read), and the fused
+// dequant→softmax→requant pass consumes the QK accumulator tile
+// directly — no gather copy, no total x head_dim scratch, no
+// materialized logits matrix. This is the one read path, for every
+// storage format. The scatter respects copy-on-write forking
+// (KvCache::fork_from): writing into a block still shared with a forked
+// sibling first copies it, so divergent appends never corrupt the
+// shared prompt prefix — and because reads never privatize, the span
+// path is COW-safe by construction. int32 accumulation is exact, every
+// op is row-wise, packing order is immaterial and a stored code reads
+// back as KvCodec::roundtrip of its value, so cached decode — any block
+// size, COW-forked or not — is bit-identical to the full-recompute
+// forward run with the same storage (decoder_forward_into), pinned by
+// tests/test_generation.cpp, tests/test_kv_paging.cpp,
+// tests/test_kv_storage.cpp and tests/test_kv_cow.cpp.
 
 /// Masked self-attention over `x` (n new rows at absolute positions
 /// [pos, pos+n)) with K/V appended into `cache` rows [pos, pos+n) of
 /// layer `layer_index` and attention spanning the pos+n cached rows.
 /// `desc.self_heads` must be set; `desc.causal` is implied (row i masks
-/// columns > pos+i). Paged caches must have rows [0, pos+n) reserved.
+/// columns > pos+i). The cache must have rows [0, pos+n) reserved.
 void run_self_attention_cached(const LayerOpContext& ctx,
                                const AttentionBlockDesc& desc,
                                tensor::ConstMatrixViewI8 x, KvCache& cache,

@@ -200,8 +200,7 @@ size_t PrefixCache::adopt(const tensor::MatrixF& memory,
   // alone. Whole blocks only, and always >= 1 uncovered tail row, so the
   // sequence's first write lands on a block boundary (a fresh, private
   // block — divergence never touches an adopted byte).
-  if (!kv.paged() || kv.pool() != pool_ || kv.credit() != nullptr ||
-      kv.len() != 0) {
+  if (kv.pool() != pool_ || kv.credit() != nullptr || kv.len() != 0) {
     ++stats_.prefix_misses;
     return 0;
   }
@@ -296,7 +295,7 @@ void PrefixCache::publish(const tensor::MatrixF& memory,
   if (prompt.rows() == 0 || prompt.cols() != d_model_) {
     throw std::invalid_argument("PrefixCache::publish: bad prompt shape");
   }
-  if (!kv.paged() || kv.pool() != pool_) {
+  if (kv.pool() != pool_) {
     throw std::logic_error("PrefixCache::publish: sequence not on this pool");
   }
   check_storage(kv, "publish");

@@ -205,7 +205,7 @@ class Coordinator {
   Coordinator(const accel::AccelConfig& config,
               const accel::QuantizedDecoder& model,
               const std::vector<TrafficRequest>& requests,
-              const TrafficOptions& opts, KvBlockPool* pool,
+              const TrafficOptions& opts, KvBlockPool& pool,
               PrefixCache* pcache, std::vector<TrafficResult>& results,
               SchedulerStats& stats)
       : config_(config),
@@ -221,8 +221,8 @@ class Coordinator {
                  : nullptr) {
     const size_t slots = std::min(opts.slots, requests.size());
     const GenerationOptions session_opts{
-        .kv_block_rows = pool != nullptr ? pool->block_rows() : 0,
-        .kv_pool = pool,
+        .kv_block_rows = pool.block_rows(),
+        .kv_pool = &pool,
         .prefill_chunk = opts.prefill_chunk,
         .kv_storage = opts.kv_storage};
     sessions_.reserve(slots);
@@ -263,17 +263,14 @@ class Coordinator {
   void run() {
     // Arm the fault schedule AFTER session construction: warm-up takes
     // are uncredited too and would silently consume the skip window.
-    // (A dense run has no pool; the engine rejects failpoints for it.)
     uint64_t trips_before = 0;
     if (opts_.fail_skip > 0 || opts_.fail_count > 0) {
-      trips_before = pool_->failpoint_trips();
-      pool_->inject_failures(opts_.fail_skip, opts_.fail_count);
+      trips_before = pool_.failpoint_trips();
+      pool_.inject_failures(opts_.fail_skip, opts_.fail_count);
     }
     struct ClearFaults {  // exception-safe disarm
-      KvBlockPool* pool;
-      ~ClearFaults() {
-        if (pool != nullptr) pool->clear_failures();
-      }
+      KvBlockPool& pool;
+      ~ClearFaults() { pool.clear_failures(); }
     } clear_faults{pool_};
 
     // Arm the trace on the pool and prefix cache AFTER session
@@ -281,15 +278,15 @@ class Coordinator {
     // are not part of the run. Disarm before the coordinator (and its
     // sessions, whose teardown releases blocks) is destroyed.
     struct ClearTrace {  // exception-safe disarm
-      KvBlockPool* pool;
+      KvBlockPool& pool;
       PrefixCache* pcache;
       ~ClearTrace() {
-        if (pool != nullptr) pool->set_trace(nullptr);
+        pool.set_trace(nullptr);
         if (pcache != nullptr) pcache->set_trace(nullptr);
       }
     } clear_trace{pool_, pcache_};
     if (tel_ != nullptr) {
-      if (pool_ != nullptr) pool_->set_trace(&tel_->trace);
+      pool_.set_trace(&tel_->trace);
       if (pcache_ != nullptr) pcache_->set_trace(&tel_->trace);
     }
 
@@ -307,16 +304,14 @@ class Coordinator {
       publish_prefixes();
       retire_done();
       track_stall();
-      if (tel_ != nullptr && pool_ != nullptr) {
-        tel_->pool_occupancy_blocks->observe(pool_->used_blocks());
+      if (tel_ != nullptr) {
+        tel_->pool_occupancy_blocks->observe(pool_.used_blocks());
       }
       ++round_;
     }
     stats_.rounds = round_;
-    if (pool_ != nullptr) {
-      stats_.kv_blocks_peak = pool_->peak_used_blocks();
-      stats_.failpoint_trips = pool_->failpoint_trips() - trips_before;
-    }
+    stats_.kv_blocks_peak = pool_.peak_used_blocks();
+    stats_.failpoint_trips = pool_.failpoint_trips() - trips_before;
     stats_.wall_ms = watch.milliseconds();
   }
 
@@ -420,8 +415,7 @@ class Coordinator {
   /// and recomputing)? Kept in one place so the victim-cost model and
   /// the actual eviction can never disagree.
   bool would_swap(size_t s) const {
-    return pool_ != nullptr &&
-           opts_.recovery != PreemptionRecovery::kRecompute &&
+    return opts_.recovery != PreemptionRecovery::kRecompute &&
            swapped_count_ < opts_.swap_slots &&
            !sessions_[s]->cache().maybe_shared();
   }
@@ -433,14 +427,10 @@ class Coordinator {
   double preemption_cost_of(size_t s) const {
     const size_t rows = sessions_[s]->position();
     if (rows == 0) return 0.0;
-    // A dense cache prices as one capacity-sized block; only its
-    // recompute cost is ever used (dense seats never swap).
-    const size_t block_rows = pool_ != nullptr ? pool_->block_rows()
-                                               : sessions_[s]->capacity();
     const accel::PreemptionCost c = accel::estimate_preemption_cost(
         config_, model_.config, static_cast<uint32_t>(rows),
         static_cast<uint32_t>(seats_[s]->req->gen.memory->rows()),
-        static_cast<uint32_t>(block_rows), opts_.kv_storage);
+        static_cast<uint32_t>(pool_.block_rows()), opts_.kv_storage);
     return would_swap(s) ? c.swap_ms : c.recompute_ms;
   }
 
@@ -567,21 +557,18 @@ class Coordinator {
     const TrafficRequest& req = requests_[index];
     ++cls(index).submitted;
     // Reject-with-reason instead of queueing forever: a request whose
-    // worst case exceeds the whole pool could never be admitted. (A
-    // dense seat always holds a full-capacity sequence.)
-    if (pool_ != nullptr) {
-      const size_t capacity = sessions_.front()->capacity();
-      const size_t need = std::min<size_t>(
-          req.gen.prefix.rows() + req.gen.max_new_tokens, capacity);
-      const size_t blocks = util::ceil_div(need, pool_->block_rows());
-      if (blocks > pool_->num_blocks()) {
-        retire(index, TrafficOutcome::kShedCapacity,
-               "worst case " + std::to_string(blocks) +
-                   " blocks exceeds pool (" +
-                   std::to_string(pool_->num_blocks()) + ")",
-               nullptr);
-        return;
-      }
+    // worst case exceeds the whole pool could never be admitted.
+    const size_t capacity = sessions_.front()->capacity();
+    const size_t need = std::min<size_t>(
+        req.gen.prefix.rows() + req.gen.max_new_tokens, capacity);
+    const size_t blocks = util::ceil_div(need, pool_.block_rows());
+    if (blocks > pool_.num_blocks()) {
+      retire(index, TrafficOutcome::kShedCapacity,
+             "worst case " + std::to_string(blocks) +
+                 " blocks exceeds pool (" +
+                 std::to_string(pool_.num_blocks()) + ")",
+             nullptr);
+      return;
     }
     waiting_.push_back(Waiting{index, nullptr, false});
     progressed_ = true;
@@ -785,7 +772,7 @@ class Coordinator {
     // cache before it would shed or preempt live work.
     const size_t reclaimable =
         pcache_ != nullptr ? pcache_->reclaimable_blocks() : 0;
-    if (blocks <= pool_->uncommitted_free_blocks() + reclaimable) return true;
+    if (blocks <= pool_.uncommitted_free_blocks() + reclaimable) return true;
     return opts_.preemption && find_victim(r, exclude) != SIZE_MAX;
   }
 
@@ -807,7 +794,7 @@ class Coordinator {
       // the cached length that swap-in re-establishes), so probe the
       // pool before paying for the projection. The probe can only
       // misfire on an armed failpoint, which the take below consults.
-      const size_t blocks = f.swap_data.size() / pool_->block_bytes();
+      const size_t blocks = f.swap_data.size() / pool_.block_bytes();
       if (!reserve_could_succeed(blocks, f.rank, s)) return false;
       if (pcache_ != nullptr) {
         // Swap-in brings the self rows back byte-wise; only the cross
@@ -1111,7 +1098,7 @@ class Coordinator {
   const accel::QuantizedDecoder& model_;
   const std::vector<TrafficRequest>& requests_;
   const TrafficOptions& opts_;
-  KvBlockPool* pool_;    // null when every seat has a dense cache
+  KvBlockPool& pool_;
   PrefixCache* pcache_;  // null when the prefix cache is off
   std::vector<TrafficResult>& results_;
   SchedulerStats& stats_;
@@ -1223,13 +1210,6 @@ std::vector<TrafficResult> TrafficEngine::run(
   if (opts.threads == 0) {
     throw std::invalid_argument("TrafficEngine: zero threads");
   }
-  const bool dense = opts.kv_pool == nullptr && opts.kv_block_rows == 0;
-  if (dense &&
-      (opts.prefix_cache || opts.fail_skip > 0 || opts.fail_count > 0)) {
-    throw std::invalid_argument(
-        "TrafficEngine: prefix_cache and failpoints need a paged pool "
-        "(kv_block_rows > 0)");
-  }
   if (opts.kv_pool != nullptr && !opts.kv_pool->configured()) {
     throw std::invalid_argument("TrafficEngine: pool not configured");
   }
@@ -1243,17 +1223,20 @@ std::vector<TrafficResult> TrafficEngine::run(
 
   KvBlockPool owned_pool;
   KvBlockPool* pool = opts.kv_pool;
-  if (pool == nullptr && !dense) {
+  if (pool == nullptr) {
     const ref::ModelConfig& mc = model_.config;
+    // kv_block_rows = 0: one block holds a whole sequence.
+    const size_t block_rows =
+        opts.kv_block_rows > 0 ? opts.kv_block_rows : mc.seq_len;
     // kv_pool_blocks = 0: room for a full-capacity sequence in every seat.
     const size_t blocks =
         opts.kv_pool_blocks > 0
             ? opts.kv_pool_blocks
             : std::min(opts.slots, requests.size()) *
-                  util::ceil_div<size_t>(mc.seq_len, opts.kv_block_rows);
+                  util::ceil_div<size_t>(mc.seq_len, block_rows);
     // Storage-aware row width (packed fp4 rows are half as wide); must
     // match what each seat's KvCache derives for the same format.
-    owned_pool.configure(blocks, opts.kv_block_rows,
+    owned_pool.configure(blocks, block_rows,
                          accel::kv_row_bytes(mc, opts.kv_storage));
     pool = &owned_pool;
   }
@@ -1282,7 +1265,7 @@ std::vector<TrafficResult> TrafficEngine::run(
     pcache = &prefix_cache;
   }
 
-  Coordinator coord(config_, model_, requests, opts, pool, pcache, results,
+  Coordinator coord(config_, model_, requests, opts, *pool, pcache, results,
                     last_run_);
   coord.run();
   if (pcache != nullptr) {

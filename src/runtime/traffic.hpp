@@ -20,8 +20,9 @@
 //   * drop-and-recompute — the victim releases everything and is
 //     re-prefilled from its retained token history (prompt rows + the
 //     embeddings already fed) through the chunked-prefill path, which
-//     is bit-identical for any chunking. Dense seats (kv_block_rows = 0)
-//     have no blocks to spill and always recover this way.
+//     is bit-identical for any chunking. A victim swaps while a swap
+//     slot is free and its block table is unshared; otherwise it
+//     recovers this way.
 //
 // Scheduling is priority- and deadline-aware: requests are ranked by
 // (priority class, absolute deadline, arrival, submission order) — a
@@ -134,16 +135,15 @@ struct TrafficOptions {
   uint32_t ffn_slots = 0;
   size_t prefill_chunk = 0;   // prompt rows per round (0 = whole prompt)
   /// Self-K/V rows per block of the owned pool (ignored when kv_pool is
-  /// given). 0 gives every seat a private dense full-capacity cache and
-  /// no pool: requests never wait for blocks, and a seat is preempted
-  /// only when a better-ranked request needs the seat itself, always by
-  /// drop-and-recompute. prefix_cache and failpoints need a pool, so
-  /// combining them with 0 throws std::invalid_argument.
+  /// given). 0 means one block holds a whole sequence (seq_len rows):
+  /// with the default pool size every seat then holds a full-capacity
+  /// reservation, requests never wait for blocks, and a seat is
+  /// preempted only when a better-ranked request needs the seat itself.
   size_t kv_block_rows = 16;
-  /// Owned pool size in blocks (ignored when kv_pool is given or the
-  /// cache is dense). 0 sizes it at min(slots, requests) x
-  /// ceil(seq_len / kv_block_rows) blocks, so every seat can hold a
-  /// full-capacity sequence and no request ever waits for blocks.
+  /// Owned pool size in blocks (ignored when kv_pool is given). 0 sizes
+  /// it at min(slots, requests) x ceil(seq_len / block rows) blocks, so
+  /// every seat can hold a full-capacity sequence and no request ever
+  /// waits for blocks.
   size_t kv_pool_blocks = 0;
   KvBlockPool* kv_pool = nullptr;  // external pool (must outlive the run)
   PreemptionRecovery recovery = PreemptionRecovery::kAuto;
@@ -275,7 +275,7 @@ class TrafficEngine {
   /// Closed batch: serves every request as a TrafficRequest arriving at
   /// round 0 in the standard class, so ranks follow submission order.
   /// Outputs are bit-identical for any slot, thread, module-slot,
-  /// KV-layout or prefill-chunk choice.
+  /// KV-block-size or prefill-chunk choice.
   std::vector<TrafficResult> run(const std::vector<GenerationRequest>& requests,
                                  const TrafficOptions& opts = {});
 

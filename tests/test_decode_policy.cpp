@@ -363,7 +363,7 @@ TEST(BeamSearch, ValidatesOptionsAndPrompt) {
       runtime::BeamSearchDecoder(fx.acfg, fx.qd, fx.vocab, opts),
       std::invalid_argument);
   opts = runtime::BeamSearchOptions{};
-  opts.kv_block_rows = 0;  // COW needs paging
+  opts.kv_block_rows = 0;  // a zero block dimension
   EXPECT_THROW(
       runtime::BeamSearchDecoder(fx.acfg, fx.qd, fx.vocab, opts),
       std::invalid_argument);

@@ -297,7 +297,6 @@ TEST(GenerationPerf, BlockStridedDecodeMovesZeroGatherBytes) {
   runtime::GenerationOptions opts;
   opts.kv_block_rows = 4;
   runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
-  ASSERT_TRUE(session.cache().paged());
   tensor::MatrixF states, state;
   session.prefill(random_input(3, fx.cfg.d_model, 90), fx.memory, states);
   for (uint32_t pos = 3; pos < fx.cfg.seq_len; ++pos) {

@@ -2,7 +2,7 @@
 // batches through the serving engine: mixed prompt lengths, staggered
 // admission, early finishes, slot reuse and shared-pool block exhaustion,
 // run with fixed seeds. The invariant throughout: every scheduling mode —
-// stepped or threaded, dense or paged, derived or undersized pool,
+// stepped or threaded, any block size, derived or undersized pool,
 // chunked or one-shot prefill — emits token-for-token (bit-for-bit)
 // identical results, because per-sequence work is scheduling-invariant
 // and the int8 datapath is exact.
@@ -112,7 +112,7 @@ TEST(GenerationStress, AllSchedulingModesMatchTokenForToken) {
   constexpr uint64_t kSeed = 600;
 
   // Reference: deterministic stepped loop, one slot (pure sequential),
-  // dense caches — the PR-3 baseline semantics.
+  // one whole-sequence block — nothing ever waits or is preempted.
   runtime::TrafficOptions reference;
   reference.slots = 1;
   reference.kv_block_rows = 0;

@@ -1,9 +1,9 @@
 // Property tests for the paged KV-cache layer: the KvBlockPool free
-// list's all-or-nothing reservation contract, and — the tentpole
-// invariant — bit-identity of paged decode against dense decode across
-// randomized (T, capacity, block_size) triples, including
-// block-boundary-straddling sequence lengths, single-token blocks and
-// shared-pool sequences with block exhaustion backpressure.
+// list's all-or-nothing reservation contract, and — the central
+// invariant — bit-identity of paged decode against the full-recompute
+// forward across randomized (T, capacity, block_size) triples,
+// including block-boundary-straddling sequence lengths, single-token
+// blocks and shared-pool sequences with block exhaustion backpressure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "accel/decoder_model.hpp"
 #include "ref/weights.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/inference_session.hpp"
 #include "runtime/kv_cache.hpp"
 #include "util/rng.hpp"
 
@@ -113,70 +114,83 @@ TEST(KvBlockPool, ValidatesArguments) {
 }
 
 TEST(KvCache, LayoutGuards) {
-  runtime::KvCache dense;
-  dense.configure(1, 2, 8, 4, 4, runtime::KvCacheOptions{.block_rows = 0});
-  EXPECT_FALSE(dense.paged());
-  EXPECT_TRUE(dense.try_reserve_rows(4));  // dense always covers capacity
-  tensor::MatrixI8 rows(2, 8);
-  EXPECT_THROW(dense.scatter_self(0, 0, 0, rows, rows), std::logic_error);
-
-  // A dense cache cannot take a pool, and a paged cache rejects a pool
-  // whose row geometry does not match the stack.
+  // Zero rows per block is a zero dimension, like a zero head count,
+  // with or without a pool; so is a session's kv_block_rows = 0.
+  runtime::KvCache cache;
+  EXPECT_THROW(
+      cache.configure(1, 2, 8, 4, 4, runtime::KvCacheOptions{.block_rows = 0}),
+      std::invalid_argument);
   runtime::KvBlockPool pool;
   pool.configure(2, 2, 999);
-  runtime::KvCache paged;
   EXPECT_THROW(
-      paged.configure(1, 2, 8, 4, 4,
+      cache.configure(1, 2, 8, 4, 4,
                       runtime::KvCacheOptions{.block_rows = 0, .pool = &pool}),
       std::invalid_argument);
+  const PagingFixture fx(4);
+  EXPECT_THROW(runtime::GenerationSession(fx.acfg, fx.qd, nullptr,
+                                          {.kv_block_rows = 0}),
+               std::invalid_argument);
+
+  // A pool whose row geometry does not match the stack is rejected.
   EXPECT_THROW(
-      paged.configure(1, 2, 8, 4, 4,
+      cache.configure(1, 2, 8, 4, 4,
                       runtime::KvCacheOptions{.block_rows = 2, .pool = &pool}),
       std::invalid_argument);
+
+  // An unconfigured cache has no pool to swap or adopt through.
+  std::vector<int8_t> spill;
+  EXPECT_EQ(cache.swap_bytes(), 0u);
+  EXPECT_THROW(cache.swap_out(spill), std::logic_error);
+  EXPECT_THROW(cache.try_swap_in(spill, 0), std::logic_error);
+  const uint32_t block = 0;
+  EXPECT_THROW(cache.adopt_prefix({&block, 1}, 1), std::logic_error);
 }
 
-// --- paged == dense bit-identity (the tentpole invariant) -------------------
+// --- paged == full recompute, bit for bit (the central invariant) -----------
 
-/// Runs prefill(T rows) + decode-to-capacity on a dense and a paged
-/// session and asserts every emitted state matches bit for bit. The
-/// paged session reads its prefix block-strided (QK/SV stream the block
-/// table via span lists, softmax fused on the i32 accumulator), so it
-/// streams span runs and never gathers.
-void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
-                                size_t block_rows, uint64_t seed) {
+/// Runs prefill(T rows) + decode-to-capacity on a paged session and
+/// asserts every emitted state equals the matching row of ONE
+/// full-recompute forward over the whole stream (the prompt rows, then
+/// the decode inputs): causal attention makes row t depend only on rows
+/// <= t. The session reads its prefix block-strided (QK/SV stream the
+/// block table via span lists, softmax fused on the i32 accumulator),
+/// so it streams span runs and never gathers.
+void expect_matches_full_recompute(const PagingFixture& fx, size_t t_rows,
+                                   size_t block_rows, uint64_t seed) {
   const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
   const auto tokens =
       random_input(fx.cfg.seq_len, fx.cfg.d_model, seed + 1);
+  tensor::MatrixF stream = tokens;  // decode inputs at rows [T, seq_len)
+  for (size_t r = 0; r < t_rows; ++r) {
+    std::copy(prefix.row(r).begin(), prefix.row(r).end(),
+              stream.row(r).begin());
+  }
+  runtime::WorkspaceArena ws;
+  tensor::MatrixF full;
+  runtime::decoder_forward_into(fx.qd, fx.acfg, stream, fx.memory, ws,
+                                nullptr, full);
 
-  runtime::GenerationOptions dense_opts;
-  dense_opts.kv_block_rows = 0;  // PR-3 dense layout
-  runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
+  accel::EngineStats stats;
+  runtime::GenerationOptions opts;
+  opts.kv_block_rows = block_rows;
+  runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
 
-  accel::EngineStats paged_stats;
-  runtime::GenerationOptions paged_opts;
-  paged_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession paged(fx.acfg, fx.qd, &paged_stats, paged_opts);
-  ASSERT_TRUE(paged.cache().paged());
-
-  tensor::MatrixF dense_states, paged_states;
-  dense.prefill(prefix, fx.memory, dense_states);
-  paged.prefill(prefix, fx.memory, paged_states);
-  ASSERT_EQ(paged_states, dense_states)
+  tensor::MatrixF states;
+  session.prefill(prefix, fx.memory, states);
+  ASSERT_EQ(states, full.slice_rows(0, t_rows))
       << "prefill T=" << t_rows << " bs=" << block_rows;
 
-  tensor::MatrixF ds, ps;
+  tensor::MatrixF state;
   for (size_t t = t_rows; t < fx.cfg.seq_len; ++t) {
-    const auto token = tokens.slice_rows(t, 1);
-    dense.decode_step(token, ds);
-    paged.decode_step(token, ps);
-    ASSERT_EQ(ps, ds) << "pos " << t << " T=" << t_rows
-                      << " bs=" << block_rows;
+    session.decode_step(tokens.slice_rows(t, 1), state);
+    ASSERT_EQ(state, full.slice_rows(t, 1))
+        << "pos " << t << " T=" << t_rows << " bs=" << block_rows;
   }
-  // The paged session held exactly ceil(rows / bs) blocks at the end.
-  EXPECT_EQ(paged.cache().block_table().size(),
+  // The session held exactly ceil(rows / bs) blocks at the end.
+  EXPECT_EQ(session.cache().block_table().size(),
             (fx.cfg.seq_len + block_rows - 1) / block_rows);
-  EXPECT_GT(paged_stats.span_runs, 0u);
-  EXPECT_EQ(paged_stats.gathered_bytes, 0u);
+  EXPECT_GT(stats.span_runs, 0u);
+  EXPECT_EQ(stats.gathered_bytes, 0u);
 }
 
 TEST(KvPaging, BoundaryStraddlingTriplesAreBitIdentical) {
@@ -187,30 +201,30 @@ TEST(KvPaging, BoundaryStraddlingTriplesAreBitIdentical) {
   // multiples of 3).
   {
     PagingFixture fx(8, 210);
-    expect_paged_matches_dense(fx, 5, 1, 300);   // single-token blocks
-    expect_paged_matches_dense(fx, 4, 4, 301);   // prompt == boundary
-    expect_paged_matches_dense(fx, 5, 4, 302);   // one past the boundary
-    expect_paged_matches_dense(fx, 3, 4, 303);   // one before the boundary
-    expect_paged_matches_dense(fx, 3, 16, 304);  // block > capacity
-    expect_paged_matches_dense(fx, 8, 4, 305);   // prompt fills capacity
+    expect_matches_full_recompute(fx, 5, 1, 300);   // single-token blocks
+    expect_matches_full_recompute(fx, 4, 4, 301);   // prompt == boundary
+    expect_matches_full_recompute(fx, 5, 4, 302);   // one past the boundary
+    expect_matches_full_recompute(fx, 3, 4, 303);   // one before the boundary
+    expect_matches_full_recompute(fx, 3, 16, 304);  // block > capacity
+    expect_matches_full_recompute(fx, 8, 4, 305);   // prompt fills capacity
   }
   {
     PagingFixture fx(13, 211);  // capacity not a multiple of any block
-    expect_paged_matches_dense(fx, 7, 4, 306);
-    expect_paged_matches_dense(fx, 12, 5, 307);
+    expect_matches_full_recompute(fx, 7, 4, 306);
+    expect_matches_full_recompute(fx, 12, 5, 307);
   }
   {
     PagingFixture fx(8, 270);
-    expect_paged_matches_dense(fx, 5, 1, 600);
-    expect_paged_matches_dense(fx, 3, 3, 601);   // prompt == boundary
-    expect_paged_matches_dense(fx, 4, 3, 602);   // one past it
-    expect_paged_matches_dense(fx, 2, 3, 603);   // one before it
-    expect_paged_matches_dense(fx, 5, 16, 604);  // block > capacity
+    expect_matches_full_recompute(fx, 5, 1, 600);
+    expect_matches_full_recompute(fx, 3, 3, 601);   // prompt == boundary
+    expect_matches_full_recompute(fx, 4, 3, 602);   // one past it
+    expect_matches_full_recompute(fx, 2, 3, 603);   // one before it
+    expect_matches_full_recompute(fx, 5, 16, 604);  // block > capacity
   }
   {
     PagingFixture fx(13, 271);
-    expect_paged_matches_dense(fx, 7, 3, 605);
-    expect_paged_matches_dense(fx, 13, 3, 606);  // prompt fills capacity
+    expect_matches_full_recompute(fx, 7, 3, 605);
+    expect_matches_full_recompute(fx, 13, 3, 606);  // prompt fills capacity
   }
 }
 
@@ -227,7 +241,7 @@ TEST(KvPaging, RandomizedTriplesAreBitIdentical) {
         block_sizes[rng.next() % (sizeof(block_sizes) / sizeof(size_t))];
     const size_t t_rows = 1 + rng.next() % cap;
     PagingFixture fx(cap, 230 + trial);
-    expect_paged_matches_dense(fx, t_rows, bs, 400 + trial * 10);
+    expect_matches_full_recompute(fx, t_rows, bs, 400 + trial * 10);
   }
 }
 

@@ -8,9 +8,10 @@
 //     quantized format — the "1 byte/element" assumptions this PR removed
 //     can never silently come back;
 //   * determinism of quantized paged decode: paged (read in place, fp4
-//     included) == dense, byte-exact across COW forks, swap round trips,
-//     prefix adoption and repeat runs — decode output depends only on
-//     the storage choice, never on paging history;
+//     included) == the full-recompute forward with the same storage,
+//     byte-exact across COW forks, swap round trips, prefix adoption and
+//     repeat runs — decode output depends only on the storage choice,
+//     never on paging history;
 //   * the concurrency win: at one pool byte budget, fp4 runs at least
 //     twice the int8 run's concurrent sequences, executed;
 //   * the mixed-format guards: a pool serving int8 and fp8 sequences has
@@ -30,6 +31,7 @@
 #include "numeric/fp8.hpp"
 #include "ref/weights.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/inference_session.hpp"
 #include "runtime/kv_cache.hpp"
 #include "runtime/prefix_cache.hpp"
 #include "runtime/traffic.hpp"
@@ -92,8 +94,8 @@ TEST(KvStorageBytes, FootprintRowBytesMatchPoolGeometry) {
     EXPECT_EQ(fp.row_bytes, fx.row_bytes(s));
     EXPECT_EQ(fp.blocks, 4u);
     EXPECT_EQ(fp.paged_bytes, 4u * 2 * fx.row_bytes(s));
-    // The dense arena never packs (values round-trip in place), so its
-    // reservation stays at the int8 width for every format.
+    // The modeled per-slot baseline is unpacked, so it stays at the int8
+    // width for every format.
     EXPECT_EQ(fp.dense_bytes,
               fx.row_bytes(KvStorage::kInt8) * fx.cfg.seq_len);
 
@@ -154,26 +156,33 @@ TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   }
 }
 
-// --- paged == dense, deterministic, per format -------------------------------
+// --- paged == full recompute, deterministic, per format ----------------------
 
-TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
-  // A quantized format quantizes ONCE per stored element; dense (in-place
-  // round-trip) and paged block-strided (LUT fused into the span reads,
-  // per nibble for fp4) must see the same decoded values — bit-identical
-  // outputs at every step, for every format, with no gathered bytes.
+TEST(KvStorageDecode, PagedMatchesFullRecomputeAcrossFormatsAndBlockSizes) {
+  // A quantized format quantizes ONCE per stored element; the
+  // full-recompute forward (fresh K/V snapped through the codec's
+  // round trip) and paged block-strided decode (LUT fused into the span
+  // reads, per nibble for fp4) must see the same decoded values —
+  // bit-identical outputs at every step, for every format, with no
+  // gathered bytes. One forward over the whole stream (the prompt, then
+  // the decode inputs) is the reference: row t depends only on rows
+  // <= t.
   Fixture fx(10);
+  const auto prefix = random_input(4, fx.cfg.d_model, 930);
+  const auto tokens = random_input(fx.cfg.seq_len, fx.cfg.d_model, 931);
+  tensor::MatrixF stream = tokens;  // decode inputs from row 4 on
+  for (size_t r = 0; r < prefix.rows(); ++r) {
+    std::copy(prefix.row(r).begin(), prefix.row(r).end(),
+              stream.row(r).begin());
+  }
   for (const KvStorage s : kQuantStorages) {
+    runtime::WorkspaceArena ws;
+    tensor::MatrixF full;
+    runtime::decoder_forward_into(fx.qd, fx.acfg, stream, fx.memory, ws,
+                                  nullptr, full, s);
     for (const size_t br : {size_t{1}, size_t{3}, size_t{16}}) {
       SCOPED_TRACE(std::string(numeric::kv_storage_name(s)) + " br=" +
                    std::to_string(br));
-      const auto prefix = random_input(4, fx.cfg.d_model, 930);
-      const auto tokens = random_input(fx.cfg.seq_len, fx.cfg.d_model, 931);
-
-      runtime::GenerationOptions dense_opts;
-      dense_opts.kv_block_rows = 0;
-      dense_opts.kv_storage = s;
-      runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
-
       accel::EngineStats strided_stats;
       runtime::GenerationOptions strided_opts;
       strided_opts.kv_block_rows = br;
@@ -181,15 +190,12 @@ TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
       runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
                                          strided_opts);
 
-      tensor::MatrixF ds, ss;
-      dense.prefill(prefix, fx.memory, ds);
+      tensor::MatrixF ss;
       strided.prefill(prefix, fx.memory, ss);
-      ASSERT_EQ(ss, ds);
+      ASSERT_EQ(ss, full.slice_rows(0, prefix.rows()));
       for (size_t t = prefix.rows(); t < fx.cfg.seq_len; ++t) {
-        const auto token = tokens.slice_rows(t, 1);
-        dense.decode_step(token, ds);
-        strided.decode_step(token, ss);
-        ASSERT_EQ(ss, ds) << "strided pos " << t;
+        strided.decode_step(tokens.slice_rows(t, 1), ss);
+        ASSERT_EQ(ss, full.slice_rows(t, 1)) << "strided pos " << t;
       }
       // Every format streams the block table in place, codes decoded by
       // the GEMM kernels — zero gather traffic.

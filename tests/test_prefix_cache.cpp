@@ -593,11 +593,6 @@ TEST(PrefixCacheScheduler, CachedRunsBitIdenticalAndCount) {
   for (size_t i = 0; i < on_derived.size(); ++i) {
     EXPECT_EQ(on_derived[i].states, baseline[i].states) << "request " << i;
   }
-
-  // Dense seats have no pool to cache blocks in.
-  runtime::TrafficOptions bad = on;
-  bad.kv_block_rows = 0;
-  EXPECT_THROW(sched.run(requests, bad), std::invalid_argument);
 }
 
 // --- traffic-engine integration ----------------------------------------------

@@ -2,10 +2,11 @@
 // supporting robustness machinery:
 //
 //   * the core property — completed requests are BIT-IDENTICAL to an
-//     unconstrained solo dense run no matter how often they were
-//     preempted, for both recovery strategies (swap-out and
-//     drop-and-recompute), every block size / prefill chunking, and with
-//     deterministic failpoint storms injected into the block pool;
+//     unconstrained solo run (one seat, one whole-sequence block) no
+//     matter how often they were preempted, for both recovery strategies
+//     (swap-out and drop-and-recompute), every block size / prefill
+//     chunking, and with deterministic failpoint storms injected into
+//     the block pool;
 //   * stepped and threaded modes agree on outputs AND every per-class
 //     scheduler counter (only wall-clock fields may differ);
 //   * the seeded overload storm (generate_trace, token-stream policies,
@@ -16,8 +17,10 @@
 //     capacity reject all retire with a reason instead of throwing or
 //     parking forever, and the stall valve force-sheds when preemption
 //     is disabled and the working set cannot fit;
-//   * dense seats (kv_block_rows = 0, no pool) are preempted by rank
-//     through drop-and-recompute, bit-exactly;
+//   * whole-sequence seats (kv_block_rows = 0) hold one block each and
+//     never wait for blocks, prefix cache and failpoints included; with
+//     no swap slot, a seat preempted by rank recovers through
+//     drop-and-recompute, bit-exactly;
 //   * the RAII guards (SequenceScope, KvCreditLease) release pool state
 //     on unwind, including a failpoint-thrown KvBlockExhausted
 //     mid-chunked-prefill;
@@ -420,11 +423,11 @@ TEST(TrafficEngine, StallValveForceShedsWhenPreemptionDisabled) {
   EXPECT_EQ(stats.total(&TrafficClassStats::preemptions), 0u);
 }
 
-TEST(TrafficEngine, DenseSeatIsPreemptedByRankThroughRecompute) {
-  // kv_block_rows = 0: one private dense seat and no pool. A batch
-  // request holds the seat when an interactive one arrives at round 2;
-  // the only way in is to preempt the seat itself, and a dense cache has
-  // no blocks to spill, so the victim drops and recomputes. Both
+TEST(TrafficEngine, SeatWithoutSwapSlotIsPreemptedByRankThroughRecompute) {
+  // kv_block_rows = 0: one seat holding one whole-sequence block. A
+  // batch request holds the seat when an interactive one arrives at
+  // round 2; the only way in is to preempt the seat itself. With no swap
+  // slot the victim drops and recomputes; with one it swaps. Both
   // requests still complete with their solo bits.
   TrafficFixture fx;
   runtime::TrafficEngine engine(fx.acfg, fx.qd);
@@ -444,32 +447,78 @@ TEST(TrafficEngine, DenseSeatIsPreemptedByRankThroughRecompute) {
   ref_opts.kv_block_rows = 0;
   const auto expected = engine.run(to_gen(build()), ref_opts);
 
-  for (const size_t threads : {size_t{1}, size_t{2}}) {
-    runtime::TrafficOptions opts;
-    opts.slots = 1;
-    opts.threads = threads;
-    opts.kv_block_rows = 0;
-    const auto results = engine.run(build(), opts);
-    const auto& stats = engine.last_run();
-    ASSERT_EQ(results.size(), expected.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].outcome, TrafficOutcome::kCompleted)
-          << "threads " << threads << " request " << i << ": "
-          << results[i].shed_reason;
-      EXPECT_EQ(results[i].steps, expected[i].steps);
-      ASSERT_EQ(results[i].states, expected[i].states)
-          << "threads " << threads << " request " << i;
+  for (const size_t swap_slots : {size_t{0}, size_t{2}}) {
+    for (const size_t threads : {size_t{1}, size_t{2}}) {
+      runtime::TrafficOptions opts;
+      opts.slots = 1;
+      opts.threads = threads;
+      opts.kv_block_rows = 0;
+      opts.swap_slots = swap_slots;
+      const auto results = engine.run(build(), opts);
+      const auto& stats = engine.last_run();
+      ASSERT_EQ(results.size(), expected.size());
+      for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].outcome, TrafficOutcome::kCompleted)
+            << "threads " << threads << " request " << i << ": "
+            << results[i].shed_reason;
+        EXPECT_EQ(results[i].steps, expected[i].steps);
+        ASSERT_EQ(results[i].states, expected[i].states)
+            << "threads " << threads << " request " << i;
+      }
+      const uint64_t swapped = swap_slots > 0 ? 1 : 0;
+      EXPECT_EQ(stats.total(&TrafficClassStats::preemptions), 1u);
+      EXPECT_EQ(stats.total(&TrafficClassStats::recomputes), 1 - swapped);
+      EXPECT_EQ(stats.total(&TrafficClassStats::swap_outs), swapped);
     }
-    EXPECT_EQ(stats.total(&TrafficClassStats::preemptions), 1u);
-    EXPECT_EQ(stats.total(&TrafficClassStats::recomputes), 1u);
-    EXPECT_EQ(stats.total(&TrafficClassStats::swap_outs), 0u);
+  }
+}
+
+TEST(TrafficEngine, WholeSequenceBlocksHoldOneBlockPerSeatAndNeverWait) {
+  // kv_block_rows = 0 carves seq_len-row blocks and, at the default pool
+  // size, one per seat: every seat holds a full-capacity reservation and
+  // nothing waits for blocks. This is the contract the unconstrained
+  // solo references rest on. The prefix cache and failpoints work on
+  // that pool like on any other, with unchanged states.
+  TrafficFixture fx;
+  constexpr size_t kRequests = 10;
+  constexpr uint64_t kSeed = 1300;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+
+  runtime::TrafficOptions blocked;
+  blocked.slots = 3;
+  blocked.kv_block_rows = 4;
+  const auto want = engine.run(to_gen(build_mix(fx, kRequests, kSeed)),
+                               blocked);
+
+  runtime::TrafficOptions whole;
+  whole.slots = 3;
+  whole.kv_block_rows = 0;
+  const auto got = engine.run(to_gen(build_mix(fx, kRequests, kSeed)), whole);
+  const auto& stats = engine.last_run();
+  EXPECT_EQ(stats.kv_blocks_peak, 3u);
+  EXPECT_EQ(stats.total(&TrafficClassStats::kv_block_waits), 0u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].outcome, TrafficOutcome::kCompleted) << "request " << i;
+    ASSERT_EQ(got[i].states, want[i].states) << "request " << i;
   }
 
-  // Failpoints act on a pool, which dense seats do not have.
-  runtime::TrafficOptions bad;
-  bad.kv_block_rows = 0;
-  bad.fail_count = 1;
-  EXPECT_THROW(engine.run(build(), bad), std::invalid_argument);
+  runtime::TrafficOptions cached = whole;
+  cached.prefix_cache = true;
+  cached.fail_skip = 3;
+  cached.fail_count = 2;
+  const auto faulted =
+      engine.run(to_gen(build_mix(fx, kRequests, kSeed)), cached);
+  const auto& fstats = engine.last_run();
+  EXPECT_EQ(fstats.failpoint_trips, 2u);
+  EXPECT_EQ(fstats.cross_kv_hits, kRequests - 1);  // one shared memory
+  EXPECT_EQ(fstats.kv_blocks_peak, 3u);
+  ASSERT_EQ(faulted.size(), want.size());
+  for (size_t i = 0; i < faulted.size(); ++i) {
+    EXPECT_EQ(faulted[i].outcome, TrafficOutcome::kCompleted)
+        << "request " << i << ": " << faulted[i].shed_reason;
+    ASSERT_EQ(faulted[i].states, want[i].states) << "request " << i;
+  }
 }
 
 TEST(TrafficStorm, SeededOverloadHoldsEveryInvariant) {

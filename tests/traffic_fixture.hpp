@@ -221,8 +221,8 @@ inline StormRequests build_storm_requests(
   return out;
 }
 
-/// Unconstrained reference bits: every item alone on one seat with a
-/// private dense cache, in submission order.
+/// Unconstrained reference bits: every item alone on one seat holding a
+/// whole-sequence block (kv_block_rows = 0), in submission order.
 inline std::vector<runtime::TrafficResult> solo_references(
     const StormModel& m, const std::vector<runtime::TraceItem>& items,
     uint32_t shared_rows = 0) {
