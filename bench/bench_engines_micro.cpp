@@ -11,15 +11,15 @@
 #include <string>
 #include <vector>
 
-#include "accel/attention_module.hpp"
 #include "accel/engines.hpp"
-#include "accel/ffn_module.hpp"
 #include "accel/quantized_model.hpp"
 #include "accel/softmax_unit.hpp"
 #include "bench_common.hpp"
 #include "numeric/quantizer.hpp"
 #include "ref/encoder.hpp"
 #include "ref/weights.hpp"
+#include "runtime/layer_ops.hpp"
+#include "runtime/workspace_arena.hpp"
 #include "tensor/qgemm.hpp"
 #include "util/stopwatch.hpp"
 
@@ -103,22 +103,41 @@ void BM_FfnEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_FfnEngine);
 
+// The paper's MHA and FFN modules are the runtime's two encoder stages.
+// The context is built outside every timed loop, over one reused
+// workspace, with the intra-op GEMM pool current at build time.
+runtime::LayerOpContext stage_context(runtime::WorkspaceArena& ws) {
+  return {.ws = ws,
+          .ts_mha = 64,
+          .ts_ffn = 128,
+          .activation = ref::Activation::kGelu,
+          .gemm_pool = tensor::qgemm_default_pool()};
+}
+
 void BM_AttentionModule(benchmark::State& state) {
   const auto& layer = env().qmodel.layers[0];
+  runtime::WorkspaceArena ws;
+  const runtime::LayerOpContext ctx = stage_context(ws);
+  tensor::MatrixI8 concat(env().x.rows(), env().x.cols());
   for (auto _ : state) {
-    auto concat = accel::AttentionModule::run(layer, env().x, 64);
+    runtime::run_encoder_mha_stage(ctx, layer, env().x, concat);
     benchmark::DoNotOptimize(concat.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_AttentionModule);
 
 void BM_FfnModule(benchmark::State& state) {
   const auto& layer = env().qmodel.layers[0];
-  auto concat = accel::AttentionModule::run(layer, env().x, 64);
+  runtime::WorkspaceArena ws;
+  const runtime::LayerOpContext ctx = stage_context(ws);
+  tensor::MatrixI8 concat(env().x.rows(), env().x.cols());
+  tensor::MatrixI8 out(env().x.rows(), env().x.cols());
+  runtime::run_encoder_mha_stage(ctx, layer, env().x, concat);
   for (auto _ : state) {
-    auto out = accel::FfnModule::run(layer, concat, env().x, 128,
-                                     ref::Activation::kGelu);
+    runtime::run_encoder_ffn_stage(ctx, layer, concat, env().x, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FfnModule);
@@ -167,11 +186,15 @@ void emit_bench_engines_json() {
                                 layer.rq_proj, accel::FfnActivation::kNone,
                                 0.0, out, stats);
         }));
+    runtime::WorkspaceArena ws;
+    const runtime::LayerOpContext ctx = stage_context(ws);
+    tensor::MatrixI8 concat(env().x.rows(), env().x.cols());
     results.push_back(time_engine(
         "attention_module", 32, 128, threads, 20,
         [&](accel::EngineStats* stats) {
-          auto concat = accel::AttentionModule::run(layer, env().x, 64,
-                                                    stats);
+          runtime::LayerOpContext counted = ctx;
+          counted.stats = stats;
+          runtime::run_encoder_mha_stage(counted, layer, env().x, concat);
           benchmark::DoNotOptimize(concat.data());
         }));
   }

@@ -12,10 +12,10 @@
 #include <optional>
 
 #include "accel/accel_config.hpp"
-#include "accel/attention_module.hpp"
-#include "accel/ffn_module.hpp"
+#include "accel/engines.hpp"
 #include "accel/perf_model.hpp"
 #include "accel/quantized_model.hpp"
+#include "runtime/layer_ops.hpp"
 #include "runtime/workspace_arena.hpp"
 #include "tensor/matrix.hpp"
 

@@ -181,10 +181,10 @@ ForkedKvFootprint estimate_forked_kv_footprint(
 
 /// The block counts of estimate_forked_kv_footprint, which need no model:
 /// fills shared_blocks, private_blocks and cow_blocks and leaves the byte
-/// fields 0. runtime::beam_worst_case_blocks reserves cow_blocks at a
-/// beam group's admission, so that bound and this memory model are one
-/// count. Throws std::invalid_argument on a zero prompt, beam count or
-/// block size.
+/// fields 0. runtime::beam_worst_case_blocks returns cow_blocks, the
+/// bound every beam run is held to, so that bound and this memory model
+/// are one count. Throws std::invalid_argument on a zero prompt, beam
+/// count or block size.
 ForkedKvFootprint forked_kv_blocks(uint32_t prompt_rows, uint32_t new_rows,
                                    uint32_t beams, uint32_t block_rows);
 

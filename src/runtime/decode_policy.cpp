@@ -266,9 +266,6 @@ void BeamSearchOptions::validate() const {
   if (max_new_tokens == 0) {
     throw std::invalid_argument("BeamSearchOptions: zero max_new_tokens");
   }
-  if (threads == 0) {
-    throw std::invalid_argument("BeamSearchOptions: zero threads");
-  }
   if (kv_block_rows == 0) {
     throw std::invalid_argument("BeamSearchOptions: zero kv_block_rows");
   }
@@ -302,6 +299,25 @@ size_t beam_worst_case_blocks(size_t prompt_rows, size_t max_new_tokens,
   return 2 * beam_width * util::ceil_div(prompt_rows + new_rows, block_rows);
 }
 
+namespace {
+
+/// Validates the decoder's arguments before any member is built from
+/// them.
+const BeamSearchOptions& checked(const BeamSearchOptions& options,
+                                 const accel::QuantizedDecoder& model,
+                                 const VocabModel& vocab) {
+  options.validate();
+  vocab.validate(model.config.d_model);
+  options.logits.validate(vocab.vocab_size());
+  if (options.beam_width > vocab.vocab_size()) {
+    throw std::invalid_argument(
+        "BeamSearchDecoder: beam width exceeds the vocabulary");
+  }
+  return options;
+}
+
+}  // namespace
+
 BeamSearchDecoder::BeamSearchDecoder(const accel::AccelConfig& config,
                                      const accel::QuantizedDecoder& model,
                                      const VocabModel& vocab,
@@ -309,42 +325,23 @@ BeamSearchDecoder::BeamSearchDecoder(const accel::AccelConfig& config,
     : config_(&config),
       model_(&model),
       vocab_(&vocab),
-      options_(options) {
-  options_.validate();
-  vocab.validate(model.config.d_model);
-  options_.logits.validate(vocab.vocab_size());
+      options_(checked(options, model, vocab)),
+      processor_(options_.logits, vocab.vocab_size()) {
   const size_t vsize = vocab.vocab_size();
-  if (options_.beam_width > vsize) {
-    throw std::invalid_argument(
-        "BeamSearchDecoder: beam width exceeds the vocabulary");
-  }
   const size_t k = options_.beam_width;
   const size_t d = model.config.d_model;
-  const size_t row_bytes =
-      accel::kv_row_bytes(model.config, numeric::KvStorage::kInt8);
 
-  if (options_.kv_pool != nullptr) {
-    if (!options_.kv_pool->configured() ||
-        options_.kv_pool->block_rows() != options_.kv_block_rows ||
-        options_.kv_pool->row_bytes() != row_bytes) {
-      throw std::invalid_argument(
-          "BeamSearchDecoder: shared pool geometry mismatch");
-    }
-    pool_ = options_.kv_pool;
-  } else {
-    // Private pool sized at the decoder's own worst case over any
-    // prompt/max_new split (a full lineage is ceil(seq_len / br)).
-    const size_t full =
-        util::ceil_div(size_t{model.config.seq_len}, options_.kv_block_rows);
-    owned_pool_ = std::make_unique<KvBlockPool>();
-    owned_pool_->configure(options_.cow ? (k + 1) * full : 2 * k * full,
-                           options_.kv_block_rows, row_bytes);
-    pool_ = owned_pool_.get();
-  }
+  // Sized at the decoder's own worst case over any prompt/max_new split
+  // (a full lineage is ceil(seq_len / br)), so a run never runs short.
+  const size_t full =
+      util::ceil_div(size_t{model.config.seq_len}, options_.kv_block_rows);
+  pool_.configure(options_.cow ? (k + 1) * full : 2 * k * full,
+                  options_.kv_block_rows,
+                  accel::kv_row_bytes(model.config, numeric::KvStorage::kInt8));
 
   GenerationOptions session_opts;
   session_opts.kv_block_rows = options_.kv_block_rows;
-  session_opts.kv_pool = pool_;
+  session_opts.kv_pool = &pool_;
   cur_sessions_.reserve(k);
   next_sessions_.reserve(k);
   for (size_t j = 0; j < k; ++j) {
@@ -365,10 +362,6 @@ BeamSearchDecoder::BeamSearchDecoder(const accel::AccelConfig& config,
     reserve_beam(cur_beams_[j]);
     reserve_beam(next_beams_[j]);
   }
-  processors_.reserve(k);
-  for (size_t j = 0; j < k; ++j) {
-    processors_.emplace_back(options_.logits, vsize);
-  }
   logits_ = tensor::MatrixF(k, vsize);
   token_embeds_.resize(k);
   states_.resize(k);
@@ -381,9 +374,6 @@ BeamSearchDecoder::BeamSearchDecoder(const accel::AccelConfig& config,
   moved_from_.resize(k);
   finished_.resize(k);
   for (BeamHypothesis& h : finished_) h.tokens.reserve(max_len);
-  if (options_.threads > 1) {
-    workers_ = std::make_unique<util::ThreadPool>(options_.threads);
-  }
 }
 
 BeamSearchDecoder::~BeamSearchDecoder() = default;
@@ -402,7 +392,7 @@ void BeamSearchDecoder::step_beam(size_t j) {
   cur_sessions_[j]->decode_step(token_embeds_[j], states_[j]);
   auto logits = logits_.row(j);
   project_logits(*vocab_->head, states_[j].row(0), logits);
-  processors_[j].process(logits, beam.history);
+  processor_.process(logits, beam.history);
   log_softmax_inplace(logits);
 }
 
@@ -433,52 +423,6 @@ void BeamSearchDecoder::release_all() {
   for (auto& s : next_sessions_) s->end_sequence();
 }
 
-void BeamSearchDecoder::preempt_restore_group(const tensor::MatrixF& prompt,
-                                              const tensor::MatrixF& memory,
-                                              KvCreditLease& lease) {
-  // The group preempts as a unit: every session's blocks AND the
-  // admission credit return to the pool before on_preempted fires —
-  // a higher-priority requester sees the full headroom, not a partially
-  // drained group.
-  last_run_.kv_blocks_peak = std::max<size_t>(last_run_.kv_blocks_peak,
-                                              lease.credit()->peak);
-  release_all();
-  lease.release();
-  ++last_run_.group_preemptions;
-  if (options_.on_preempted) options_.on_preempted();
-
-  // Re-admit at the same COW-aware worst case: the rebuilt group is in
-  // exactly the state an unpreempted run reaches at this point (shared
-  // prompt lineage + per-beam divergent tails), which that bound covers.
-  if (lease.acquire_wait(last_run_.worst_case_blocks)) {
-    ++last_run_.credit_waits;
-  }
-
-  // Rebuild bit-exactly from CPU-side state: one prompt prefill (chunk
-  // invariance makes its K/V bytes identical to the original), re-fork
-  // the live beams, then replay each beam's committed tokens — all but
-  // the still-pending tokens.back() — through the same decode path.
-  // Selection state (histories, scores, logits scratch) never left CPU
-  // memory, so the next selection round is unchanged.
-  tensor::MatrixF scratch;
-  cur_sessions_[0]->prefill(prompt, memory, scratch);
-  last_run_.replayed_rows += prompt.rows();
-  for (size_t j = 1; j < live_; ++j) {
-    cur_sessions_[j]->fork_from(*cur_sessions_[0], !options_.cow);
-    ++last_run_.forks;
-  }
-  for (size_t j = 0; j < live_; ++j) {
-    const Beam& beam = cur_beams_[j];
-    for (size_t t = 0; t + 1 < beam.tokens.size(); ++t) {
-      std::copy(vocab_->embed->row(beam.tokens[t]).begin(),
-                vocab_->embed->row(beam.tokens[t]).end(),
-                token_embeds_[j].row(0).begin());
-      cur_sessions_[j]->decode_step(token_embeds_[j], states_[j]);
-      ++last_run_.replayed_rows;
-    }
-  }
-}
-
 std::vector<BeamHypothesis> BeamSearchDecoder::generate(
     std::span<const uint32_t> prompt_tokens,
     const tensor::MatrixF& memory) {
@@ -507,214 +451,190 @@ std::vector<BeamHypothesis> BeamSearchDecoder::generate(
   }
 
   last_run_ = BeamSearchStats{};
-  const uint64_t cow_before = pool_->cow_copies();
+  const uint64_t cow_before = pool_.cow_copies();
   uint64_t macs_before = 0;
   for (auto& s : cur_sessions_) macs_before += s->stats().macs;
   for (auto& s : next_sessions_) macs_before += s->stats().macs;
 
-  // --- admission: reserve the group's COW-aware worst case -----------------
-  // All or nothing: a beam group either gets its worst-case headroom
-  // (and then never waits mid-decode — COW copies included) or parks
-  // here holding nothing, so shared-pool backpressure cannot deadlock.
   const size_t worst = beam_worst_case_blocks(
       prompt_tokens.size(), options_.max_new_tokens, k,
       options_.kv_block_rows, options_.cow);
   last_run_.worst_case_blocks = worst;
-  if (worst > pool_->num_blocks()) {
-    throw std::invalid_argument(
-        "BeamSearchDecoder: worst case exceeds the block pool");
-  }
-  KvCreditLease lease(*pool_);
-  if (lease.acquire_wait(worst)) {
-    ++last_run_.credit_waits;
-  }
-  for (auto& s : cur_sessions_) s->bind_kv_credit(lease.credit());
-  for (auto& s : next_sessions_) s->bind_kv_credit(lease.credit());
-  // Declared AFTER the lease, so on any exit — return or unwind — it
-  // runs FIRST: blocks are released and sessions unbound before the
-  // lease's destructor hands the credit back (the pool requires that
-  // ordering).
+  // The group's unique-block high-water mark, held to the worst case.
+  // Blocks return to the pool only in each round's retire loop and at
+  // teardown, so occupancy peaks after the seeding forks and just before
+  // each retire loop: sampling there is exact.
+  const auto note_peak = [&] {
+    const size_t held = pool_.used_blocks();
+    if (held > worst) {
+      throw std::logic_error(
+          "BeamSearchDecoder: group exceeds its worst-case block bound");
+    }
+    last_run_.kv_blocks_peak = std::max(last_run_.kv_blocks_peak, held);
+  };
+  // On any exit — return or unwind — every block goes back to the pool,
+  // so the next run starts on an empty one.
   struct GroupScope {
     BeamSearchDecoder& d;
-    KvCreditLease& lease;
-    ~GroupScope() {
-      d.release_all();
-      for (auto& s : d.cur_sessions_) s->bind_kv_credit(nullptr);
-      for (auto& s : d.next_sessions_) s->bind_kv_credit(nullptr);
-      d.last_run_.kv_blocks_peak = std::max<size_t>(
-          d.last_run_.kv_blocks_peak, lease.credit()->peak);
-    }
-  } group_scope{*this, lease};
+    ~GroupScope() { d.release_all(); }
+  } group_scope{*this};
 
-  std::vector<BeamHypothesis> out;
+  finished_count_ = 0;
+  live_ = 0;
+
+  // One prefill; every beam forks off this prefix.
+  tensor::MatrixF prefill_states;
+  cur_sessions_[0]->prefill(prompt, memory, prefill_states);
+
+  // Seed the K beams from the prefill's last state.
   {
-    finished_count_ = 0;
-    live_ = 0;
-
-    // One prefill; every beam forks off this prefix.
-    tensor::MatrixF prefill_states;
-    cur_sessions_[0]->prefill(prompt, memory, prefill_states);
-
-    // Seed the K beams from the prefill's last state.
-    {
-      auto logits = logits_.row(0);
-      cur_beams_[0].history.assign(prompt_tokens.begin(),
-                                   prompt_tokens.end());
-      project_logits(*vocab_->head, prefill_states.row(prompt.rows() - 1),
-                     logits);
-      processors_[0].process(logits, cur_beams_[0].history);
-      log_softmax_inplace(logits);
-      cand_order_.clear();
-      for (uint32_t v = 0; v < vsize; ++v) cand_order_.push_back(v);
-      // The seeding scan consumes at most K live picks + one EOS offer,
-      // so ranking the top K+1 suffices.
-      const auto seed_mid =
-          cand_order_.begin() +
-          std::min<size_t>(k + 1, cand_order_.size());
-      std::partial_sort(cand_order_.begin(), seed_mid, cand_order_.end(),
-                        [&](uint64_t a, uint64_t b) {
-                          if (logits[a] != logits[b]) {
-                            return logits[a] > logits[b];
-                          }
-                          return a < b;
-                        });
-      Beam seed;  // history template for finished offers at rank 0
-      seed.tokens.clear();
-      seed.history.assign(prompt_tokens.begin(), prompt_tokens.end());
-      for (size_t rank = 0; rank < vsize && live_ < k; ++rank) {
-        const uint32_t v = static_cast<uint32_t>(cand_order_[rank]);
-        const double lp = logits[v];
-        if (lp == -std::numeric_limits<double>::infinity()) break;
-        if (options_.logits.eos_token >= 0 &&
-            v == static_cast<uint32_t>(options_.logits.eos_token)) {
-          offer_finished(seed, v, lp);
-          continue;
-        }
-        const size_t j = live_++;
-        if (j > 0) {
-          cur_sessions_[j]->fork_from(*cur_sessions_[0], !options_.cow);
-          ++last_run_.forks;
-        }
-        Beam& beam = cur_beams_[j];
-        beam.pending = v;
-        beam.sum_logprob = lp;
-        beam.tokens.clear();
-        beam.tokens.push_back(v);
-        beam.history.assign(prompt_tokens.begin(), prompt_tokens.end());
-        beam.history.push_back(v);
+    auto logits = logits_.row(0);
+    cur_beams_[0].history.assign(prompt_tokens.begin(),
+                                 prompt_tokens.end());
+    project_logits(*vocab_->head, prefill_states.row(prompt.rows() - 1),
+                   logits);
+    processor_.process(logits, cur_beams_[0].history);
+    log_softmax_inplace(logits);
+    cand_order_.clear();
+    for (uint32_t v = 0; v < vsize; ++v) cand_order_.push_back(v);
+    // The seeding scan consumes at most K live picks + one EOS offer,
+    // so ranking the top K+1 suffices.
+    const auto seed_mid =
+        cand_order_.begin() + std::min<size_t>(k + 1, cand_order_.size());
+    std::partial_sort(cand_order_.begin(), seed_mid, cand_order_.end(),
+                      [&](uint64_t a, uint64_t b) {
+                        if (logits[a] != logits[b]) {
+                          return logits[a] > logits[b];
+                        }
+                        return a < b;
+                      });
+    Beam seed;  // history template for finished offers at rank 0
+    seed.tokens.clear();
+    seed.history.assign(prompt_tokens.begin(), prompt_tokens.end());
+    for (size_t rank = 0; rank < vsize && live_ < k; ++rank) {
+      const uint32_t v = static_cast<uint32_t>(cand_order_[rank]);
+      const double lp = logits[v];
+      if (lp == -std::numeric_limits<double>::infinity()) break;
+      if (options_.logits.eos_token >= 0 &&
+          v == static_cast<uint32_t>(options_.logits.eos_token)) {
+        offer_finished(seed, v, lp);
+        continue;
       }
+      const size_t j = live_++;
+      if (j > 0) {
+        cur_sessions_[j]->fork_from(*cur_sessions_[0], !options_.cow);
+        ++last_run_.forks;
+      }
+      Beam& beam = cur_beams_[j];
+      beam.pending = v;
+      beam.sum_logprob = lp;
+      beam.tokens.clear();
+      beam.tokens.push_back(v);
+      beam.history.assign(prompt_tokens.begin(), prompt_tokens.end());
+      beam.history.push_back(v);
     }
+  }
+  note_peak();
 
-    // --- fork / step / select loop (steady state: no heap allocations
-    // in stepped mode) ------------------------------------------------------
-    uint32_t generated = 1;
-    while (live_ > 0 && generated < options_.max_new_tokens) {
-      if (options_.preempt_point && options_.preempt_point(generated)) {
-        preempt_restore_group(prompt, memory, lease);
-      }
-      if (workers_ != nullptr) {
-        for (size_t j = 0; j < live_; ++j) {
-          workers_->submit([this, j] { step_beam(j); });
-        }
-        workers_->wait_idle();
-      } else {
-        for (size_t j = 0; j < live_; ++j) step_beam(j);
-      }
-      last_run_.decode_steps += live_;
+  // --- fork / step / select loop (steady state: no heap allocations) -------
+  uint32_t generated = 1;
+  while (live_ > 0 && generated < options_.max_new_tokens) {
+    for (size_t j = 0; j < live_; ++j) step_beam(j);
+    last_run_.decode_steps += live_;
 
-      // Deterministic candidate ranking over live x vocab.
-      cand_order_.clear();
-      for (size_t j = 0; j < live_; ++j) {
-        for (uint32_t v = 0; v < vsize; ++v) {
-          const uint64_t flat = j * vsize + v;
-          cand_scores_[flat] =
-              cur_beams_[j].sum_logprob +
-              static_cast<double>(logits_(j, v));
-          cand_order_.push_back(flat);
-        }
-      }
-      // The selection scan consumes at most K survivors + K EOS offers
-      // (EOS is one token id, so each live beam contributes at most one),
-      // so only the true top 2K candidates are ever read — partial_sort
-      // keeps per-token selection near-linear in live x vocab instead of
-      // paying a full sort.
-      const auto mid = cand_order_.begin() +
-                       std::min<size_t>(2 * k, cand_order_.size());
-      std::partial_sort(cand_order_.begin(), mid, cand_order_.end(),
-                        [&](uint64_t a, uint64_t b) {
-                          if (cand_scores_[a] != cand_scores_[b]) {
-                            return cand_scores_[a] > cand_scores_[b];
-                          }
-                          return a < b;
-                        });
-
-      size_t new_live = 0;
-      std::fill(moved_from_.begin(), moved_from_.end(), SIZE_MAX);
-      for (size_t rank = 0;
-           rank < cand_order_.size() && new_live < k; ++rank) {
-        const uint64_t flat = cand_order_[rank];
-        const size_t j = flat / vsize;
-        const uint32_t v = static_cast<uint32_t>(flat % vsize);
-        const double sum = cand_scores_[flat];
-        if (sum == -std::numeric_limits<double>::infinity()) break;
-        if (options_.logits.eos_token >= 0 &&
-            v == static_cast<uint32_t>(options_.logits.eos_token)) {
-          offer_finished(cur_beams_[j], v, sum);
-          continue;
-        }
-        // Survivor. The FIRST survivor of a source beam ADOPTS its
-        // session outright (pointer swap — no fork, no cross-K/V copy):
-        // the common top-beam-continues case costs nothing. Only
-        // additional survivors of the same source fork the cache.
-        if (moved_from_[j] == SIZE_MAX) {
-          std::swap(next_sessions_[new_live], cur_sessions_[j]);
-          moved_from_[j] = new_live;
-        } else {
-          next_sessions_[new_live]->fork_from(
-              *next_sessions_[moved_from_[j]], !options_.cow);
-          ++last_run_.forks;
-        }
-        Beam& dst = next_beams_[new_live];
-        const Beam& src = cur_beams_[j];
-        dst.pending = v;
-        dst.sum_logprob = sum;
-        dst.tokens = src.tokens;
-        dst.tokens.push_back(v);
-        dst.history = src.history;
-        dst.history.push_back(v);
-        ++new_live;
-      }
-      // Unclaimed sources retire; adopted sessions' old slots now hold
-      // the (empty) swapped-out sessions, for which this is a no-op.
-      for (size_t j = 0; j < live_; ++j) cur_sessions_[j]->end_sequence();
-      std::swap(cur_sessions_, next_sessions_);
-      std::swap(cur_beams_, next_beams_);
-      live_ = new_live;
-      ++generated;
-    }
-
-    // --- finalize ------------------------------------------------------------
-    out.reserve(finished_count_ + live_);
-    for (size_t i = 0; i < finished_count_; ++i) {
-      out.push_back(finished_[i]);
-    }
+    // Deterministic candidate ranking over live x vocab.
+    cand_order_.clear();
     for (size_t j = 0; j < live_; ++j) {
-      const Beam& beam = cur_beams_[j];
-      BeamHypothesis h;
-      h.tokens = beam.tokens;
-      h.sum_logprob = beam.sum_logprob;
-      h.score = beam.sum_logprob / length_norm(beam.tokens.size());
-      h.finished = false;
-      out.push_back(std::move(h));
+      for (uint32_t v = 0; v < vsize; ++v) {
+        const uint64_t flat = j * vsize + v;
+        cand_scores_[flat] =
+            cur_beams_[j].sum_logprob + static_cast<double>(logits_(j, v));
+        cand_order_.push_back(flat);
+      }
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const BeamHypothesis& a, const BeamHypothesis& b) {
-                       return a.score > b.score;
-                     });
-    if (out.size() > k) out.resize(k);
+    // The selection scan consumes at most K survivors + K EOS offers
+    // (EOS is one token id, so each live beam contributes at most one),
+    // so only the true top 2K candidates are ever read — partial_sort
+    // keeps per-token selection near-linear in live x vocab instead of
+    // paying a full sort.
+    const auto mid =
+        cand_order_.begin() + std::min<size_t>(2 * k, cand_order_.size());
+    std::partial_sort(cand_order_.begin(), mid, cand_order_.end(),
+                      [&](uint64_t a, uint64_t b) {
+                        if (cand_scores_[a] != cand_scores_[b]) {
+                          return cand_scores_[a] > cand_scores_[b];
+                        }
+                        return a < b;
+                      });
+
+    size_t new_live = 0;
+    std::fill(moved_from_.begin(), moved_from_.end(), SIZE_MAX);
+    for (size_t rank = 0; rank < cand_order_.size() && new_live < k;
+         ++rank) {
+      const uint64_t flat = cand_order_[rank];
+      const size_t j = flat / vsize;
+      const uint32_t v = static_cast<uint32_t>(flat % vsize);
+      const double sum = cand_scores_[flat];
+      if (sum == -std::numeric_limits<double>::infinity()) break;
+      if (options_.logits.eos_token >= 0 &&
+          v == static_cast<uint32_t>(options_.logits.eos_token)) {
+        offer_finished(cur_beams_[j], v, sum);
+        continue;
+      }
+      // Survivor. The FIRST survivor of a source beam ADOPTS its
+      // session outright (pointer swap — no fork, no cross-K/V copy):
+      // the common top-beam-continues case costs nothing. Only
+      // additional survivors of the same source fork the cache.
+      if (moved_from_[j] == SIZE_MAX) {
+        std::swap(next_sessions_[new_live], cur_sessions_[j]);
+        moved_from_[j] = new_live;
+      } else {
+        next_sessions_[new_live]->fork_from(
+            *next_sessions_[moved_from_[j]], !options_.cow);
+        ++last_run_.forks;
+      }
+      Beam& dst = next_beams_[new_live];
+      const Beam& src = cur_beams_[j];
+      dst.pending = v;
+      dst.sum_logprob = sum;
+      dst.tokens = src.tokens;
+      dst.tokens.push_back(v);
+      dst.history = src.history;
+      dst.history.push_back(v);
+      ++new_live;
+    }
+    note_peak();
+    // Unclaimed sources retire; adopted sessions' old slots now hold
+    // the (empty) swapped-out sessions, for which this is a no-op.
+    for (size_t j = 0; j < live_; ++j) cur_sessions_[j]->end_sequence();
+    std::swap(cur_sessions_, next_sessions_);
+    std::swap(cur_beams_, next_beams_);
+    live_ = new_live;
+    ++generated;
   }
 
-  last_run_.cow_copies = pool_->cow_copies() - cow_before;
+  // --- finalize --------------------------------------------------------------
+  std::vector<BeamHypothesis> out;
+  out.reserve(finished_count_ + live_);
+  for (size_t i = 0; i < finished_count_; ++i) {
+    out.push_back(finished_[i]);
+  }
+  for (size_t j = 0; j < live_; ++j) {
+    const Beam& beam = cur_beams_[j];
+    BeamHypothesis h;
+    h.tokens = beam.tokens;
+    h.sum_logprob = beam.sum_logprob;
+    h.score = beam.sum_logprob / length_norm(beam.tokens.size());
+    h.finished = false;
+    out.push_back(std::move(h));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const BeamHypothesis& a, const BeamHypothesis& b) {
+                     return a.score > b.score;
+                   });
+  if (out.size() > k) out.resize(k);
+
+  last_run_.cow_copies = pool_.cow_copies() - cow_before;
   uint64_t macs_after = 0;
   for (auto& s : cur_sessions_) macs_after += s->stats().macs;
   for (auto& s : next_sessions_) macs_after += s->stats().macs;

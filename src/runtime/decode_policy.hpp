@@ -22,14 +22,11 @@
 //     survivors) adopts the prefix block table by refcount
 //     (KvCache::fork_from) — K beams at near-1x prompt footprint, with
 //     the first divergent append per block paying the one copy.
-//     Admission reserves the group's COW-aware worst-case block count
-//     as a KvPoolCredit, so beam groups apply backpressure against a
-//     shared pool without ever waiting mid-decode (deadlock-free:
-//     a group waits only at admission, holding nothing).
-//     After admission the stepped (threads = 1) decode loop performs
-//     zero heap allocations; threads > 1 steps live beams on a worker
-//     pool, bit-identical to stepped because selection is a
-//     deterministic reduction over per-beam logits.
+//     It is a serial algorithm over a private block pool sized for any
+//     prompt/max_new split, so it never waits for a block; every run
+//     holds the group to its COW-aware worst-case block count
+//     (beam_worst_case_blocks). The fork/step/select loop performs zero
+//     heap allocations.
 //
 // The vocab head and embedding table are caller-owned float stand-ins
 // (as in the benches); their projections run off-accelerator and are
@@ -48,7 +45,6 @@
 #include "runtime/kv_cache.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace protea::runtime {
 
@@ -169,28 +165,8 @@ struct BeamSearchOptions {
   /// every fork eagerly copies all blocks — the bit-exact reference mode
   /// the COW path is verified against.
   bool cow = true;
-  /// 1 = deterministic stepped loop (zero steady-state allocations);
-  /// > 1 steps live beams on that many workers, bit-identical to stepped.
-  size_t threads = 1;
   /// Self-K/V tokens per block (0 throws std::invalid_argument).
   size_t kv_block_rows = 16;
-  /// Shared pool to serve the beam group from (admission reserves the
-  /// COW-aware worst case against it); nullptr gives the decoder a
-  /// private pool sized at its own worst case.
-  KvBlockPool* kv_pool = nullptr;
-  /// Cooperative group-preemption hook for traffic schedulers: called
-  /// before each selection round with the number of tokens selected so
-  /// far. Returning true preempts the WHOLE group as a unit — every
-  /// session's blocks AND the admission credit go back to the pool —
-  /// then restores it bit-exactly (one prompt re-prefill, re-fork, and
-  /// per-beam replay of the committed tokens) under a fresh credit at
-  /// the same worst-case bound. Hypotheses are identical to an
-  /// unpreempted run.
-  std::function<bool(uint32_t generated)> preempt_point;
-  /// Fires between release and restore, while the group holds NOTHING
-  /// (used by tests to assert the pool drained, and by schedulers to run
-  /// higher-priority work).
-  std::function<void()> on_preempted;
 
   void validate() const;
 };
@@ -203,19 +179,16 @@ struct BeamHypothesis {
 };
 
 struct BeamSearchStats {
-  /// COW-aware worst-case unique blocks reserved at admission.
+  /// COW-aware worst-case unique blocks for this run's shape
+  /// (beam_worst_case_blocks); the group never holds more.
   size_t worst_case_blocks = 0;
-  /// Peak unique blocks the group actually held (credit accounting) —
-  /// the executed sharing win: compare against beam_width x an unshared
-  /// lineage.
+  /// Peak unique blocks the group actually held this run — the executed
+  /// sharing win: compare against beam_width x an unshared lineage.
   size_t kv_blocks_peak = 0;
   uint64_t cow_copies = 0;   // write-triggered block copies this run
   uint64_t forks = 0;        // cache forks (initial spread + re-forks)
   uint64_t decode_steps = 0; // per-beam engine steps
-  uint64_t credit_waits = 0; // admission had to wait for pool headroom
   uint64_t macs = 0;         // engine MACs summed over the group
-  uint64_t group_preemptions = 0;  // preempt_point evictions this run
-  uint64_t replayed_rows = 0;      // rows re-run by group restores
 };
 
 /// COW-aware worst-case unique-block bound for a width-K group decoding
@@ -224,20 +197,21 @@ struct BeamSearchStats {
 /// (its blocks past the last fully-shared block, including the COW copy
 /// of the straddling block). With cow = false the bound is the eager
 /// one: two generations of K private lineages (double-buffered
-/// re-forking). This is the reserve-at-admission number — a group that
-/// reserves it never waits (and never throws) mid-decode.
+/// re-forking). BeamSearchDecoder::generate() holds every run to it.
 size_t beam_worst_case_blocks(size_t prompt_rows, size_t max_new_tokens,
                               size_t beam_width, size_t block_rows,
                               bool cow);
 
 /// Width-K beam search driver over 2K forked GenerationSessions (K live
-/// + K re-fork targets). Construction warms the sessions; generate()
-/// performs admission (credit reservation), one prefill, and the
+/// + K re-fork targets) on one private block pool. Construction warms
+/// the sessions; generate() runs one prefill and the serial
 /// fork/step/select loop. Reusable across calls.
 class BeamSearchDecoder {
  public:
-  /// `config`, `model` and `vocab` (and options.kv_pool, when given)
-  /// must outlive the decoder.
+  /// `config`, `model` and `vocab` must outlive the decoder. The pool
+  /// holds (K+1) x ceil(seq_len / kv_block_rows) blocks with COW and
+  /// 2K x ceil(seq_len / kv_block_rows) eager: the worst case of any
+  /// prompt/max_new split.
   BeamSearchDecoder(const accel::AccelConfig& config,
                     const accel::QuantizedDecoder& model,
                     const VocabModel& vocab,
@@ -248,13 +222,14 @@ class BeamSearchDecoder {
 
   /// Runs beam search for `prompt_tokens` (embedded through the vocab
   /// table) against `memory`; returns at most beam_width hypotheses,
-  /// best score first. Deterministic for any `threads` setting.
+  /// best score first. Deterministic. Throws std::logic_error when the
+  /// group holds more than last_run().worst_case_blocks.
   std::vector<BeamHypothesis> generate(
       std::span<const uint32_t> prompt_tokens,
       const tensor::MatrixF& memory);
 
   const BeamSearchStats& last_run() const { return last_run_; }
-  const KvBlockPool& pool() const { return *pool_; }
+  const KvBlockPool& pool() const { return pool_; }
   const BeamSearchOptions& options() const { return options_; }
 
  private:
@@ -269,23 +244,17 @@ class BeamSearchDecoder {
   void step_beam(size_t j);
   void offer_finished(const Beam& beam, uint32_t token, double sum);
   void release_all();
-  /// options_.preempt_point fired: evict the whole group (blocks +
-  /// credit), notify, re-admit and rebuild it bit-exactly.
-  void preempt_restore_group(const tensor::MatrixF& prompt,
-                             const tensor::MatrixF& memory,
-                             KvCreditLease& lease);
 
   const accel::AccelConfig* config_;
   const accel::QuantizedDecoder* model_;
   const VocabModel* vocab_;
   BeamSearchOptions options_;
-  KvBlockPool* pool_ = nullptr;
-  std::unique_ptr<KvBlockPool> owned_pool_;
+  KvBlockPool pool_;  // declared before the sessions, which release into it
   std::vector<std::unique_ptr<GenerationSession>> cur_sessions_;
   std::vector<std::unique_ptr<GenerationSession>> next_sessions_;
   std::vector<Beam> cur_beams_, next_beams_;
   size_t live_ = 0;
-  std::vector<LogitsProcessor> processors_;  // one per beam (threaded)
+  LogitsProcessor processor_;
   tensor::MatrixF logits_;                   // (K x V) per-beam scratch
   std::vector<tensor::MatrixF> token_embeds_;  // (1 x d) per beam
   std::vector<tensor::MatrixF> states_;        // (1 x d) per beam
@@ -294,7 +263,6 @@ class BeamSearchDecoder {
   std::vector<size_t> moved_from_;  // source beam -> adopting next slot
   std::vector<BeamHypothesis> finished_;  // best-K finished, preallocated
   size_t finished_count_ = 0;
-  std::unique_ptr<util::ThreadPool> workers_;
   BeamSearchStats last_run_;
 };
 

@@ -82,16 +82,17 @@ void GenerationSession::warm() {
   // Fake a full cache (the pool zero-fills its blocks, so the engines
   // read defined bytes) and run one step at the worst-case shape: the
   // arena's consolidated block then covers every real decode_step, which
-  // only ever allocates the same sequence of equal-or-smaller views. A
-  // shared pool clamps the warm shape to the rows it can back right now
-  // (sessions are constructed before serving starts, so this is normally
-  // everything).
+  // only ever allocates the same sequence of equal-or-smaller views.
+  // This runs once, in the constructor. A shared pool clamps the warm
+  // shape to the rows it can back right now: a session built while the
+  // pool cannot back a full sequence warms only those rows (none when
+  // the pool is fully held), and its arena grows on the first longer
+  // step.
   kv_.begin_sequence(kv_.memory_capacity());
   const size_t warm_rows = std::min(
       kv_.capacity(),
-      kv_.reserved_rows() +
-          kv_.pool()->uncommitted_free_blocks() * kv_.block_rows());
-  if (warm_rows == 0) {  // pool fully held elsewhere: warm lazily later
+      kv_.reserved_rows() + kv_.pool()->free_blocks() * kv_.block_rows());
+  if (warm_rows == 0) {
     kv_.begin_sequence(0);
     return;
   }
@@ -280,10 +281,6 @@ void GenerationSession::fork_from(GenerationSession& parent,
         "GenerationSession::fork_from: sessions must share one model");
   }
   kv_.fork_from(parent.kv_, eager_copy);  // enforces the shared pool
-}
-
-void GenerationSession::bind_kv_credit(KvPoolCredit* credit) {
-  kv_.bind_credit(credit);
 }
 
 size_t GenerationSession::swap_out(std::vector<int8_t>& dst) {

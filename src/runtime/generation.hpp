@@ -82,8 +82,11 @@ class GenerationSession {
   /// session). Sizes the KV cache at the synthesized maxima and warms the
   /// workspace arena with one worst-case decode step, so every real
   /// decode_step() — at any cached length — runs without heap
-  /// allocations. `stats` optionally redirects MAC accounting to an
-  /// external counter (the accel wrapper's).
+  /// allocations. On a shared pool the warm step covers only the rows
+  /// the pool can back at construction; a session built while the pool
+  /// cannot back a full sequence grows its arena on the first longer
+  /// step. `stats` optionally redirects MAC accounting to an external
+  /// counter (the accel wrapper's).
   GenerationSession(const accel::AccelConfig& config,
                     const accel::QuantizedDecoder& model,
                     accel::EngineStats* stats = nullptr,
@@ -162,11 +165,6 @@ class GenerationSession {
   /// (the bit-exact reference mode). Any sequence this session was
   /// running is ended first.
   void fork_from(GenerationSession& parent, bool eager_copy = false);
-
-  /// Binds block growth and COW copies to a fork group's admission
-  /// credit (reserved worst-case headroom — see KvPoolCredit); nullptr
-  /// unbinds. The session must not hold blocks.
-  void bind_kv_credit(KvPoolCredit* credit);
 
   /// Victim preemption, swap-out flavor: spills the held
   /// blocks' contents into `dst` and releases them (returns the cached

@@ -25,10 +25,6 @@ void KvBlockPool::configure(size_t num_blocks, size_t block_rows,
     throw std::logic_error(
         "KvBlockPool::configure: blocks still held by caches");
   }
-  if (credit_outstanding_ != 0) {
-    throw std::logic_error(
-        "KvBlockPool::configure: admission credits outstanding");
-  }
   num_blocks_ = num_blocks;
   block_rows_ = block_rows;
   row_bytes_ = row_bytes;
@@ -47,7 +43,6 @@ void KvBlockPool::configure(size_t num_blocks, size_t block_rows,
   is_free_.assign(num_blocks, 1);
   in_span_.assign(num_blocks, 0);
   needs_zero_.assign(num_blocks, 0);  // configure() zeroed the arena
-  block_credit_.assign(num_blocks, nullptr);
   peak_used_ = 0;
   exhaustion_events_ = 0;
   cow_copies_ = 0;
@@ -57,11 +52,6 @@ void KvBlockPool::configure(size_t num_blocks, size_t block_rows,
 size_t KvBlockPool::free_blocks() const {
   const std::lock_guard lock(mutex_);
   return free_list_.size();
-}
-
-size_t KvBlockPool::uncommitted_free_blocks() const {
-  const std::lock_guard lock(mutex_);
-  return uncommitted_free_locked();
 }
 
 size_t KvBlockPool::used_blocks() const {
@@ -96,17 +86,11 @@ uint64_t KvBlockPool::zero_fills() const {
   return zero_fills_;
 }
 
-uint32_t KvBlockPool::pop_one_locked(KvPoolCredit* credit, bool skip_zero) {
+uint32_t KvBlockPool::pop_one_locked(bool skip_zero) {
   const uint32_t b = free_list_.back();
   free_list_.pop_back();
   is_free_[b] = 0;
   ref_count_[b] = 1;
-  block_credit_[b] = credit;
-  if (credit != nullptr) {
-    credit->live += 1;
-    credit->peak = std::max(credit->peak, credit->live);
-    credit_outstanding_ -= 1;
-  }
   // Lazy re-zeroing: a recycled block is scrubbed on its first hand-out
   // after the free — except when the caller is about to overwrite every
   // byte with a COW/duplicate copy.
@@ -121,27 +105,13 @@ uint32_t KvBlockPool::pop_one_locked(KvPoolCredit* credit, bool skip_zero) {
   return b;
 }
 
-bool KvBlockPool::admit_locked(size_t n, KvPoolCredit* credit) {
-  if (credit != nullptr) {
-    // Credited takes draw on the group's admission reservation. Headroom
-    // is guaranteed by the credit invariant (free >= credit_outstanding_
-    // >= limit - live); exceeding the limit means the caller's
-    // worst-case bound was wrong — fail loudly, never eat another
-    // group's reservation. Failpoints never fire here: the reservation
-    // is a contract.
-    if (credit->live + n > credit->limit) {
-      throw std::logic_error(
-          "KvBlockPool: credited take exceeds its admission bound");
-    }
-    return true;
-  }
-  // One failpoint decision per uncredited attempt: forced exhaustion
-  // always trips; otherwise the schedule lets `skip` through, then trips
-  // `next` times.
-  bool trip = force_exhausted_;
-  if (!trip && fail_skip_ > 0) {
+bool KvBlockPool::admit_locked(size_t n) {
+  // One failpoint decision per attempt: the schedule lets `skip`
+  // through, then trips `next` times.
+  bool trip = false;
+  if (fail_skip_ > 0) {
     --fail_skip_;
-  } else if (!trip && fail_next_ > 0) {
+  } else if (fail_next_ > 0) {
     --fail_next_;
     trip = true;
   }
@@ -152,115 +122,78 @@ bool KvBlockPool::admit_locked(size_t n, KvPoolCredit* credit) {
                      failpoint_trips_, 0);
     }
   }
-  if (trip || n > uncommitted_free_locked()) {
+  if (trip || n > free_list_.size()) {
     ++exhaustion_events_;
     return false;
   }
   return true;
 }
 
-template <typename Grant>
-bool KvBlockPool::admit_or_reclaim(std::unique_lock<std::mutex>& lock,
-                                   size_t n, KvPoolCredit* credit,
-                                   const Grant& grant) {
-  if (!admit_locked(n, credit)) {
-    // Credited takes never get here (they are admitted or throw), so the
-    // refusal is uncredited: an injected failure or a real shortfall.
-    // Only a real shortfall asks the cache layer to free cold blocks —
-    // outside the lock, since reclamation releases blocks back into this
-    // pool.
-    if (n <= uncommitted_free_locked() || !reclaim_hook_) return false;
-    lock.unlock();
-    const size_t freed = reclaim_hook_(n);
-    lock.lock();
-    if (freed == 0 || n > uncommitted_free_locked()) return false;
-  }
-  grant();
-  return true;
-}
-
 bool KvBlockPool::try_reserve(size_t n, std::vector<uint32_t>& out,
-                              KvPoolCredit* credit, bool skip_zero) {
+                              bool skip_zero) {
   if (n == 0) return true;
   std::unique_lock lock(mutex_);
   if (!configured()) {
     throw std::logic_error("KvBlockPool::try_reserve: not configured");
   }
-  return admit_or_reclaim(lock, n, credit, [&] {
-    for (size_t i = 0; i < n; ++i) {
-      out.push_back(pop_one_locked(credit, skip_zero));
-    }
-    note_occupancy_locked();
-  });
-}
-
-void KvBlockPool::wait_for_blocks_locked(std::unique_lock<std::mutex>& lock,
-                                         size_t n) {
-  while (n > uncommitted_free_locked()) {
-    size_t freed = 0;
-    if (reclaim_hook_) {
-      // Drain the reclaim hook before parking: when the shortfall is
-      // backed by cold cache blocks, nobody else would ever free them —
-      // parking would deadlock. Re-checked after every wake too, since a
-      // retiring sequence may hand its blocks to the cache (refcount
-      // drop) rather than the free list.
-      lock.unlock();
-      freed = reclaim_hook_(n);
-      lock.lock();
-    }
-    if (freed == 0) freed_.wait(lock);
+  if (!admit_locked(n)) {
+    // A refusal is an injected failure or a real shortfall. Only a real
+    // shortfall asks the cache layer to free cold blocks — outside the
+    // lock, since reclamation releases blocks back into this pool — and
+    // the retry is part of the SAME attempt: no second failpoint
+    // decision, no second exhaustion event.
+    if (n <= free_list_.size() || !reclaim_hook_) return false;
+    lock.unlock();
+    const size_t freed = reclaim_hook_(n);
+    lock.lock();
+    if (freed == 0 || n > free_list_.size()) return false;
   }
+  for (size_t i = 0; i < n; ++i) out.push_back(pop_one_locked(skip_zero));
+  note_occupancy_locked();
+  return true;
 }
 
 void KvBlockPool::release(std::span<const uint32_t> blocks) {
   if (blocks.empty()) return;
-  {
-    const std::lock_guard lock(mutex_);
-    // Validate the whole span, marking seen ids as we go: one release
-    // call drops ONE reference per DISTINCT block (a cache's table never
-    // lists a block twice, so a duplicate WITHIN the span is always an
-    // over-release — even when other forks still hold references). Roll
-    // back before throwing: a bad or double-freed id must never leave a
-    // block both free-listed and still held by a cache — that alias
-    // would hand one block to two sequences, which then overwrite each
-    // other's K/V rows.
-    size_t marked = 0;
-    while (marked < blocks.size()) {
-      const uint32_t b = blocks[marked];
-      if (b >= num_blocks_ || ref_count_[b] == 0 || in_span_[b]) break;
-      in_span_[b] = 1;
-      --ref_count_[b];
-      ++marked;
-    }
-    if (marked != blocks.size()) {
-      const bool bad_id = blocks[marked] >= num_blocks_;
-      for (size_t i = 0; i < marked; ++i) {
-        ++ref_count_[blocks[i]];
-        in_span_[blocks[i]] = 0;
-      }
-      if (bad_id) {
-        throw std::invalid_argument("KvBlockPool::release: bad block id");
-      }
-      throw std::logic_error("KvBlockPool::release: double free");
-    }
-    for (uint32_t b : blocks) in_span_[b] = 0;
-    bool freed_any = false;
-    for (uint32_t b : blocks) {
-      if (ref_count_[b] == 0 && !is_free_[b]) {  // last holder let go
-        is_free_[b] = 1;
-        needs_zero_[b] = 1;  // scrubbed lazily at the next hand-out
-        if (block_credit_[b] != nullptr) {
-          block_credit_[b]->live -= 1;
-          block_credit_[b] = nullptr;
-          ++credit_outstanding_;  // headroom returns to the group
-        }
-        free_list_.push_back(b);
-        freed_any = true;
-      }
-    }
-    if (freed_any) note_occupancy_locked();
+  const std::lock_guard lock(mutex_);
+  // Validate the whole span, marking seen ids as we go: one release
+  // call drops ONE reference per DISTINCT block (a cache's table never
+  // lists a block twice, so a duplicate WITHIN the span is always an
+  // over-release — even when other forks still hold references). Roll
+  // back before throwing: a bad or double-freed id must never leave a
+  // block both free-listed and still held by a cache — that alias
+  // would hand one block to two sequences, which then overwrite each
+  // other's K/V rows.
+  size_t marked = 0;
+  while (marked < blocks.size()) {
+    const uint32_t b = blocks[marked];
+    if (b >= num_blocks_ || ref_count_[b] == 0 || in_span_[b]) break;
+    in_span_[b] = 1;
+    --ref_count_[b];
+    ++marked;
   }
-  freed_.notify_all();
+  if (marked != blocks.size()) {
+    const bool bad_id = blocks[marked] >= num_blocks_;
+    for (size_t i = 0; i < marked; ++i) {
+      ++ref_count_[blocks[i]];
+      in_span_[blocks[i]] = 0;
+    }
+    if (bad_id) {
+      throw std::invalid_argument("KvBlockPool::release: bad block id");
+    }
+    throw std::logic_error("KvBlockPool::release: double free");
+  }
+  for (uint32_t b : blocks) in_span_[b] = 0;
+  bool freed_any = false;
+  for (uint32_t b : blocks) {
+    if (ref_count_[b] == 0 && !is_free_[b]) {  // last holder let go
+      is_free_[b] = 1;
+      needs_zero_[b] = 1;  // scrubbed lazily at the next hand-out
+      free_list_.push_back(b);
+      freed_any = true;
+    }
+  }
+  if (freed_any) note_occupancy_locked();
 }
 
 void KvBlockPool::fork_ref(std::span<const uint32_t> blocks) {
@@ -281,24 +214,22 @@ uint32_t KvBlockPool::ref_count(uint32_t block) const {
   return ref_count_[block];
 }
 
-uint32_t KvBlockPool::duplicate_locked(uint32_t block,
-                                       KvPoolCredit* credit) {
+uint32_t KvBlockPool::duplicate_locked(uint32_t block) {
   if (block >= num_blocks_ || ref_count_[block] == 0) {
     throw std::invalid_argument("KvBlockPool::duplicate: block not live");
   }
-  if (!admit_locked(1, credit)) {
+  if (!admit_locked(1)) {
     throw KvBlockExhausted(
         "KvBlockPool: no free block to back the copy-on-write");
   }
-  const uint32_t fresh = pop_one_locked(credit, /*skip_zero=*/true);
+  const uint32_t fresh = pop_one_locked(/*skip_zero=*/true);
   std::memcpy(data_ + size_t{fresh} * block_bytes(),
               data_ + size_t{block} * block_bytes(), block_bytes());
   note_occupancy_locked();
   return fresh;
 }
 
-bool KvBlockPool::make_private_span(std::span<uint32_t> blocks,
-                                    KvPoolCredit* credit) {
+bool KvBlockPool::make_private_span(std::span<uint32_t> blocks) {
   const std::lock_guard lock(mutex_);
   bool copied = false;
   for (uint32_t& b : blocks) {
@@ -307,7 +238,7 @@ bool KvBlockPool::make_private_span(std::span<uint32_t> blocks,
           "KvBlockPool::make_private_span: block not live");
     }
     if (ref_count_[b] == 1) continue;  // sole holder: write in place
-    const uint32_t copy = duplicate_locked(b, credit);
+    const uint32_t copy = duplicate_locked(b);
     --ref_count_[b];  // cannot hit zero: it was >= 2
     ++cow_copies_;
     b = copy;
@@ -316,54 +247,9 @@ bool KvBlockPool::make_private_span(std::span<uint32_t> blocks,
   return copied;
 }
 
-uint32_t KvBlockPool::duplicate(uint32_t block, KvPoolCredit* credit) {
+uint32_t KvBlockPool::duplicate(uint32_t block) {
   const std::lock_guard lock(mutex_);
-  return duplicate_locked(block, credit);
-}
-
-bool KvBlockPool::try_reserve_credit(KvPoolCredit& credit, size_t n) {
-  std::unique_lock lock(mutex_);
-  if (!configured()) {
-    throw std::logic_error(
-        "KvBlockPool::try_reserve_credit: not configured");
-  }
-  if (credit.limit != 0 || credit.live != 0) {
-    throw std::logic_error(
-        "KvBlockPool::try_reserve_credit: credit already in use");
-  }
-  // The headroom itself is an uncredited take: the same admission
-  // decision and reclaim valve as try_reserve.
-  return admit_or_reclaim(lock, n, nullptr, [&] {
-    credit.limit = n;
-    credit.peak = 0;
-    credit_outstanding_ += n;
-  });
-}
-
-bool KvBlockPool::reserve_credit_wait(KvPoolCredit& credit, size_t n) {
-  std::unique_lock lock(mutex_);
-  if (!configured()) {
-    throw std::logic_error(
-        "KvBlockPool::reserve_credit_wait: not configured");
-  }
-  if (credit.limit != 0 || credit.live != 0) {
-    throw std::logic_error(
-        "KvBlockPool::reserve_credit_wait: credit already in use");
-  }
-  if (n > num_blocks_) {
-    throw KvBlockExhausted(
-        "KvBlockPool::reserve_credit_wait: request exceeds pool size");
-  }
-  bool waited = false;
-  if (n > uncommitted_free_locked()) {
-    waited = true;
-    ++exhaustion_events_;  // once per backpressure episode
-    wait_for_blocks_locked(lock, n);
-  }
-  credit.limit = n;
-  credit.peak = 0;
-  credit_outstanding_ += n;
-  return waited;
+  return duplicate_locked(block);
 }
 
 void KvBlockPool::set_trace(TraceRecorder* trace) {
@@ -384,35 +270,15 @@ void KvBlockPool::inject_failures(uint64_t skip, uint64_t count) {
   fail_next_ = count;
 }
 
-void KvBlockPool::force_exhaustion(bool on) {
-  const std::lock_guard lock(mutex_);
-  force_exhausted_ = on;
-}
-
 void KvBlockPool::clear_failures() {
   const std::lock_guard lock(mutex_);
   fail_skip_ = 0;
   fail_next_ = 0;
-  force_exhausted_ = false;
 }
 
 uint64_t KvBlockPool::failpoint_trips() const {
   const std::lock_guard lock(mutex_);
   return failpoint_trips_;
-}
-
-void KvBlockPool::release_credit(KvPoolCredit& credit) {
-  {
-    const std::lock_guard lock(mutex_);
-    if (credit.live != 0) {
-      throw std::logic_error(
-          "KvBlockPool::release_credit: group still holds blocks");
-    }
-    credit_outstanding_ -= credit.limit;
-    credit.limit = 0;
-    credit.peak = 0;
-  }
-  freed_.notify_all();  // the headroom is uncommitted again
 }
 
 // --- KvCache -----------------------------------------------------------------
@@ -473,7 +339,6 @@ void KvCache::configure(size_t num_layers, size_t num_heads,
   block_rows_ = opts.block_rows;
   owned_pool_.reset();
   pool_ = nullptr;
-  credit_ = nullptr;
   maybe_shared_ = false;
   forked_lineage_ = false;
 
@@ -513,7 +378,7 @@ bool KvCache::try_reserve_rows(size_t rows) {
   if (rows <= reserved_rows()) return true;
   const size_t need =
       util::ceil_div(rows, block_rows_) - block_table_.size();
-  return pool_->try_reserve(need, block_table_, credit_);
+  return pool_->try_reserve(need, block_table_);
 }
 
 void KvCache::reserve_rows(size_t rows) {
@@ -532,14 +397,6 @@ void KvCache::release_blocks() {
   forked_lineage_ = false;
 }
 
-void KvCache::bind_credit(KvPoolCredit* credit) {
-  if (!block_table_.empty()) {
-    throw std::logic_error(
-        "KvCache::bind_credit: cache still holds blocks");
-  }
-  credit_ = credit;
-}
-
 size_t KvCache::swap_bytes() const {
   return block_table_.size() * block_rows_ * row_bytes();
 }
@@ -549,9 +406,10 @@ size_t KvCache::swap_out(std::vector<int8_t>& dst) {
     throw std::logic_error("KvCache::swap_out: not configured");
   }
   if (maybe_shared_) {
-    // A fork sibling may still read these blocks; spilling and releasing
-    // them would yank the shared prefix out from under it. Beam groups
-    // preempt as a unit through drop-and-recompute instead.
+    // A fork sibling or the prefix cache may still read these blocks;
+    // spilling and releasing them would yank the shared prefix out from
+    // under it. A possibly-shared sequence preempts through
+    // drop-and-recompute instead.
     throw std::logic_error(
         "KvCache::swap_out: block table possibly shared with a fork");
   }
@@ -585,8 +443,7 @@ bool KvCache::try_swap_in(std::span<const int8_t> src, size_t rows) {
   }
   // All-or-nothing like any other reservation; the restore copy
   // overwrites every byte, so the lazy re-zero is skipped.
-  if (!pool_->try_reserve(blocks, block_table_, credit_,
-                          /*skip_zero=*/true)) {
+  if (!pool_->try_reserve(blocks, block_table_, /*skip_zero=*/true)) {
     return false;
   }
   for (size_t i = 0; i < blocks; ++i) {
@@ -646,7 +503,7 @@ void KvCache::fork_from(KvCache& parent, bool eager_copy) {
     // Roll back on exhaustion so a failed fork leaves no stray holds.
     try {
       for (uint32_t b : parent.block_table_) {
-        block_table_.push_back(pool_->duplicate(b, credit_));
+        block_table_.push_back(pool_->duplicate(b));
       }
     } catch (...) {
       release_blocks();
@@ -672,10 +529,6 @@ void KvCache::adopt_prefix(std::span<const uint32_t> blocks, size_t rows) {
   if (len_ != 0) {
     throw std::logic_error(
         "KvCache::adopt_prefix: sequence already has cached rows");
-  }
-  if (credit_ != nullptr) {
-    throw std::logic_error(
-        "KvCache::adopt_prefix: credited caches cannot adopt");
   }
   if (blocks.empty() || rows == 0 || rows > blocks.size() * block_rows_ ||
       rows > capacity_) {
@@ -707,8 +560,7 @@ void KvCache::ensure_rows_private(size_t pos, size_t n) {
   const size_t first = pos / block_rows_;
   const size_t last = (pos + n - 1) / block_rows_;
   pool_->make_private_span(
-      std::span<uint32_t>(block_table_.data() + first, last - first + 1),
-      credit_);
+      std::span<uint32_t>(block_table_.data() + first, last - first + 1));
   // The hot-path payoff: once an append pass owns every block through
   // the END of the table, later appends cannot hit a shared block —
   // rows behind the frontier are never rewritten (begin_sequence

@@ -32,8 +32,10 @@
 // table), no K/V bytes move), and the first divergent append into a
 // still-shared block copies just that block. Beam search and parallel
 // sampling fork K branches off one prefill at near-1x prompt footprint.
-// A KvPoolCredit reserves a fork group's COW-aware worst case at
-// admission so shared-pool backpressure stays deadlock-free.
+//
+// Every take is non-blocking and all-or-nothing: a pool that cannot back
+// a whole take refuses it, takes nothing, and the caller decides whether
+// to defer, preempt or shed.
 //
 // Per-step bookkeeping is still two integers (len, memory_len) plus the
 // block table; steady-state decoding never touches the heap (the block
@@ -43,7 +45,6 @@
 // sequence and admits another.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -69,31 +70,12 @@ class KvBlockExhausted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Admission credit for a GROUP of caches that fork blocks among each
-/// other (a beam-search group): reserves worst-case HEADROOM in the pool
-/// without naming blocks, so the group's later takes — fresh blocks and
-/// write-triggered COW copies alike — are guaranteed to succeed without
-/// waiting. That is what keeps shared-pool backpressure deadlock-free for
-/// forked workloads: the group waits only at admission, holding nothing.
-///
-/// `live` counts the group's UNIQUE blocks (a block forked K ways counts
-/// once — the whole point of COW accounting); `peak` is its high-water
-/// mark. A credited take beyond `limit` throws std::logic_error: the
-/// caller's worst-case bound was wrong, and the pool fails loudly instead
-/// of silently eating another group's reservation. The credit must
-/// outlive every block taken against it and every cache bound to it.
-struct KvPoolCredit {
-  size_t limit = 0;  // admission reservation (unique blocks)
-  size_t live = 0;   // unique blocks currently held by the group
-  size_t peak = 0;   // high-water mark of live since the reservation
-};
-
 /// Fixed-size block allocator for paged self K/V. All blocks are carved
 /// from one private WorkspaceArena at configure() and recycled through a
 /// free list; allocation is all-or-nothing (a partially-reserved sequence
-/// would deadlock against another one). Thread-safe: sessions on
-/// different threads share one pool, and reserve_credit_wait() parks a
-/// beam group until a finishing sequence releases blocks.
+/// would deadlock against another one) and never blocks: a short pool
+/// refuses the take. Thread-safe: engine workers' copy-on-write checks
+/// and the coordinator's takes and releases share one pool.
 ///
 /// Blocks are REFCOUNTED for copy-on-write forking: fork_ref() lets a
 /// second cache adopt a block (refcount bump — no K/V bytes move) and
@@ -122,9 +104,6 @@ class KvBlockPool {
   size_t block_bytes() const { return block_rows_ * row_bytes_; }
 
   size_t free_blocks() const;
-  /// Free blocks not spoken for by outstanding admission credits — what
-  /// an uncredited taker can actually get without waiting.
-  size_t uncommitted_free_blocks() const;
   /// Unique blocks held (a block shared by K forks counts ONCE — this is
   /// the pool-accounting number the COW sharing win shows up in).
   size_t used_blocks() const;
@@ -142,21 +121,17 @@ class KvBlockPool {
   uint64_t zero_fills() const;
 
   /// Appends `n` block ids to `out` if all are available; on shortfall
-  /// takes nothing, records an exhaustion event and returns false. With
-  /// `credit`, the take draws on the group's admission reservation
-  /// instead of the uncommitted pool (and throws std::logic_error past
-  /// its limit). `skip_zero` skips the lazy re-zeroing when the caller
-  /// is about to overwrite every byte (swap-in restore).
+  /// takes nothing, records an exhaustion event and returns false.
+  /// `skip_zero` skips the lazy re-zeroing when the caller is about to
+  /// overwrite every byte (swap-in restore).
   bool try_reserve(size_t n, std::vector<uint32_t>& out,
-                   KvPoolCredit* credit = nullptr, bool skip_zero = false);
+                   bool skip_zero = false);
   /// Drops one reference per listed block; a block whose last reference
-  /// goes returns to the free list (marked for lazy re-zeroing) and wakes
-  /// blocked reservers.
+  /// goes returns to the free list (marked for lazy re-zeroing).
   void release(std::span<const uint32_t> blocks);
 
   /// COW fork: adds one reference to each listed block (no bytes move).
-  /// Every block must be live; the forking cache must share the credit
-  /// domain of the original holder (live-accounting is per unique block).
+  /// Every block must be live.
   void fork_ref(std::span<const uint32_t> blocks);
   uint32_t ref_count(uint32_t block) const;
 
@@ -167,37 +142,20 @@ class KvBlockPool {
   /// zero-fill — the copy overwrites every byte) holding its contents,
   /// and the source drops one reference. Returns true when any copy was
   /// made; throws KvBlockExhausted when the pool cannot back a copy.
-  bool make_private_span(std::span<uint32_t> blocks,
-                         KvPoolCredit* credit = nullptr);
+  bool make_private_span(std::span<uint32_t> blocks);
   /// Eager copy: takes a fresh block, duplicates `block`'s contents into
   /// it and returns it. Source references are untouched (the reference
   /// the COW fork path is tested against).
-  uint32_t duplicate(uint32_t block, KvPoolCredit* credit = nullptr);
-
-  /// Reserves `n` blocks of HEADROOM for a fork group, all or nothing:
-  /// uncredited takers keep their hands off that many free blocks, so
-  /// the group's later (credited) takes never wait. `credit` must be
-  /// idle (limit == live == 0).
-  bool try_reserve_credit(KvPoolCredit& credit, size_t n);
-  /// Blocking form of try_reserve_credit (parks until the headroom
-  /// exists); `n` must not exceed num_blocks(). Returns true when the
-  /// pool was short and the caller had to wait (ONE exhaustion event is
-  /// recorded for the episode).
-  bool reserve_credit_wait(KvPoolCredit& credit, size_t n);
-  /// Returns unused headroom; the group must have released every block
-  /// first (credit.live == 0).
-  void release_credit(KvPoolCredit& credit);
+  uint32_t duplicate(uint32_t block);
 
   /// Backpressure escape valve for a block-level cache layered over this
-  /// pool (runtime/prefix_cache.hpp): when an UNCREDITED all-or-nothing
-  /// reservation finds the pool honestly short (injected failures do not
-  /// fire it), the hook is invoked — with the pool mutex RELEASED — with
-  /// the number of blocks wanted, asking the holder to free cold entries;
-  /// it returns how many blocks it released and the reservation retries.
-  /// Blocking reserves re-run the hook before every park and after every
-  /// wake, so a pool whose free space is entirely held by reclaimable
-  /// cache entries can never wedge a waiter. The hook may call back into
-  /// this pool (release/ref_count); it must NOT reserve. Bind/unbind
+  /// pool (runtime/prefix_cache.hpp): when an all-or-nothing reservation
+  /// finds the pool honestly short (injected failures do not fire it),
+  /// the hook is invoked — with the pool mutex RELEASED — with the number
+  /// of blocks wanted, asking the holder to free cold entries; it returns
+  /// how many blocks it released and the reservation retries. The hook
+  /// may call back into this pool (release/ref_count); it must NOT
+  /// reserve. Bind/unbind
   /// (nullptr) only while no other thread is using the pool, and unbind
   /// before the hook's owner dies.
   void set_reclaim_hook(std::function<size_t(size_t blocks_wanted)> hook) {
@@ -217,19 +175,15 @@ class KvBlockPool {
   // --- deterministic fault injection (failpoints) ---------------------------
   //
   // Tests and the traffic engine inject pool exhaustion at exact,
-  // reproducible points: after `skip` more UNCREDITED take attempts, the
-  // next `count` attempts fail as if the pool were empty (recorded as
-  // ordinary exhaustion events plus a failpoint_trips count). Credited
-  // takes are never failpointed — their headroom is a contract the rest
-  // of the system proves deadlock-freedom against. Unarmed, a failpoint
-  // costs one decision per take attempt.
+  // reproducible points: after `skip` more take attempts, the next
+  // `count` attempts fail as if the pool were empty (recorded as
+  // ordinary exhaustion events plus a failpoint_trips count). Unarmed, a
+  // failpoint costs one decision per take attempt.
 
   /// Arms "after `skip` attempts, fail the next `count`". Attempts are
-  /// counted per pool operation (one try_reserve, one credit reservation
-  /// or one COW copy), not per block.
+  /// counted per pool operation (one try_reserve or one COW copy), not
+  /// per block.
   void inject_failures(uint64_t skip, uint64_t count);
-  /// Forces every uncredited take to fail until cleared.
-  void force_exhaustion(bool on);
   void clear_failures();
   /// Injected failures actually hit so far.
   uint64_t failpoint_trips() const;
@@ -242,28 +196,11 @@ class KvBlockPool {
   }
 
  private:
-  uint32_t pop_one_locked(KvPoolCredit* credit, bool skip_zero);
-  /// The pool's one admission decision for a take of `n` blocks. A
-  /// credited take checks the group's bound (std::logic_error past it)
-  /// and is never failpointed; an uncredited one consumes one failpoint
-  /// decision and, when refused, counts one exhaustion event.
-  bool admit_locked(size_t n, KvPoolCredit* credit);
-  /// admit_locked plus the reclaim valve, then `grant()` under the lock
-  /// when the take may proceed. A refusal for an honest shortfall runs
-  /// the reclaim hook with the mutex released and retries as part of the
-  /// SAME attempt: no second failpoint decision, no second exhaustion
-  /// event. `lock` holds mutex_ on entry and on return.
-  template <typename Grant>
-  bool admit_or_reclaim(std::unique_lock<std::mutex>& lock, size_t n,
-                        KvPoolCredit* credit, const Grant& grant);
-  /// Runs the reclaim loop for a parked blocking reserve: drains the
-  /// hook (unlocking around the call) and parks only when the hook made
-  /// no progress, until `n` uncommitted blocks are free at once.
-  void wait_for_blocks_locked(std::unique_lock<std::mutex>& lock, size_t n);
-  size_t uncommitted_free_locked() const {
-    return free_list_.size() - credit_outstanding_;
-  }
-  uint32_t duplicate_locked(uint32_t block, KvPoolCredit* credit);
+  uint32_t pop_one_locked(bool skip_zero);
+  /// The pool's one admission decision for a take of `n` blocks: one
+  /// failpoint decision and, when refused, one exhaustion event.
+  bool admit_locked(size_t n);
+  uint32_t duplicate_locked(uint32_t block);
   /// Telemetry emitter (a no-op while trace_ is unbound; defined in the
   /// .cpp so this header needs only the forward declaration).
   void note_occupancy_locked();
@@ -278,65 +215,16 @@ class KvBlockPool {
   std::vector<uint8_t> is_free_;      // free-list membership, guards double frees
   std::vector<uint8_t> in_span_;      // release() scratch: duplicate-id guard
   std::vector<uint8_t> needs_zero_;   // freed since last zero-fill
-  std::vector<KvPoolCredit*> block_credit_;  // admission-credit owner or null
-  size_t credit_outstanding_ = 0;  // sum over credits of (limit - live)
   size_t peak_used_ = 0;
   uint64_t exhaustion_events_ = 0;
   uint64_t cow_copies_ = 0;
   uint64_t zero_fills_ = 0;
-  uint64_t fail_skip_ = 0;   // uncredited attempts to let through first
+  uint64_t fail_skip_ = 0;   // attempts to let through first
   uint64_t fail_next_ = 0;   // then fail this many
-  bool force_exhausted_ = false;
   uint64_t failpoint_trips_ = 0;
   std::function<size_t(size_t)> reclaim_hook_;
   TraceRecorder* trace_ = nullptr;  // telemetry sink, see set_trace()
   mutable std::mutex mutex_;
-  std::condition_variable freed_;
-};
-
-/// RAII holder for a KvPoolCredit reservation: the headroom is released
-/// when the lease dies, so a throw between admission and retirement can
-/// never strand reserved blocks. The group's blocks must be released
-/// BEFORE the lease is destroyed (credit live-accounting) — order block
-/// cleanup guards inside the lease's scope.
-class KvCreditLease {
- public:
-  KvCreditLease() = default;
-  explicit KvCreditLease(KvBlockPool& pool) : pool_(&pool) {}
-  ~KvCreditLease() { release(); }
-  KvCreditLease(KvCreditLease&& other) noexcept
-      : pool_(other.pool_), credit_(other.credit_) {
-    other.pool_ = nullptr;
-    other.credit_ = KvPoolCredit{};
-  }
-  KvCreditLease& operator=(KvCreditLease&& other) noexcept {
-    if (this != &other) {
-      release();
-      pool_ = other.pool_;
-      credit_ = other.credit_;
-      other.pool_ = nullptr;
-      other.credit_ = KvPoolCredit{};
-    }
-    return *this;
-  }
-  KvCreditLease(const KvCreditLease&) = delete;
-  KvCreditLease& operator=(const KvCreditLease&) = delete;
-
-  bool try_acquire(size_t n) { return pool_->try_reserve_credit(credit_, n); }
-  /// Blocking acquire; returns true when the pool was short (one
-  /// backpressure episode).
-  bool acquire_wait(size_t n) { return pool_->reserve_credit_wait(credit_, n); }
-  void release() {
-    if (pool_ != nullptr && credit_.limit != 0) {
-      pool_->release_credit(credit_);
-    }
-  }
-  bool held() const { return credit_.limit != 0; }
-  KvPoolCredit* credit() { return &credit_; }
-
- private:
-  KvBlockPool* pool_ = nullptr;
-  KvPoolCredit credit_;
 };
 
 /// One decoder layer's cross-attention tensors, per attention head (its
@@ -416,12 +304,6 @@ class KvCache {
   /// can proceed; begin_sequence() keeps blocks for reuse instead.
   void release_blocks();
 
-  /// Binds subsequent block takes (growth and COW copies) to a fork
-  /// group's admission credit; nullptr unbinds. The cache must hold no
-  /// blocks (credit live-accounting is per held block).
-  void bind_credit(KvPoolCredit* credit);
-  KvPoolCredit* credit() const { return credit_; }
-
   // --- preemption: swap-out / restore ---------------------------------------
 
   /// Bytes a swap-out would spill right now (held blocks x block bytes).
@@ -464,10 +346,9 @@ class KvCache {
   /// the free list. Table entries already reserved at those positions are
   /// released (adoption strictly reduces pool pressure); entries beyond
   /// the adopted span are kept. Requires an empty sequence
-  /// (len() == 0 — call begin_sequence() first) and no admission
-  /// credit (COW live-accounting cannot span a cache the group does not
-  /// own). The table becomes possibly-shared: the COW write guard covers
-  /// later divergence exactly as after fork_from.
+  /// (len() == 0 — call begin_sequence() first). The table becomes
+  /// possibly-shared: the COW write guard covers later divergence
+  /// exactly as after fork_from.
   void adopt_prefix(std::span<const uint32_t> blocks, size_t rows);
 
   /// Marks the held table possibly-shared without moving anything: the
@@ -557,7 +438,6 @@ class KvCache {
   KvBlockPool* pool_ = nullptr;
   std::unique_ptr<KvBlockPool> owned_pool_;
   std::vector<uint32_t> block_table_;
-  KvPoolCredit* credit_ = nullptr;
   /// Fast-path guard for the write-triggered copy: true while an append
   /// might hit a block shared with a fork sibling. Cleared once an
   /// append pass has privatized through the END of the table (appends

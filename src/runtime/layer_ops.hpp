@@ -1,8 +1,7 @@
 // Unified per-layer execution for the serving runtime.
 //
-// The encoder forward, the decoder forward and the accel module wrappers
-// used to carry three hand-rolled copies of the same engine call
-// sequences. This layer collapses them into three block primitives that
+// The encoder forward and the decoder forward used to carry hand-rolled
+// copies of the same engine call sequences. This layer collapses them into three block primitives that
 // mirror the paper's module split (Fig. 3/4):
 //
 //   * attention block — h head pipelines (QKV_CE or projection engines ->
@@ -71,8 +70,7 @@ class StageScope {
   Stage stage_;
 };
 
-/// Per-head intermediates captured when a trace sink is provided
-/// (aliased as AttentionModule::HeadTrace for the module wrapper API).
+/// Per-head intermediates captured when a trace sink is provided.
 struct HeadTrace {
   tensor::MatrixI8 q, k, v;
   tensor::MatrixI8 logits;
@@ -80,7 +78,7 @@ struct HeadTrace {
   tensor::MatrixI8 scores;
 };
 
-/// FFN-module intermediates (aliased as FfnModule::Trace).
+/// FFN-module intermediates.
 struct FfnTrace {
   tensor::MatrixI8 proj;      // FFN1 output (scale proj)
   tensor::MatrixI8 ln1;       // post-attention LN (scale ln1)

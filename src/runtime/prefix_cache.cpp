@@ -196,11 +196,10 @@ size_t PrefixCache::adopt(const tensor::MatrixF& memory,
   if (cross_hit != nullptr) *cross_hit = true;
 
   // Prefix adoption needs this cache's pool underneath the sequence and
-  // an uncredited, still-empty table; otherwise the cross reuse stands
-  // alone. Whole blocks only, and always >= 1 uncovered tail row, so the
+  // a still-empty table; otherwise the cross reuse stands alone. Whole blocks only, and always >= 1 uncovered tail row, so the
   // sequence's first write lands on a block boundary (a fresh, private
   // block — divergence never touches an adopted byte).
-  if (kv.pool() != pool_ || kv.credit() != nullptr || kv.len() != 0) {
+  if (kv.pool() != pool_ || kv.len() != 0) {
     ++stats_.prefix_misses;
     return 0;
   }
@@ -299,10 +298,6 @@ void PrefixCache::publish(const tensor::MatrixF& memory,
     throw std::logic_error("PrefixCache::publish: sequence not on this pool");
   }
   check_storage(kv, "publish");
-  if (kv.credit() != nullptr) {
-    throw std::logic_error(
-        "PrefixCache::publish: credited sequences cannot publish");
-  }
   if (kv.len() < prompt.rows()) {
     throw std::logic_error(
         "PrefixCache::publish: prompt rows not cached by the sequence");

@@ -129,8 +129,8 @@ class PrefixCache {
   /// (reusing any already-cached chain prefix) together with their
   /// prompt bytes and prefill output `states` rows, and arms `kv`'s COW
   /// guard (mark_table_shared). The sequence must still hold the prompt
-  /// rows (kv.len() >= prompt.rows()) and be uncredited. Creates the
-  /// memory entry (from `kv`'s cross views) when absent.
+  /// rows (kv.len() >= prompt.rows()). Creates the memory entry (from
+  /// `kv`'s cross views) when absent.
   void publish(const tensor::MatrixF& memory, const tensor::MatrixF& prompt,
                const tensor::MatrixF& states, KvCache& kv);
 

@@ -262,7 +262,7 @@ class Coordinator {
 
   void run() {
     // Arm the fault schedule AFTER session construction: warm-up takes
-    // are uncredited too and would silently consume the skip window.
+    // would silently consume the skip window.
     uint64_t trips_before = 0;
     if (opts_.fail_skip > 0 || opts_.fail_count > 0) {
       trips_before = pool_.failpoint_trips();
@@ -761,7 +761,7 @@ class Coordinator {
     return true;
   }
 
-  /// Could an uncredited take of `blocks` blocks (or the preemption
+  /// Could a take of `blocks` blocks (or the preemption
   /// retry loop behind it) possibly succeed right now? Exact under the
   /// coordinator's pool serialization — units never touch the pool —
   /// except for armed failpoints, which the real take still consults.
@@ -772,7 +772,7 @@ class Coordinator {
     // cache before it would shed or preempt live work.
     const size_t reclaimable =
         pcache_ != nullptr ? pcache_->reclaimable_blocks() : 0;
-    if (blocks <= pool_.uncommitted_free_blocks() + reclaimable) return true;
+    if (blocks <= pool_.free_blocks() + reclaimable) return true;
     return opts_.preemption && find_victim(r, exclude) != SIZE_MAX;
   }
 

@@ -168,8 +168,8 @@ struct TrafficOptions {
   size_t shed_queue_depth = 0;
   /// Deterministic fault injection, armed on the pool AFTER the session
   /// warm-up (so warm-up takes don't consume the schedule): skip this
-  /// many uncredited takes, then fail the next `fail_count`. Cleared at
-  /// the end of the run.
+  /// many takes, then fail the next `fail_count`. Cleared at the end of
+  /// the run.
   uint64_t fail_skip = 0;
   uint64_t fail_count = 0;
   /// Consecutive no-progress rounds before the engine force-sheds the

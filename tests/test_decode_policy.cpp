@@ -385,63 +385,6 @@ TEST(BeamSearch, ValidatesOptionsAndPrompt) {
   EXPECT_THROW(dec.generate(prompt, fx.memory), std::invalid_argument);
 }
 
-TEST(BeamSearch, GroupPreemptRestoreIsBitIdentical) {
-  PolicyFixture fx(16, 820);
-  const std::vector<uint32_t> prompt = {3, 12, 6};
-  // K+V bytes per cached row across the stack: layers x heads x 2 x head_dim.
-  const size_t row_bytes = 2 * 4 * 2 * 12;
-
-  for (const bool cow : {true, false}) {
-    runtime::BeamSearchOptions opts;
-    opts.beam_width = 3;
-    opts.max_new_tokens = 6;
-    opts.kv_block_rows = 4;
-    opts.cow = cow;
-    runtime::BeamSearchDecoder ref(fx.acfg, fx.qd, fx.vocab, opts);
-    const auto want = ref.generate(prompt, fx.memory);
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(ref.last_run().group_preemptions, 0u);
-
-    // Same run against a shared pool, preempted once mid-decode: the
-    // whole group (blocks AND admission credit) drains back to the pool,
-    // then restores via re-prefill + re-fork + per-beam replay.
-    const size_t worst = runtime::beam_worst_case_blocks(
-        prompt.size(), opts.max_new_tokens, opts.beam_width,
-        opts.kv_block_rows, cow);
-    runtime::KvBlockPool pool;
-    pool.configure(worst + 2, opts.kv_block_rows, row_bytes);
-    opts.kv_pool = &pool;
-    bool fired = false;
-    uint32_t drained_checks = 0;
-    opts.preempt_point = [&fired](uint32_t generated) {
-      if (generated == 2 && !fired) {
-        fired = true;
-        return true;
-      }
-      return false;
-    };
-    opts.on_preempted = [&pool, &drained_checks] {
-      EXPECT_EQ(pool.used_blocks(), 0u);
-      ++drained_checks;
-    };
-    runtime::BeamSearchDecoder dec(fx.acfg, fx.qd, fx.vocab, opts);
-    const auto got = dec.generate(prompt, fx.memory);
-
-    EXPECT_EQ(drained_checks, 1u) << "cow=" << cow;
-    EXPECT_EQ(dec.last_run().group_preemptions, 1u) << "cow=" << cow;
-    EXPECT_GT(dec.last_run().replayed_rows, 0u) << "cow=" << cow;
-    ASSERT_EQ(got.size(), want.size()) << "cow=" << cow;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].tokens, want[i].tokens) << "cow=" << cow << " i=" << i;
-      EXPECT_EQ(got[i].sum_logprob, want[i].sum_logprob)
-          << "cow=" << cow << " i=" << i;
-      EXPECT_EQ(got[i].score, want[i].score) << "cow=" << cow << " i=" << i;
-      EXPECT_EQ(got[i].finished, want[i].finished)
-          << "cow=" << cow << " i=" << i;
-    }
-  }
-}
-
 // --- cycle-model cross-checks ------------------------------------------------
 
 TEST(BeamPerfModel, EstimatedMacsMatchTheExecutedSchedule) {

@@ -1,16 +1,15 @@
-// Copy-on-write KV block forking: the KvBlockPool refcount / lazy-zero /
-// admission-credit contract, and — the tentpole invariant — bit-identity
-// of fork() + divergent decode against an eager full-copy fork (and a
-// fresh replay) across randomized (T, block_size, fork point, width)
-// shapes, including fork-on-block-boundary and fork-then-free orderings.
-// Beam search rides the same machinery; its stepped and threaded modes
-// must emit identical hypotheses, and its executed block peak must stay
-// within the COW-aware reserve-at-admission bound.
+// Copy-on-write KV block forking: the KvBlockPool refcount / lazy-zero
+// contract, and — the tentpole invariant — bit-identity of fork() +
+// divergent decode against an eager full-copy fork (and a fresh replay)
+// across randomized (T, block_size, fork point, width) shapes, including
+// fork-on-block-boundary and fork-then-free orderings. Beam search rides
+// the same machinery: COW and eager forks emit identical hypotheses, a
+// reused decoder reports the same per-run results as a fresh one, and
+// the executed block peak stays within the COW-aware worst-case bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "accel/decoder_accelerator.hpp"
@@ -171,73 +170,6 @@ TEST(KvBlockPoolCow, MakePrivateCopiesSharedBlocksOnly) {
   pool.release(copies);
   pool.release(held);
   EXPECT_EQ(pool.used_blocks(), 0u);
-}
-
-TEST(KvBlockPoolCow, AdmissionCreditReservesHeadroomAllOrNothing) {
-  runtime::KvBlockPool pool;
-  pool.configure(4, 1, 4);
-  runtime::KvPoolCredit credit;
-  ASSERT_TRUE(pool.try_reserve_credit(credit, 3));
-  EXPECT_EQ(pool.uncommitted_free_blocks(), 1u);
-
-  // Uncredited takers see only the uncommitted remainder.
-  std::vector<uint32_t> other;
-  EXPECT_FALSE(pool.try_reserve(2, other));
-  EXPECT_TRUE(other.empty());
-  ASSERT_TRUE(pool.try_reserve(1, other));
-
-  // Credited takes draw on the reservation and are guaranteed.
-  std::vector<uint32_t> mine;
-  ASSERT_TRUE(pool.try_reserve(2, mine, &credit));
-  EXPECT_EQ(credit.live, 2u);
-  EXPECT_EQ(credit.peak, 2u);
-
-  // Exceeding the admission bound is a loud logic error, not a silent
-  // raid on someone else's reservation.
-  std::vector<uint32_t> over;
-  EXPECT_THROW(pool.try_reserve(2, over, &credit), std::logic_error);
-
-  // Freed credited blocks return headroom to the group.
-  pool.release(mine);
-  mine.clear();
-  EXPECT_EQ(credit.live, 0u);
-  ASSERT_TRUE(pool.try_reserve(3, mine, &credit));
-  EXPECT_EQ(credit.peak, 3u);
-  pool.release(mine);
-  pool.release_credit(credit);
-  EXPECT_EQ(credit.limit, 0u);
-  pool.release(other);
-  EXPECT_EQ(pool.uncommitted_free_blocks(), 4u);
-
-  // A second reservation on a live credit is rejected.
-  ASSERT_TRUE(pool.try_reserve_credit(credit, 1));
-  EXPECT_THROW(pool.try_reserve_credit(credit, 1), std::logic_error);
-  pool.release_credit(credit);
-}
-
-TEST(KvBlockPoolCow, CreditWaitersWakeWhenHeadroomReturns) {
-  runtime::KvBlockPool pool;
-  pool.configure(3, 1, 4);
-  std::vector<uint32_t> held;
-  ASSERT_TRUE(pool.try_reserve(2, held));
-
-  runtime::KvPoolCredit credit;
-  EXPECT_FALSE(pool.try_reserve_credit(credit, 3));  // short: backpressure
-  EXPECT_GE(pool.exhaustion_events(), 1u);
-
-  std::thread releaser([&] { pool.release(held); });
-  pool.reserve_credit_wait(credit, 3);  // parks until the release lands
-  releaser.join();
-  EXPECT_EQ(credit.limit, 3u);
-  pool.release_credit(credit);
-
-  // An immediately-satisfied wait is not a backpressure episode: it
-  // returns false and records no exhaustion event.
-  const uint64_t events = pool.exhaustion_events();
-  runtime::KvPoolCredit quick;
-  EXPECT_FALSE(pool.reserve_credit_wait(quick, 2));
-  EXPECT_EQ(pool.exhaustion_events(), events);
-  pool.release_credit(quick);
 }
 
 // --- fork + divergent decode == eager copy == fresh replay ------------------
@@ -498,67 +430,45 @@ TEST(BeamSearchCow, CowMatchesEagerAndStaysWithinAdmissionBound) {
   EXPECT_EQ(cow_dec.pool().used_blocks(), 0u);  // fully drained
 }
 
-TEST(BeamSearchCow, SteppedAndThreadedModesAreBitIdentical) {
-  BeamFixture bf(14, 580);
-  const std::vector<uint32_t> prompt = {3, 1, 4};
-
-  runtime::BeamSearchOptions stepped;
-  stepped.beam_width = 4;
-  stepped.max_new_tokens = 7;
-  stepped.kv_block_rows = 3;
-  stepped.threads = 1;
-  runtime::BeamSearchDecoder a(bf.fx.acfg, bf.fx.qd, bf.vocab, stepped);
-
-  runtime::BeamSearchOptions threaded = stepped;
-  threaded.threads = 3;
-  runtime::BeamSearchDecoder b(bf.fx.acfg, bf.fx.qd, bf.vocab, threaded);
-
-  for (int run = 0; run < 2; ++run) {  // decoder reuse is clean too
-    const auto ha = a.generate(prompt, bf.fx.memory);
-    const auto hb = b.generate(prompt, bf.fx.memory);
-    expect_same_hypotheses(ha, hb, "stepped vs threaded");
-  }
+void expect_same_stats(const runtime::BeamSearchStats& a,
+                       const runtime::BeamSearchStats& b, const char* what) {
+  EXPECT_EQ(a.worst_case_blocks, b.worst_case_blocks) << what;
+  EXPECT_EQ(a.kv_blocks_peak, b.kv_blocks_peak) << what;
+  EXPECT_EQ(a.cow_copies, b.cow_copies) << what;
+  EXPECT_EQ(a.forks, b.forks) << what;
+  EXPECT_EQ(a.decode_steps, b.decode_steps) << what;
+  EXPECT_EQ(a.macs, b.macs) << what;
 }
 
-TEST(BeamSearchCow, SharedPoolAdmissionWaitsInsteadOfDeadlocking) {
-  // A beam group and a plain session contend for ONE pool. The group's
-  // credit reservation must wait for the session to retire, then run to
-  // completion — backpressure, not deadlock, and no corruption of the
-  // bystander's rows.
-  BeamFixture bf(12, 590);
-  runtime::KvBlockPool pool;
-  // Too small for (session worst case) + (beam worst case) at once.
-  const size_t lineage = (bf.fx.cfg.seq_len + 2 - 1) / 2;
-  pool.configure(lineage + 8, 2, bf.fx.row_bytes());
+TEST(BeamSearchCow, ReusedDecoderIsBitIdentical) {
+  // Every last_run() field is per run: after a longer prompt raised the
+  // pool's occupancy, a reused decoder serving a short prompt reports
+  // exactly what a fresh decoder does, and leaves the pool drained.
+  BeamFixture bf(14, 580);
+  const std::vector<uint32_t> long_prompt = {3, 1, 4, 1, 5, 9, 2};
+  const std::vector<uint32_t> prompt = {3, 1, 4};
 
-  runtime::GenerationOptions sess_opts;
-  sess_opts.kv_block_rows = 2;
-  sess_opts.kv_pool = &pool;
-  runtime::GenerationSession bystander(bf.fx.acfg, bf.fx.qd, nullptr,
-                                       sess_opts);
-  ASSERT_TRUE(bystander.try_reserve_rows(bf.fx.cfg.seq_len));
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow" : "eager");
+    runtime::BeamSearchOptions opts;
+    opts.beam_width = 4;
+    opts.max_new_tokens = 7;
+    opts.kv_block_rows = 3;
+    opts.cow = cow;
+    runtime::BeamSearchDecoder fresh(bf.fx.acfg, bf.fx.qd, bf.vocab, opts);
+    const auto want = fresh.generate(prompt, bf.fx.memory);
+    const runtime::BeamSearchStats want_stats = fresh.last_run();
 
-  runtime::BeamSearchOptions opts;
-  opts.beam_width = 3;
-  opts.max_new_tokens = 4;
-  opts.kv_block_rows = 2;
-  opts.kv_pool = &pool;
-  runtime::BeamSearchDecoder dec(bf.fx.acfg, bf.fx.qd, bf.vocab, opts);
-  const std::vector<uint32_t> prompt = {2, 5};
-
-  std::thread releaser([&] { bystander.end_sequence(); });
-  const auto hyps = dec.generate(prompt, bf.fx.memory);  // may park
-  releaser.join();
-  ASSERT_EQ(hyps.size(), 3u);
-  EXPECT_EQ(pool.used_blocks(), 0u);
-
-  // Same prompt on a private-pool decoder: identical hypotheses.
-  runtime::BeamSearchOptions solo_opts = opts;
-  solo_opts.kv_pool = nullptr;
-  runtime::BeamSearchDecoder solo(bf.fx.acfg, bf.fx.qd, bf.vocab,
-                                  solo_opts);
-  expect_same_hypotheses(hyps, solo.generate(prompt, bf.fx.memory),
-                         "shared vs private pool");
+    runtime::BeamSearchDecoder reused(bf.fx.acfg, bf.fx.qd, bf.vocab, opts);
+    reused.generate(long_prompt, bf.fx.memory);
+    EXPECT_GT(reused.last_run().kv_blocks_peak, want_stats.kv_blocks_peak);
+    for (int run = 0; run < 2; ++run) {
+      expect_same_hypotheses(reused.generate(prompt, bf.fx.memory), want,
+                             "reused vs fresh");
+      expect_same_stats(reused.last_run(), want_stats, "reused vs fresh");
+      EXPECT_EQ(reused.pool().used_blocks(), 0u);
+    }
+  }
 }
 
 TEST(BeamSearchCow, WorstCaseBoundFormula) {

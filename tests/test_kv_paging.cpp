@@ -92,10 +92,6 @@ TEST(KvBlockPool, ValidatesArguments) {
   EXPECT_THROW(pool.try_reserve(1, out), std::logic_error);  // unconfigured
 
   pool.configure(2, 2, 16);
-  // A request larger than the pool could never be satisfied by waiting.
-  runtime::KvPoolCredit credit;
-  EXPECT_THROW(pool.reserve_credit_wait(credit, 3),
-               runtime::KvBlockExhausted);
   const uint32_t bad = 7;
   EXPECT_THROW(pool.release({&bad, 1}), std::invalid_argument);
   EXPECT_EQ(pool.free_blocks(), 2u);  // failed release mutated nothing
@@ -445,33 +441,6 @@ TEST(KvBlockPool, FailpointScheduleSkipsThenFailsThenDrains) {
   pool.release(a);
   pool.release(b);
   pool.release(c);
-}
-
-TEST(KvBlockPool, ForcedExhaustionSparesCreditedTakes) {
-  runtime::KvBlockPool pool;
-  pool.configure(6, 2, 16);
-  // Credit headroom is the deadlock-freedom contract the rest of the
-  // system is proved against: credited takes are NEVER failpointed.
-  runtime::KvPoolCredit credit;
-  ASSERT_TRUE(pool.try_reserve_credit(credit, 2));
-
-  pool.force_exhaustion(true);
-  std::vector<uint32_t> out;
-  EXPECT_FALSE(pool.try_reserve(1, out));
-  EXPECT_FALSE(pool.try_reserve(1, out));
-  EXPECT_EQ(pool.failpoint_trips(), 2u);
-
-  std::vector<uint32_t> credited;
-  EXPECT_TRUE(pool.try_reserve(2, credited, &credit));
-  EXPECT_EQ(credited.size(), 2u);
-  EXPECT_EQ(credit.live, 2u);
-
-  pool.clear_failures();
-  EXPECT_TRUE(pool.try_reserve(1, out));  // healthy again
-  pool.release(out);
-  pool.release(credited);
-  EXPECT_EQ(credit.live, 0u);  // release returns headroom to the group
-  pool.release_credit(credit);
 }
 
 // --- preemption swap-out / swap-in at the cache level ------------------------
