@@ -3,8 +3,9 @@
 // bigger sweeps, and a regression guard on the int8 datapath).
 //
 // main() additionally emits bench_results/BENCH_engines.json (engine,
-// shape, threads, GMAC/s) so engine throughput is tracked across PRs
-// alongside BENCH_gemm.json.
+// shape, GMAC/s) so engine throughput is tracked across PRs alongside
+// BENCH_gemm.json. Every engine runs on one thread; record names keep
+// their `_t1` suffix so the series stays continuous.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include "ref/weights.hpp"
 #include "runtime/layer_ops.hpp"
 #include "runtime/workspace_arena.hpp"
-#include "tensor/qgemm.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -105,13 +105,12 @@ BENCHMARK(BM_FfnEngine);
 
 // The paper's MHA and FFN modules are the runtime's two encoder stages.
 // The context is built outside every timed loop, over one reused
-// workspace, with the intra-op GEMM pool current at build time.
+// workspace.
 runtime::LayerOpContext stage_context(runtime::WorkspaceArena& ws) {
   return {.ws = ws,
           .ts_mha = 64,
           .ts_ffn = 128,
-          .activation = ref::Activation::kGelu,
-          .gemm_pool = tensor::qgemm_default_pool()};
+          .activation = ref::Activation::kGelu};
 }
 
 void BM_AttentionModule(benchmark::State& state) {
@@ -147,13 +146,12 @@ BENCHMARK(BM_FfnModule);
 struct EngineResult {
   std::string engine;
   uint32_t sl, d;
-  size_t threads;
   double ms, gmacs;
 };
 
 template <typename Fn>
 EngineResult time_engine(const std::string& name, uint32_t sl, uint32_t d,
-                         size_t threads, int reps, const Fn& fn) {
+                         int reps, const Fn& fn) {
   accel::EngineStats warm;
   fn(&warm);  // warm-up; also captures the engine's own MAC count
   util::Stopwatch watch;
@@ -164,47 +162,41 @@ EngineResult time_engine(const std::string& name, uint32_t sl, uint32_t d,
   const double ms = watch.milliseconds() / reps;
   const double gmacs =
       static_cast<double>(warm.macs) / (ms * 1e-3) / 1e9;
-  return {name, sl, d, threads, ms, gmacs};
+  return {name, sl, d, ms, gmacs};
 }
 
 void emit_bench_engines_json() {
   std::vector<EngineResult> results;
   const auto& layer = env().qmodel.layers[0];
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    tensor::qgemm_set_threads(threads == 1 ? 0 : threads);
-    results.push_back(time_engine(
-        "qkv", 32, 128, threads, 50, [&](accel::EngineStats* stats) {
-          tensor::MatrixI8 q, k, v;
-          accel::run_qkv_engine(env().x, layer.heads[0], 64, layer.rq_q,
-                                layer.rq_k, layer.rq_v, q, k, v, stats);
-        }));
-    results.push_back(time_engine(
-        "ffn", 32, 128, threads, 50, [&](accel::EngineStats* stats) {
-          tensor::MatrixI8 out;
-          accel::run_ffn_engine(env().x, layer.wo, layer.bo, 128,
-                                layer.rq_proj, accel::FfnActivation::kNone,
-                                0.0, out, stats);
-        }));
-    runtime::WorkspaceArena ws;
-    const runtime::LayerOpContext ctx = stage_context(ws);
-    tensor::MatrixI8 concat(env().x.rows(), env().x.cols());
-    results.push_back(time_engine(
-        "attention_module", 32, 128, threads, 20,
-        [&](accel::EngineStats* stats) {
-          runtime::LayerOpContext counted = ctx;
-          counted.stats = stats;
-          runtime::run_encoder_mha_stage(counted, layer, env().x, concat);
-          benchmark::DoNotOptimize(concat.data());
-        }));
-  }
-  tensor::qgemm_set_threads(0);
+  results.push_back(time_engine(
+      "qkv", 32, 128, 50, [&](accel::EngineStats* stats) {
+        tensor::MatrixI8 q, k, v;
+        accel::run_qkv_engine(env().x, layer.heads[0], 64, layer.rq_q,
+                              layer.rq_k, layer.rq_v, q, k, v, stats);
+      }));
+  results.push_back(time_engine(
+      "ffn", 32, 128, 50, [&](accel::EngineStats* stats) {
+        tensor::MatrixI8 out;
+        accel::run_ffn_engine(env().x, layer.wo, layer.bo, 128, layer.rq_proj,
+                              accel::FfnActivation::kNone, 0.0, out, stats);
+      }));
+  runtime::WorkspaceArena ws;
+  const runtime::LayerOpContext ctx = stage_context(ws);
+  tensor::MatrixI8 concat(env().x.rows(), env().x.cols());
+  results.push_back(time_engine(
+      "attention_module", 32, 128, 20, [&](accel::EngineStats* stats) {
+        runtime::LayerOpContext counted = ctx;
+        counted.stats = stats;
+        runtime::run_encoder_mha_stage(counted, layer, env().x, concat);
+        benchmark::DoNotOptimize(concat.data());
+      }));
 
   char buf[128];
   std::vector<protea::bench::BenchRecord> records;
   for (const auto& r : results) {
-    std::snprintf(buf, sizeof(buf), "%s_sl%u_d%u_t%zu", r.engine.c_str(),
-                  r.sl, r.d, r.threads);
+    std::snprintf(buf, sizeof(buf), "%s_sl%u_d%u_t1", r.engine.c_str(), r.sl,
+                  r.d);
     records.push_back({buf, "latency", r.ms, "ms"});
     records.push_back({buf, "throughput", r.gmacs, "GMAC/s"});
   }

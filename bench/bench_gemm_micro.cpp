@@ -4,9 +4,10 @@
 // measured CPU baseline.
 //
 // Besides the google-benchmark console/CSV output, main() emits a
-// machine-readable bench_results/BENCH_gemm.json (kernel, shape, threads,
-// GMAC/s, speedup vs. the naive seed loop) so the perf trajectory can be
-// tracked across PRs.
+// machine-readable bench_results/BENCH_gemm.json (kernel, shape, GMAC/s,
+// speedup vs. the naive seed loop) so the perf trajectory can be tracked
+// across PRs. Every kernel runs on one thread; record names keep their
+// `_t1` suffix so the series stays continuous.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include "tensor/qgemm.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -104,22 +104,6 @@ void BM_QGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_QGemm)->Arg(256)->Arg(512);
 
-void BM_QGemmThreaded(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto threads = static_cast<size_t>(state.range(1));
-  const auto a = random_i8(n, n, 15);
-  const auto b = random_i8(n, n, 16);
-  util::ThreadPool pool(threads);
-  tensor::MatrixI32 c;
-  for (auto _ : state) {
-    tensor::qgemm(a, b, c, &pool);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * n * n));
-}
-BENCHMARK(BM_QGemmThreaded)->Args({512, 2})->Args({512, 4});
-
 void BM_SoftmaxRows(benchmark::State& state) {
   auto m = random_matrix(64, 64, 5);
   for (auto _ : state) {
@@ -161,18 +145,18 @@ BENCHMARK(BM_CpuEncoderLayer);
 
 struct JsonResult {
   std::string kernel;
-  size_t m, k, n, threads;
+  size_t m, k, n;
   double ms, gmacs;
 };
 
 template <typename Fn>
 JsonResult time_kernel(const std::string& kernel, size_t m, size_t k,
-                       size_t n, size_t threads, int reps, const Fn& fn) {
+                       size_t n, int reps, const Fn& fn) {
   fn();  // warm-up
   const double ms = bench::median_time_ms(reps, fn);
   const double gmacs = static_cast<double>(m) * static_cast<double>(k) *
                        static_cast<double>(n) / (ms * 1e-3) / 1e9;
-  return {kernel, m, k, n, threads, ms, gmacs};
+  return {kernel, m, k, n, ms, gmacs};
 }
 
 void emit_bench_gemm_json() {
@@ -183,11 +167,11 @@ void emit_bench_gemm_json() {
     const auto a = random_i8(n, n, 21);
     const auto b = random_i8(n, n, 22);
     tensor::MatrixI32 c;
-    results.push_back(time_kernel("qgemm_naive", n, n, n, 1, 5,
+    results.push_back(time_kernel("qgemm_naive", n, n, n, 5,
                                   [&] { tensor::qgemm_naive(a, b, c); }));
-    results.push_back(time_kernel("qgemm", n, n, n, 1, 20,
+    results.push_back(time_kernel("qgemm", n, n, n, 20,
                                   [&] { tensor::qgemm(a, b, c); }));
-    results.push_back(time_kernel("qgemm_bt", n, n, n, 1, 20,
+    results.push_back(time_kernel("qgemm_bt", n, n, n, 20,
                                   [&] { tensor::qgemm_bt(a, b, c); }));
   }
   {
@@ -195,14 +179,8 @@ void emit_bench_gemm_json() {
     const auto a = random_i8(n, n, 23);
     const auto b = random_i8(n, n, 24);
     tensor::MatrixI32 c;
-    results.push_back(time_kernel("qgemm", n, n, n, 1, 5,
+    results.push_back(time_kernel("qgemm", n, n, n, 5,
                                   [&] { tensor::qgemm(a, b, c); }));
-    for (size_t threads : {2, 4}) {
-      util::ThreadPool pool(threads);
-      results.push_back(time_kernel("qgemm", n, n, n, threads, 5, [&] {
-        tensor::qgemm(a, b, c, &pool);
-      }));
-    }
   }
   {
     // Decode-step shapes (one A row): a QKV head through qgemm_bt, the
@@ -211,16 +189,16 @@ void emit_bench_gemm_json() {
     const auto wt = random_i8(64, 256, 28);
     const auto w = random_i8(256, 256, 29);
     tensor::MatrixI32 c;
-    results.push_back(time_kernel("qgemm_bt", 1, 256, 64, 1, 500,
+    results.push_back(time_kernel("qgemm_bt", 1, 256, 64, 500,
                                   [&] { tensor::qgemm_bt(x, wt, c); }));
-    results.push_back(time_kernel("qgemm", 1, 256, 256, 1, 500,
+    results.push_back(time_kernel("qgemm", 1, 256, 256, 500,
                                   [&] { tensor::qgemm(x, w, c); }));
   }
   {
     const size_t n = 256;
     const auto a = random_matrix(n, n, 25);
     const auto b = random_matrix(n, n, 26);
-    results.push_back(time_kernel("sgemm", n, n, n, 1, 10, [&] {
+    results.push_back(time_kernel("sgemm", n, n, n, 10, [&] {
       auto c = tensor::matmul(a, b);
       benchmark::DoNotOptimize(c.data());
     }));
@@ -228,7 +206,7 @@ void emit_bench_gemm_json() {
 
   double naive_256 = 0.0, packed_256 = 0.0;
   for (const auto& r : results) {
-    if (r.m != 256 || r.threads != 1) continue;
+    if (r.m != 256) continue;
     if (r.kernel == "qgemm_naive") naive_256 = r.ms;
     if (r.kernel == "qgemm") packed_256 = r.ms;
   }
@@ -237,8 +215,8 @@ void emit_bench_gemm_json() {
   char buf[128];
   std::vector<protea::bench::BenchRecord> records;
   for (const auto& r : results) {
-    std::snprintf(buf, sizeof(buf), "%s_%zux%zux%zu_t%zu",
-                  r.kernel.c_str(), r.m, r.k, r.n, r.threads);
+    std::snprintf(buf, sizeof(buf), "%s_%zux%zux%zu_t1", r.kernel.c_str(),
+                  r.m, r.k, r.n);
     records.push_back({buf, "latency", r.ms, "ms"});
     records.push_back({buf, "throughput", r.gmacs, "GMAC/s"});
   }

@@ -133,7 +133,7 @@ int main() {
   }
   std::printf(
       "\nCOW pool accounting: peak %zu unique blocks "
-      "(admission bound %zu, eager reference %zu), %llu block copies "
+      "(worst-case bound %zu, eager reference %zu), %llu block copies "
       "across %llu forks; hypotheses vs eager-copy caches: %s\n",
       stats.kv_blocks_peak, stats.worst_case_blocks,
       eager.last_run().kv_blocks_peak,

@@ -49,12 +49,13 @@ void check_out_shape(tensor::MatrixViewI8 out, size_t rows, size_t cols,
   }
 }
 
-}  // namespace
-
+/// Thread-local scratch arena backing the owning-form wrappers.
 runtime::WorkspaceArena& engine_scratch_arena() {
   static thread_local runtime::WorkspaceArena arena;
   return arena;
 }
+
+}  // namespace
 
 // --- QKV engine --------------------------------------------------------------
 
@@ -64,7 +65,7 @@ void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
                     const numeric::RequantParams& rq_v,
                     tensor::MatrixViewI8 q, tensor::MatrixViewI8 k,
                     tensor::MatrixViewI8 v, runtime::WorkspaceArena& ws,
-                    EngineStats* stats, util::ThreadPool* pool) {
+                    EngineStats* stats) {
   const size_t sl = x.rows();
   const size_t d = x.cols();
   const size_t dk = head.wqt.rows();
@@ -86,9 +87,9 @@ void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
   auto acc_k = ws.matrix_i32(sl, dk);
   auto acc_v = ws.matrix_i32(sl, dk);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(dk));
-  tensor::qgemm_bt_into(x, head.wqt, acc_q, pack, pool);
-  tensor::qgemm_bt_into(x, head.wkt, acc_k, pack, pool);
-  tensor::qgemm_bt_into(x, head.wvt, acc_v, pack, pool);
+  tensor::qgemm_bt_into(x, head.wqt, acc_q, pack);
+  tensor::qgemm_bt_into(x, head.wkt, acc_k, pack);
+  tensor::qgemm_bt_into(x, head.wvt, acc_v, pack);
   if (stats != nullptr) stats->macs += 3 * sl * d * dk;
 
   // Bias add in the accumulator domain, then write-back requantization.
@@ -114,8 +115,7 @@ void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
   k = tensor::MatrixI8(sl, dk);
   v = tensor::MatrixI8(sl, dk);
   run_qkv_engine(tensor::ConstMatrixViewI8(x), head, ts_mha, rq_q, rq_k,
-                 rq_v, q, k, v, engine_scratch_arena(), stats,
-                 tensor::qgemm_default_pool());
+                 rq_v, q, k, v, engine_scratch_arena(), stats);
 }
 
 // --- Projection engine -------------------------------------------------------
@@ -125,8 +125,7 @@ void run_projection_engine(tensor::ConstMatrixViewI8 x,
                            std::span<const int32_t> bias, uint32_t ts_mha,
                            const numeric::RequantParams& rq,
                            tensor::MatrixViewI8 out,
-                           runtime::WorkspaceArena& ws, EngineStats* stats,
-                           util::ThreadPool* pool) {
+                           runtime::WorkspaceArena& ws, EngineStats* stats) {
   const size_t rows = x.rows();
   const size_t d = x.cols();
   const size_t out_dim = wt.rows();
@@ -144,7 +143,7 @@ void run_projection_engine(tensor::ConstMatrixViewI8 x,
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(rows, out_dim);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(out_dim));
-  tensor::qgemm_bt_into(x, wt, acc, pack, pool);
+  tensor::qgemm_bt_into(x, wt, acc, pack);
   for (size_t i = 0; i < rows; ++i) {
     for (size_t kk = 0; kk < out_dim; ++kk) {
       out(i, kk) = requant8(int64_t{acc(i, kk)} + bias[kk], rq);
@@ -162,8 +161,7 @@ void run_projection_engine(const tensor::MatrixI8& x,
   out = tensor::MatrixI8(x.rows(), wt.rows());
   run_projection_engine(tensor::ConstMatrixViewI8(x),
                         tensor::ConstMatrixViewI8(wt), bias, ts_mha, rq,
-                        out, engine_scratch_arena(), stats,
-                        tensor::qgemm_default_pool());
+                        out, engine_scratch_arena(), stats);
 }
 
 // --- QK engine ---------------------------------------------------------------
@@ -171,7 +169,7 @@ void run_projection_engine(const tensor::MatrixI8& x,
 void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
                    const numeric::RequantParams& rq_logit,
                    tensor::MatrixViewI8 logits, runtime::WorkspaceArena& ws,
-                   EngineStats* stats, util::ThreadPool* pool) {
+                   EngineStats* stats) {
   if (q.cols() != k.cols()) {
     throw std::invalid_argument("run_qk_engine: head dim mismatch");
   }
@@ -183,7 +181,7 @@ void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(sl_q, sl_k);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(sl_k));
-  tensor::qgemm_bt_into(q, k, acc, pack, pool);
+  tensor::qgemm_bt_into(q, k, acc, pack);
   for (size_t i = 0; i < sl_q; ++i) {
     for (size_t j = 0; j < sl_k; ++j) {
       logits(i, j) = requant8(acc(i, j), rq_logit);
@@ -193,42 +191,12 @@ void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
   ws.rewind(m);
 }
 
-void run_qk_engine(tensor::ConstMatrixViewI8 q,
-                   const tensor::RowSpanListI8& k,
-                   const numeric::RequantParams& rq_logit,
-                   tensor::MatrixViewI8 logits, runtime::WorkspaceArena& ws,
-                   EngineStats* stats, util::ThreadPool* pool) {
-  if (q.cols() != k.cols) {
-    throw std::invalid_argument("run_qk_engine: head dim mismatch");
-  }
-  const size_t sl_q = q.rows();
-  const size_t sl_k = k.rows;
-  const size_t dk = q.cols();
-  check_out_shape(logits, sl_q, sl_k, "run_qk_engine");
-
-  const auto m = ws.mark();
-  auto acc = ws.matrix_i32(sl_q, sl_k);
-  auto pack = ws.span_i8(tensor::qgemm_pack_elems(sl_k));
-  tensor::qgemm_bt_spans_into(q, k, acc, pack, pool);
-  for (size_t i = 0; i < sl_q; ++i) {
-    for (size_t j = 0; j < sl_k; ++j) {
-      logits(i, j) = requant8(acc(i, j), rq_logit);
-    }
-  }
-  if (stats != nullptr) {
-    stats->macs += sl_q * sl_k * dk;
-    stats->span_runs += k.runs.size();
-  }
-  ws.rewind(m);
-}
-
 void run_qk_softmax_engine(tensor::ConstMatrixViewI8 q,
                            const tensor::RowSpanListI8& k,
                            const numeric::RequantParams& rq_logit,
                            const SoftmaxUnit& softmax, size_t row_offset,
                            tensor::MatrixViewI8 weights,
-                           runtime::WorkspaceArena& ws, EngineStats* stats,
-                           util::ThreadPool* pool) {
+                           runtime::WorkspaceArena& ws, EngineStats* stats) {
   if (q.cols() != k.cols) {
     throw std::invalid_argument("run_qk_softmax_engine: head dim mismatch");
   }
@@ -240,7 +208,7 @@ void run_qk_softmax_engine(tensor::ConstMatrixViewI8 q,
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(sl_q, sl_k);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(sl_k));
-  tensor::qgemm_bt_spans_into(q, k, acc, pack, pool);
+  tensor::qgemm_bt_spans_into(q, k, acc, pack);
   // The fused pass requantizes straight off the accumulator tile — the
   // int8 logits matrix (and its write + two reads) never exists.
   softmax.run_causal_fused_into(acc, rq_logit, weights, row_offset);
@@ -256,8 +224,7 @@ void run_qk_engine(const tensor::MatrixI8& q, const tensor::MatrixI8& k,
                    tensor::MatrixI8& logits, EngineStats* stats) {
   logits = tensor::MatrixI8(q.rows(), k.rows());
   run_qk_engine(tensor::ConstMatrixViewI8(q), tensor::ConstMatrixViewI8(k),
-                rq_logit, logits, engine_scratch_arena(), stats,
-                tensor::qgemm_default_pool());
+                rq_logit, logits, engine_scratch_arena(), stats);
 }
 
 // --- SV engine ---------------------------------------------------------------
@@ -266,7 +233,7 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
                    tensor::ConstMatrixViewI8 v,
                    const numeric::RequantParams& rq_sv,
                    tensor::MatrixViewI8 scores, runtime::WorkspaceArena& ws,
-                   EngineStats* stats, util::ThreadPool* pool) {
+                   EngineStats* stats) {
   if (attn_weights.cols() != v.rows()) {
     throw std::invalid_argument("run_sv_engine: shape mismatch");
   }
@@ -278,7 +245,7 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(sl, dk);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(dk));
-  tensor::qgemm_into(attn_weights, v, acc, pack, pool);
+  tensor::qgemm_into(attn_weights, v, acc, pack);
   for (size_t i = 0; i < sl; ++i) {
     for (size_t j = 0; j < dk; ++j) {
       scores(i, j) = requant8(acc(i, j), rq_sv);
@@ -292,7 +259,7 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
                    const tensor::RowSpanListI8& v,
                    const numeric::RequantParams& rq_sv,
                    tensor::MatrixViewI8 scores, runtime::WorkspaceArena& ws,
-                   EngineStats* stats, util::ThreadPool* pool) {
+                   EngineStats* stats) {
   if (attn_weights.cols() != v.rows) {
     throw std::invalid_argument("run_sv_engine: shape mismatch");
   }
@@ -304,7 +271,7 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(sl, dk);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(dk));
-  tensor::qgemm_spans_into(attn_weights, v, acc, pack, pool);
+  tensor::qgemm_spans_into(attn_weights, v, acc, pack);
   for (size_t i = 0; i < sl; ++i) {
     for (size_t j = 0; j < dk; ++j) {
       scores(i, j) = requant8(acc(i, j), rq_sv);
@@ -324,8 +291,7 @@ void run_sv_engine(const tensor::MatrixI8& attn_weights,
   scores = tensor::MatrixI8(attn_weights.rows(), v.cols());
   run_sv_engine(tensor::ConstMatrixViewI8(attn_weights),
                 tensor::ConstMatrixViewI8(v), rq_sv, scores,
-                engine_scratch_arena(), stats,
-                tensor::qgemm_default_pool());
+                engine_scratch_arena(), stats);
 }
 
 // --- FFN engine --------------------------------------------------------------
@@ -334,8 +300,7 @@ void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixViewI8 out,
-                    runtime::WorkspaceArena& ws, EngineStats* stats,
-                    util::ThreadPool* pool) {
+                    runtime::WorkspaceArena& ws, EngineStats* stats) {
   const size_t sl = in.rows();
   const size_t in_dim = in.cols();
   const size_t out_dim = w.cols();
@@ -361,7 +326,7 @@ void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(sl, out_dim);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(out_dim));
-  tensor::qgemm_into(in, w, acc, pack, pool);
+  tensor::qgemm_into(in, w, acc, pack);
 
   for (size_t i = 0; i < sl; ++i) {
     const int32_t* acc_row = acc.data() + i * out_dim;
@@ -392,8 +357,7 @@ void run_ffn_engine(const tensor::MatrixI8& in, const tensor::MatrixI8& w,
   out = tensor::MatrixI8(in.rows(), w.cols());
   run_ffn_engine(tensor::ConstMatrixViewI8(in), tensor::ConstMatrixViewI8(w),
                  bias, ts_ffn, rq, act, act_scale, out,
-                 engine_scratch_arena(), stats,
-                 tensor::qgemm_default_pool());
+                 engine_scratch_arena(), stats);
 }
 
 }  // namespace protea::accel

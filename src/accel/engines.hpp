@@ -39,10 +39,6 @@
 #include "runtime/workspace_arena.hpp"
 #include "tensor/matrix.hpp"
 
-namespace protea::util {
-class ThreadPool;
-}
-
 namespace protea::accel {
 
 /// Work the engines execute, counted where it runs. Serving counters
@@ -71,8 +67,7 @@ void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
                     const numeric::RequantParams& rq_v,
                     tensor::MatrixViewI8 q, tensor::MatrixViewI8 k,
                     tensor::MatrixViewI8 v, runtime::WorkspaceArena& ws,
-                    EngineStats* stats = nullptr,
-                    util::ThreadPool* pool = nullptr);
+                    EngineStats* stats = nullptr);
 void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
                     uint32_t ts_mha, const numeric::RequantParams& rq_q,
                     const numeric::RequantParams& rq_k,
@@ -89,8 +84,7 @@ void run_projection_engine(tensor::ConstMatrixViewI8 x,
                            const numeric::RequantParams& rq,
                            tensor::MatrixViewI8 out,
                            runtime::WorkspaceArena& ws,
-                           EngineStats* stats = nullptr,
-                           util::ThreadPool* pool = nullptr);
+                           EngineStats* stats = nullptr);
 void run_projection_engine(const tensor::MatrixI8& x,
                            const tensor::MatrixI8& wt,
                            std::span<const int32_t> bias, uint32_t ts_mha,
@@ -103,31 +97,21 @@ void run_projection_engine(const tensor::MatrixI8& x,
 void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
                    const numeric::RequantParams& rq_logit,
                    tensor::MatrixViewI8 logits, runtime::WorkspaceArena& ws,
-                   EngineStats* stats = nullptr,
-                   util::ThreadPool* pool = nullptr);
+                   EngineStats* stats = nullptr);
 void run_qk_engine(const tensor::MatrixI8& q, const tensor::MatrixI8& k,
                    const numeric::RequantParams& rq_logit,
                    tensor::MatrixI8& logits, EngineStats* stats = nullptr);
 
 class SoftmaxUnit;
 
-/// Algorithm 2 over a block-strided K operand: `k` is a RowSpanListI8
-/// walking a paged KV block table in place (tensor/qgemm span packing;
-/// stored fp8 or packed fp4 codes are decoded as they are read), so the
-/// decode path pays no gather copy. Bit-identical to gathering first —
-/// int32 accumulation is exact and packing order is immaterial.
-void run_qk_engine(tensor::ConstMatrixViewI8 q,
-                   const tensor::RowSpanListI8& k,
-                   const numeric::RequantParams& rq_logit,
-                   tensor::MatrixViewI8 logits, runtime::WorkspaceArena& ws,
-                   EngineStats* stats = nullptr,
-                   util::ThreadPool* pool = nullptr);
-
-/// Algorithm 2 fused with the causal softmax for the cached decode path:
-/// computes the QK int32 accumulator over the span-list K operand and
-/// hands the tile straight to `softmax`'s fused dequant→softmax→requant
-/// pass (SoftmaxUnit::run_causal_fused_into) — the int8 logits matrix is
-/// never materialized. `row_offset` is the cached-prefix causal offset;
+/// Algorithm 2 fused with the causal softmax for the cached decode path.
+/// `k` is a RowSpanListI8 walking a paged KV block table in place
+/// (tensor/qgemm span packing; stored fp8 or packed fp4 codes are decoded
+/// as they are read), so decode pays no gather copy and the result is
+/// bit-identical to gathering first. The QK int32 accumulator tile goes
+/// straight to `softmax`'s fused dequant→softmax→requant pass
+/// (SoftmaxUnit::run_causal_fused_into): the int8 logits matrix is never
+/// materialized. `row_offset` is the cached-prefix causal offset;
 /// `weights` receives the requantized attention weights (scale 1/127).
 void run_qk_softmax_engine(tensor::ConstMatrixViewI8 q,
                            const tensor::RowSpanListI8& k,
@@ -135,28 +119,25 @@ void run_qk_softmax_engine(tensor::ConstMatrixViewI8 q,
                            const SoftmaxUnit& softmax, size_t row_offset,
                            tensor::MatrixViewI8 weights,
                            runtime::WorkspaceArena& ws,
-                           EngineStats* stats = nullptr,
-                           util::ThreadPool* pool = nullptr);
+                           EngineStats* stats = nullptr);
 
 /// Algorithm 3. scores = requant(attn_weights x V).
 void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
                    tensor::ConstMatrixViewI8 v,
                    const numeric::RequantParams& rq_sv,
                    tensor::MatrixViewI8 scores, runtime::WorkspaceArena& ws,
-                   EngineStats* stats = nullptr,
-                   util::ThreadPool* pool = nullptr);
+                   EngineStats* stats = nullptr);
 void run_sv_engine(const tensor::MatrixI8& attn_weights,
                    const tensor::MatrixI8& v,
                    const numeric::RequantParams& rq_sv,
                    tensor::MatrixI8& scores, EngineStats* stats = nullptr);
 
-/// Algorithm 3 over a block-strided V operand (see the span QK engine).
+/// Algorithm 3 over a block-strided V operand (see run_qk_softmax_engine).
 void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
                    const tensor::RowSpanListI8& v,
                    const numeric::RequantParams& rq_sv,
                    tensor::MatrixViewI8 scores, runtime::WorkspaceArena& ws,
-                   EngineStats* stats = nullptr,
-                   util::ThreadPool* pool = nullptr);
+                   EngineStats* stats = nullptr);
 
 enum class FfnActivation { kNone, kRelu, kGeluLut };
 
@@ -169,17 +150,11 @@ void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixViewI8 out,
-                    runtime::WorkspaceArena& ws,
-                    EngineStats* stats = nullptr,
-                    util::ThreadPool* pool = nullptr);
+                    runtime::WorkspaceArena& ws, EngineStats* stats = nullptr);
 void run_ffn_engine(const tensor::MatrixI8& in, const tensor::MatrixI8& w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixI8& out,
                     EngineStats* stats = nullptr);
-
-/// Thread-local scratch arena backing the owning-form wrappers (exposed
-/// so module-level wrappers can reuse it instead of allocating).
-runtime::WorkspaceArena& engine_scratch_arena();
 
 }  // namespace protea::accel

@@ -5,7 +5,6 @@
 
 #include "numeric/quantizer.hpp"
 #include "runtime/prefix_cache.hpp"
-#include "tensor/qgemm.hpp"
 
 namespace protea::runtime {
 
@@ -55,8 +54,7 @@ void GenerationSession::run_rows(const tensor::MatrixF& rows,
                            .ts_mha = config_->synth.ts_mha,
                            .ts_ffn = config_->synth.ts_ffn,
                            .activation = cfg.activation,
-                           .stats = stats,
-                           .gemm_pool = tensor::qgemm_default_pool()};
+                           .stats = stats};
 
   double out_scale = model_->layers.front().scales.x;
   for (size_t li = 0; li < model_->layers.size(); ++li) {
@@ -136,8 +134,7 @@ void GenerationSession::fill_cross(const tensor::MatrixF& memory,
                            .ts_mha = config_->synth.ts_mha,
                            .ts_ffn = config_->synth.ts_ffn,
                            .activation = cfg.activation,
-                           .stats = stats_,
-                           .gemm_pool = tensor::qgemm_default_pool()};
+                           .stats = stats_};
   {
     // The projections run on the MHA-module (QKV/projection) engines.
     const StageScope scope(gate, Stage::kMha);

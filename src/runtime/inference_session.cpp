@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "numeric/quantizer.hpp"
-#include "tensor/qgemm.hpp"
 
 namespace protea::runtime {
 
@@ -36,15 +35,11 @@ void encoder_forward_into(const accel::QuantizedModel& qm,
   quant.set_scale(qm.layers.front().scales.x);
   quant.quantize(input.flat(), x.flat());
 
-  // The shared kernel pool preserves the pre-runtime accelerators'
-  // qgemm_set_threads() behaviour; it is nullptr (serial, the
-  // zero-allocation configuration) unless the user opts in.
   const LayerOpContext ctx{.ws = ws,
                            .ts_mha = config.synth.ts_mha,
                            .ts_ffn = config.synth.ts_ffn,
                            .activation = program.activation,
-                           .stats = stats,
-                           .gemm_pool = tensor::qgemm_default_pool()};
+                           .stats = stats};
 
   double out_scale = qm.layers.front().scales.x;
   for (uint32_t li = 0; li < program.num_layers; ++li) {
@@ -119,8 +114,7 @@ void decoder_forward_into(const accel::QuantizedDecoder& qd,
                            .ts_mha = config.synth.ts_mha,
                            .ts_ffn = config.synth.ts_ffn,
                            .activation = cfg.activation,
-                           .stats = stats,
-                           .gemm_pool = tensor::qgemm_default_pool()};
+                           .stats = stats};
 
   const numeric::KvCodec* kv_codec = numeric::kv_codec(kv_storage);
   double out_scale = qd.layers.front().scales.x;

@@ -148,7 +148,7 @@ void run_attention_block(const LayerOpContext& ctx,
     if (self) {
       accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha,
                             *desc.rq_q, *desc.rq_k, *desc.rq_v, q, k, v,
-                            ctx.ws, ctx.stats, ctx.gemm_pool);
+                            ctx.ws, ctx.stats);
       if (desc.kv_codec != nullptr) {
         numeric::kv_roundtrip_inplace(*desc.kv_codec, k.flat());
         numeric::kv_roundtrip_inplace(*desc.kv_codec, v.flat());
@@ -156,24 +156,19 @@ void run_attention_block(const LayerOpContext& ctx,
     } else {
       const accel::QCrossHeadWeights& ch = desc.cross_heads[head];
       accel::run_projection_engine(x, ch.cqt, ch.cbq, ctx.ts_mha,
-                                   *desc.rq_q, q, ctx.ws, ctx.stats,
-                                   ctx.gemm_pool);
+                                   *desc.rq_q, q, ctx.ws, ctx.stats);
       accel::run_projection_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha,
-                                   *desc.rq_k, k, ctx.ws, ctx.stats,
-                                   ctx.gemm_pool);
+                                   *desc.rq_k, k, ctx.ws, ctx.stats);
       accel::run_projection_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha,
-                                   *desc.rq_v, v, ctx.ws, ctx.stats,
-                                   ctx.gemm_pool);
+                                   *desc.rq_v, v, ctx.ws, ctx.stats);
     }
-    accel::run_qk_engine(q, k, *desc.rq_logit, logits, ctx.ws, ctx.stats,
-                         ctx.gemm_pool);
+    accel::run_qk_engine(q, k, *desc.rq_logit, logits, ctx.ws, ctx.stats);
     if (desc.causal) {
       softmax.run_causal_into(logits, weights);
     } else {
       softmax.run_into(logits, weights);
     }
-    accel::run_sv_engine(weights, v, *desc.rq_sv, scores, ctx.ws,
-                         ctx.stats, ctx.gemm_pool);
+    accel::run_sv_engine(weights, v, *desc.rq_sv, scores, ctx.ws, ctx.stats);
 
     emit_head_scores(concat, head, dk, scores);
     if (traces != nullptr) {
@@ -201,7 +196,7 @@ void run_projection_ln_block(const LayerOpContext& ctx,
   auto proj = ctx.ws.matrix_i8(sl, d);
   accel::run_ffn_engine(concat, desc.w, desc.bias, ctx.ts_ffn, *desc.rq,
                         accel::FfnActivation::kNone, 0.0, proj, ctx.ws,
-                        ctx.stats, ctx.gemm_pool);
+                        ctx.stats);
   auto scratch = ctx.ws.span_i32(d);
   accel::run_layernorm(desc.gamma, desc.beta, desc.ln_eps, proj,
                        desc.s_proj, residual, desc.s_res, desc.s_out, out,
@@ -227,12 +222,11 @@ void run_ffn_block(const LayerOpContext& ctx, const FfnBlockDesc& desc,
   const auto m = ctx.ws.mark();
   auto hidden = ctx.ws.matrix_i8(sl, f);
   accel::run_ffn_engine(x, desc.w1, desc.b1, ctx.ts_ffn, *desc.rq_hidden,
-                        act, desc.s_hidden, hidden, ctx.ws, ctx.stats,
-                        ctx.gemm_pool);
+                        act, desc.s_hidden, hidden, ctx.ws, ctx.stats);
   auto ffn_out = ctx.ws.matrix_i8(sl, d);
   accel::run_ffn_engine(hidden, desc.w2, desc.b2, ctx.ts_ffn,
                         *desc.rq_ffn_out, accel::FfnActivation::kNone, 0.0,
-                        ffn_out, ctx.ws, ctx.stats, ctx.gemm_pool);
+                        ffn_out, ctx.ws, ctx.stats);
   auto scratch = ctx.ws.span_i32(d);
   accel::run_layernorm(desc.gamma, desc.beta, desc.ln_eps, ffn_out,
                        desc.s_ffn_out, x, desc.s_in, desc.s_out, out,
@@ -409,7 +403,7 @@ void run_self_attention_cached(const LayerOpContext& ctx,
     auto v_new = ctx.ws.matrix_i8(n, dk);
     accel::run_qkv_engine(x, desc.self_heads[head], ctx.ts_mha, *desc.rq_q,
                           *desc.rq_k, *desc.rq_v, q, k_new, v_new, ctx.ws,
-                          ctx.stats, ctx.gemm_pool);
+                          ctx.stats);
     cache.scatter_self(layer_index, head, pos, k_new, v_new);
     const size_t max_runs = cache.max_self_span_runs(total);
     auto k_runs = ctx.ws.span_of<tensor::RowSpanI8>(max_runs);
@@ -420,9 +414,9 @@ void run_self_attention_cached(const LayerOpContext& ctx,
         cache.self_spans(layer_index, head, 1, total, v_runs);
     accel::run_qk_softmax_engine(q, k_spans, *desc.rq_logit, softmax,
                                  /*row_offset=*/pos, weights, ctx.ws,
-                                 ctx.stats, ctx.gemm_pool);
+                                 ctx.stats);
     accel::run_sv_engine(weights, v_spans, *desc.rq_sv, scores, ctx.ws,
-                         ctx.stats, ctx.gemm_pool);
+                         ctx.stats);
     emit_head_scores(concat, head, dk, scores);
     ctx.ws.rewind(m);
   }
@@ -445,11 +439,11 @@ void fill_cross_kv_cache(const LayerOpContext& ctx,
     accel::run_projection_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha,
                                  *desc.rq_k,
                                  prefix_rows(kv.cross_k[head], mem_rows),
-                                 ctx.ws, ctx.stats, ctx.gemm_pool);
+                                 ctx.ws, ctx.stats);
     accel::run_projection_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha,
                                  *desc.rq_v,
                                  prefix_rows(kv.cross_v[head], mem_rows),
-                                 ctx.ws, ctx.stats, ctx.gemm_pool);
+                                 ctx.ws, ctx.stats);
   }
 }
 
@@ -485,8 +479,7 @@ void run_cross_attention_cached(const LayerOpContext& ctx,
     auto q = ctx.ws.matrix_i8(n, dk);
     accel::run_projection_engine(x, desc.cross_heads[head].cqt,
                                  desc.cross_heads[head].cbq, ctx.ts_mha,
-                                 *desc.rq_q, q, ctx.ws, ctx.stats,
-                                 ctx.gemm_pool);
+                                 *desc.rq_q, q, ctx.ws, ctx.stats);
     const tensor::ConstMatrixViewI8 k =
         prefix_rows(kv.cross_k[head], memory_len);
     const tensor::ConstMatrixViewI8 v =
@@ -494,11 +487,9 @@ void run_cross_attention_cached(const LayerOpContext& ctx,
     auto logits = ctx.ws.matrix_i8(n, memory_len);
     auto weights = ctx.ws.matrix_i8(n, memory_len);
     auto scores = ctx.ws.matrix_i8(n, dk);
-    accel::run_qk_engine(q, k, *desc.rq_logit, logits, ctx.ws, ctx.stats,
-                         ctx.gemm_pool);
+    accel::run_qk_engine(q, k, *desc.rq_logit, logits, ctx.ws, ctx.stats);
     softmax.run_into(logits, weights);
-    accel::run_sv_engine(weights, v, *desc.rq_sv, scores, ctx.ws,
-                         ctx.stats, ctx.gemm_pool);
+    accel::run_sv_engine(weights, v, *desc.rq_sv, scores, ctx.ws, ctx.stats);
     emit_head_scores(concat, head, dk, scores);
     ctx.ws.rewind(m);
   }

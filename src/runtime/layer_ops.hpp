@@ -103,7 +103,6 @@ struct LayerOpContext {
   uint32_t ts_ffn = 0;
   ref::Activation activation = ref::Activation::kRelu;
   accel::EngineStats* stats = nullptr;
-  util::ThreadPool* gemm_pool = nullptr;  // optional intra-op threading
 };
 
 /// One descriptor for all three attention shapes. Exactly one of

@@ -242,6 +242,8 @@ void micro_kernel(size_t kc, const T* __restrict ap, const T* __restrict bp,
 /// Allocation-free driver core: `c` is the caller's (m x n) output and
 /// `bbuf` the caller's packed-B scratch (>= pack_b_elems(n) elements —
 /// the workspace arena provides both on the runtime's steady-state path).
+/// Row panels spread over `pool` when one is given: only the float
+/// kernels take one (the CPU baseline's); the int8 layer passes nullptr.
 template <typename T, typename Mul, typename Acc, typename PackB>
 void gemm_driver_into(const T* a, size_t m, size_t k, size_t n, Acc* c,
                       T* bbuf, util::ThreadPool* pool, const PackB& pack_b) {

@@ -35,13 +35,13 @@ MatrixF matmul(const MatrixF& a, const MatrixF& b, util::ThreadPool* pool) {
   return c;
 }
 
-MatrixF matmul_bt(const MatrixF& a, const MatrixF& b, util::ThreadPool* pool) {
+MatrixF matmul_bt(const MatrixF& a, const MatrixF& b) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_bt: inner dimension mismatch");
   }
   MatrixF c;
   detail::gemm_driver<float, float, float>(
-      a, b.rows(), c, pool, [&](size_t k0, size_t kc, float* dst) {
+      a, b.rows(), c, nullptr, [&](size_t k0, size_t kc, float* dst) {
         detail::pack_bt_block(b, k0, kc, b.rows(), dst);
       });
   return c;

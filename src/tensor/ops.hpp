@@ -25,8 +25,7 @@ MatrixF matmul(const MatrixF& a, const MatrixF& b,
 /// C = A * B^T. A is (m x k), B is (n x k), C is (m x n). B is transposed
 /// during panel packing, so the inner product runs the same packed
 /// micro-kernel as matmul.
-MatrixF matmul_bt(const MatrixF& a, const MatrixF& b,
-                  util::ThreadPool* pool = nullptr);
+MatrixF matmul_bt(const MatrixF& a, const MatrixF& b);
 
 /// C = A * B + broadcast(bias). bias has length n.
 MatrixF matmul_bias(const MatrixF& a, const MatrixF& b,

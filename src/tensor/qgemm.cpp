@@ -1,20 +1,13 @@
 #include "tensor/qgemm.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "tensor/gemm_detail.hpp"
-#include "util/thread_pool.hpp"
 
 namespace protea::tensor {
 namespace {
-
-std::unique_ptr<util::ThreadPool>& default_pool_storage() {
-  static std::unique_ptr<util::ThreadPool> pool;
-  return pool;
-}
 
 /// The one loop-order choice of the int8 kernel layer, made by shape
 /// alone: fewer A rows than one register block (decode steps) read B in
@@ -34,12 +27,9 @@ RowSpanListI8 one_run(const RowSpanI8& run, size_t cols) {
 /// Every int8 entry point lands here. `b` lists B's logical rows — B's k
 /// rows of n, or B^T's n rows of k when `bt` — read through `elems`;
 /// `pack_b` packs one K block of the same operand for the packed path.
-/// The direct path is serial whatever `pool` is, as the packed path
-/// already is for a single row panel.
 template <typename Elems, typename PackB>
 void product(ConstMatrixViewI8 a, const RowSpanListI8& b, Elems elems,
-             bool bt, MatrixViewI32 c, int8_t* pack_buf,
-             util::ThreadPool* pool, const PackB& pack_b) {
+             bool bt, MatrixViewI32 c, int8_t* pack_buf, const PackB& pack_b) {
   if (reads_b_in_place(a.rows())) {
     if (bt) {
       detail::direct_bt(a.data(), a.rows(), a.cols(), b, elems, c.data());
@@ -49,17 +39,16 @@ void product(ConstMatrixViewI8 a, const RowSpanListI8& b, Elems elems,
     return;
   }
   detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), c.cols(), c.data(), pack_buf, pool,
-      pack_b);
+      a.data(), a.rows(), a.cols(), c.cols(), c.data(), pack_buf,
+      /*pool=*/nullptr, pack_b);
 }
 
 /// Dense int8 B (k x n) or B^T (n x k).
 void dense_product(ConstMatrixViewI8 a, ConstMatrixViewI8 b, bool bt,
-                   MatrixViewI32 c, int8_t* pack_buf,
-                   util::ThreadPool* pool) {
+                   MatrixViewI32 c, int8_t* pack_buf) {
   const RowSpanI8 run{b.data(), b.rows()};
   product(a, one_run(run, b.cols()), detail::RawElems{}, bt, c, pack_buf,
-          pool, [&](size_t k0, size_t kc, int8_t* dst) {
+          [&](size_t k0, size_t kc, int8_t* dst) {
             if (bt) {
               detail::pack_bt_block(b, k0, kc, b.rows(), dst);
             } else {
@@ -70,10 +59,9 @@ void dense_product(ConstMatrixViewI8 a, ConstMatrixViewI8 b, bool bt,
 
 /// Row-list B or B^T in any of its three storage forms.
 void rows_product(ConstMatrixViewI8 a, const RowSpanListI8& b, bool bt,
-                  MatrixViewI32 c, int8_t* pack_buf,
-                  util::ThreadPool* pool) {
+                  MatrixViewI32 c, int8_t* pack_buf) {
   detail::with_elems(b, [&](auto elems) {
-    product(a, b, elems, bt, c, pack_buf, pool,
+    product(a, b, elems, bt, c, pack_buf,
             [&](size_t k0, size_t kc, int8_t* dst) {
               if (bt) {
                 detail::pack_bt_block_spans(b, elems, k0, kc, b.rows, dst);
@@ -87,12 +75,12 @@ void rows_product(ConstMatrixViewI8 a, const RowSpanListI8& b, bool bt,
 /// Owning-output entry points: resize `c`, and allocate packing scratch
 /// only when the packed path will run.
 void owning_product(const MatrixI8& a, const MatrixI8& b, bool bt,
-                    MatrixI32& c, util::ThreadPool* pool) {
+                    MatrixI32& c) {
   const size_t n = bt ? b.rows() : b.cols();
   c = MatrixI32(a.rows(), n, 0);
   std::vector<int8_t> pack(
       reads_b_in_place(a.rows()) ? 0 : detail::pack_b_elems(n));
-  dense_product(a, b, bt, c, pack.data(), pool);
+  dense_product(a, b, bt, c, pack.data());
 }
 
 void check_into_args(ConstMatrixViewI8 a, size_t b_k, size_t b_n,
@@ -138,50 +126,46 @@ void check_span_list(const RowSpanListI8& list, const char* name) {
 
 }  // namespace
 
-void qgemm(const MatrixI8& a, const MatrixI8& b, MatrixI32& c,
-           util::ThreadPool* pool) {
+void qgemm(const MatrixI8& a, const MatrixI8& b, MatrixI32& c) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("qgemm: inner dimension mismatch");
   }
-  owning_product(a, b, false, c, pool);
+  owning_product(a, b, false, c);
 }
 
-void qgemm_bt(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c,
-              util::ThreadPool* pool) {
+void qgemm_bt(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c) {
   if (a.cols() != bt.cols()) {
     throw std::invalid_argument("qgemm_bt: inner dimension mismatch");
   }
-  owning_product(a, bt, true, c, pool);
+  owning_product(a, bt, true, c);
 }
 
 size_t qgemm_pack_elems(size_t n) { return detail::pack_b_elems(n); }
 
 void qgemm_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b, MatrixViewI32 c,
-                std::span<int8_t> pack_buf, util::ThreadPool* pool) {
+                std::span<int8_t> pack_buf) {
   check_into_args(a, b.rows(), b.cols(), c, pack_buf, "qgemm_into");
-  dense_product(a, b, false, c, pack_buf.data(), pool);
+  dense_product(a, b, false, c, pack_buf.data());
 }
 
 void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
-                   std::span<int8_t> pack_buf, util::ThreadPool* pool) {
+                   std::span<int8_t> pack_buf) {
   check_into_args(a, bt.cols(), bt.rows(), c, pack_buf, "qgemm_bt_into");
-  dense_product(a, bt, true, c, pack_buf.data(), pool);
+  dense_product(a, bt, true, c, pack_buf.data());
 }
 
 void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
-                      MatrixViewI32 c, std::span<int8_t> pack_buf,
-                      util::ThreadPool* pool) {
+                      MatrixViewI32 c, std::span<int8_t> pack_buf) {
   check_into_args(a, b.rows, b.cols, c, pack_buf, "qgemm_spans_into");
   check_span_list(b, "qgemm_spans_into");
-  rows_product(a, b, false, c, pack_buf.data(), pool);
+  rows_product(a, b, false, c, pack_buf.data());
 }
 
 void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
-                         MatrixViewI32 c, std::span<int8_t> pack_buf,
-                         util::ThreadPool* pool) {
+                         MatrixViewI32 c, std::span<int8_t> pack_buf) {
   check_into_args(a, bt.cols, bt.rows, c, pack_buf, "qgemm_bt_spans_into");
   check_span_list(bt, "qgemm_bt_spans_into");
-  rows_product(a, bt, true, c, pack_buf.data(), pool);
+  rows_product(a, bt, true, c, pack_buf.data());
 }
 
 void qgemm_naive(const MatrixI8& a, const MatrixI8& b, MatrixI32& c) {
@@ -222,17 +206,6 @@ void qgemm_bt_naive(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c) {
       }
       c(i, j) = sum;
     }
-  }
-}
-
-util::ThreadPool* qgemm_default_pool() { return default_pool_storage().get(); }
-
-void qgemm_set_threads(size_t n) {
-  auto& pool = default_pool_storage();
-  if (n <= 1) {
-    pool.reset();
-  } else {
-    pool = std::make_unique<util::ThreadPool>(n);
   }
 }
 

@@ -389,7 +389,7 @@ void expect_same_hypotheses(
   }
 }
 
-TEST(BeamSearchCow, CowMatchesEagerAndStaysWithinAdmissionBound) {
+TEST(BeamSearchCow, CowMatchesEagerAndStaysWithinWorstCaseBound) {
   BeamFixture bf(16, 570);
   const std::vector<uint32_t> prompt = {1, 2, 3, 4, 5, 6};
 
@@ -413,7 +413,8 @@ TEST(BeamSearchCow, CowMatchesEagerAndStaysWithinAdmissionBound) {
   expect_same_hypotheses(cow_hyps, eager_hyps, "cow vs eager");
   ASSERT_EQ(cow_hyps.size(), 4u);
 
-  // Sharing actually happened, within the reserve-at-admission bound.
+  // Sharing actually happened, within the worst-case block bound
+  // (beam_worst_case_blocks) every run is held to.
   const auto& cs = cow_dec.last_run();
   const auto& es = eager_dec.last_run();
   EXPECT_GT(cs.cow_copies, 0u);

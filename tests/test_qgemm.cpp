@@ -1,8 +1,8 @@
 // Tests for the int8 GEMM kernel layer: exact equivalence of every entry
 // point — packed and small-M direct, dense and span operands, int8 rows,
 // byte codes and packed nibble codes — with the retained naive references
-// on ragged and degenerate shapes, thread-count invariance, argument
-// checks, and bit-identity of the engines that ride on it.
+// on ragged and degenerate shapes, argument checks, and bit-identity of
+// the engines that ride on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "numeric/requantize.hpp"
 #include "tensor/qgemm.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace protea::tensor {
 namespace {
@@ -176,20 +175,6 @@ TEST(QGemm, AgreesWithBtOnTransposedOperand) {
   EXPECT_EQ(c1, c2);
 }
 
-TEST(QGemm, ThreadCountDoesNotChangeResult) {
-  util::ThreadPool pool(4);
-  uint64_t seed = 200;
-  for (const auto& s : kShapes) {
-    const auto a = random_i8(s.m, s.k, seed++);
-    const auto b = random_i8(s.k, s.n, seed++);
-    MatrixI32 serial, threaded;
-    qgemm(a, b, serial);
-    qgemm(a, b, threaded, &pool);
-    EXPECT_EQ(serial, threaded) << "m=" << s.m << " k=" << s.k
-                                << " n=" << s.n;
-  }
-}
-
 TEST(QGemm, InnerDimensionMismatchThrows) {
   const auto a = random_i8(4, 5, 300);
   const auto b = random_i8(6, 4, 301);
@@ -199,15 +184,14 @@ TEST(QGemm, InnerDimensionMismatchThrows) {
 }
 
 TEST(QGemmEntryPoints, EveryEntryPointMatchesNaiveOracle) {
-  // Each of the six int8 entry points, serial and pooled, against the
-  // naive loop on the decoded operand. The span entry points also take
-  // dense code matrices as one-run lists, and multi-run lists of int8
-  // rows, fp8 byte codes and packed fp4 nibble codes.
+  // Each of the six int8 entry points against the naive loop on the
+  // decoded operand. The span entry points also take dense code matrices
+  // as one-run lists, and multi-run lists of int8 rows, fp8 byte codes and
+  // packed fp4 nibble codes.
   const int8_t* lut = numeric::kv_codec(numeric::KvStorage::kFp8E4M3)
                           ->decode.data();
   const int8_t* lut4 = numeric::kv_codec(numeric::KvStorage::kFp4E2M1)
                            ->decode.data();
-  util::ThreadPool pool(2);
   uint64_t seed = 500;
   for (const auto& s : kShapes) {
     SCOPED_TRACE("m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
@@ -231,45 +215,38 @@ TEST(QGemmEntryPoints, EveryEntryPointMatchesNaiveOracle) {
     const SpanOperand b_codes(b, lut), bt_codes(bt, lut);
     const SpanOperand b_nibbles(b4, lut4, true), bt_nibbles(bt4, lut4, true);
     std::vector<int8_t> pack(qgemm_pack_elems(s.n));
-    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                &pool}) {
-      SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
-      MatrixI32 got;
-      qgemm(a, b, got, p);
-      EXPECT_EQ(got, want) << "qgemm";
-      qgemm_bt(a, bt, got, p);
-      EXPECT_EQ(got, want_bt) << "qgemm_bt";
+    MatrixI32 got;
+    qgemm(a, b, got);
+    EXPECT_EQ(got, want) << "qgemm";
+    qgemm_bt(a, bt, got);
+    EXPECT_EQ(got, want_bt) << "qgemm_bt";
 
-      // The view-output twins start from garbage, so a kernel that adds
-      // into c instead of overwriting it fails.
-      const auto check = [&](const char* name, const MatrixI32& expect,
-                             const auto& call) {
-        got.fill(0x7777);
-        call();
-        EXPECT_EQ(got, expect) << name;
-      };
-      check("qgemm_into", want,
-            [&] { qgemm_into(a, b, got, pack, p); });
-      check("qgemm_bt_into", want_bt,
-            [&] { qgemm_bt_into(a, bt, got, pack, p); });
-      check("qgemm_spans_into", want,
-            [&] { qgemm_spans_into(a, b_spans.list(), got, pack, p); });
-      check("qgemm_bt_spans_into", want_bt,
-            [&] { qgemm_bt_spans_into(a, bt_spans.list(), got, pack, p); });
-      check("qgemm_spans_into (dense codes)", want_lut,
-            [&] { qgemm_spans_into(a, b_dense_codes, got, pack, p); });
-      check("qgemm_bt_spans_into (dense codes)", want_bt_lut,
-            [&] { qgemm_bt_spans_into(a, bt_dense_codes, got, pack, p); });
-      check("qgemm_spans_into (decode)", want_lut,
-            [&] { qgemm_spans_into(a, b_codes.list(), got, pack, p); });
-      check("qgemm_bt_spans_into (decode)", want_bt_lut,
-            [&] { qgemm_bt_spans_into(a, bt_codes.list(), got, pack, p); });
-      check("qgemm_spans_into (nibbles)", want_4,
-            [&] { qgemm_spans_into(a, b_nibbles.list(), got, pack, p); });
-      check("qgemm_bt_spans_into (nibbles)", want_bt_4, [&] {
-        qgemm_bt_spans_into(a, bt_nibbles.list(), got, pack, p);
-      });
-    }
+    // The view-output twins start from garbage, so a kernel that adds
+    // into c instead of overwriting it fails.
+    const auto check = [&](const char* name, const MatrixI32& expect,
+                           const auto& call) {
+      got.fill(0x7777);
+      call();
+      EXPECT_EQ(got, expect) << name;
+    };
+    check("qgemm_into", want, [&] { qgemm_into(a, b, got, pack); });
+    check("qgemm_bt_into", want_bt, [&] { qgemm_bt_into(a, bt, got, pack); });
+    check("qgemm_spans_into", want,
+          [&] { qgemm_spans_into(a, b_spans.list(), got, pack); });
+    check("qgemm_bt_spans_into", want_bt,
+          [&] { qgemm_bt_spans_into(a, bt_spans.list(), got, pack); });
+    check("qgemm_spans_into (dense codes)", want_lut,
+          [&] { qgemm_spans_into(a, b_dense_codes, got, pack); });
+    check("qgemm_bt_spans_into (dense codes)", want_bt_lut,
+          [&] { qgemm_bt_spans_into(a, bt_dense_codes, got, pack); });
+    check("qgemm_spans_into (decode)", want_lut,
+          [&] { qgemm_spans_into(a, b_codes.list(), got, pack); });
+    check("qgemm_bt_spans_into (decode)", want_bt_lut,
+          [&] { qgemm_bt_spans_into(a, bt_codes.list(), got, pack); });
+    check("qgemm_spans_into (nibbles)", want_4,
+          [&] { qgemm_spans_into(a, b_nibbles.list(), got, pack); });
+    check("qgemm_bt_spans_into (nibbles)", want_bt_4,
+          [&] { qgemm_bt_spans_into(a, bt_nibbles.list(), got, pack); });
   }
 }
 
@@ -338,23 +315,6 @@ TEST(QGemmEntryPoints, SpanListWithEmptyRunThrows) {
     EXPECT_THROW(qgemm_bt_spans_into(*a, list, ct, pack),
                  std::invalid_argument);
   }
-}
-
-TEST(QGemm, DefaultPoolConfigurable) {
-  EXPECT_EQ(qgemm_default_pool(), nullptr);
-  qgemm_set_threads(3);
-  ASSERT_NE(qgemm_default_pool(), nullptr);
-  EXPECT_EQ(qgemm_default_pool()->size(), 3u);
-
-  const auto a = random_i8(17, 40, 400);
-  const auto b = random_i8(40, 23, 401);
-  MatrixI32 serial, pooled;
-  qgemm_naive(a, b, serial);
-  qgemm(a, b, pooled, qgemm_default_pool());
-  EXPECT_EQ(serial, pooled);
-
-  qgemm_set_threads(0);
-  EXPECT_EQ(qgemm_default_pool(), nullptr);
 }
 
 }  // namespace
@@ -491,23 +451,6 @@ TEST(EngineBitIdentity, FfnEngineMatchesNaiveWithRelu) {
       EXPECT_EQ(out(i, j), std::max<int8_t>(rq8, 0));
     }
   }
-}
-
-TEST(EngineBitIdentity, EnginesUnchangedByKernelThreading) {
-  const size_t sl = 16, d = 64;
-  const auto in = random_i8(sl, d, 40);
-  const auto w = random_i8(d, d, 41);
-  const auto bias = random_bias(d, 42);
-  const auto rq = numeric::make_requant_params(0.004);
-
-  MatrixI8 serial_out, threaded_out;
-  run_ffn_engine(in, w, bias, 32, rq, FfnActivation::kGeluLut, 0.05,
-                 serial_out);
-  tensor::qgemm_set_threads(4);
-  run_ffn_engine(in, w, bias, 32, rq, FfnActivation::kGeluLut, 0.05,
-                 threaded_out);
-  tensor::qgemm_set_threads(0);
-  EXPECT_EQ(serial_out, threaded_out);
 }
 
 }  // namespace

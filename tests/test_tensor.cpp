@@ -7,6 +7,7 @@
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace protea::tensor {
 namespace {
@@ -261,6 +262,11 @@ TEST_P(MatmulShapes, MatchesNaiveReference) {
       EXPECT_NEAR(c(i, j), sum, 1e-4) << i << "," << j;
     }
   }
+  // The driver's row-partitioned branch: each output row is produced by
+  // one task in the same ascending-k chain, so a pooled product equals
+  // the serial one bit for bit, on one row panel (m <= 4) or several.
+  util::ThreadPool pool(3);
+  EXPECT_EQ(matmul(a, b, &pool), c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
