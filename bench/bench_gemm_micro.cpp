@@ -1,7 +1,7 @@
-// Google-benchmark microbenchmarks of the GEMM kernel layer: the packed
-// int8 kernels (tensor/qgemm.hpp) the engines run on, their retained naive
-// baselines, and the float kernels behind the reference encoder and the
-// measured CPU baseline.
+// Google-benchmark microbenchmarks of the GEMM kernel layer: the int8
+// kernels (tensor/qgemm.hpp) the engines run on — weights packed once and
+// operands packed per call — their retained naive baselines, and the float
+// kernels behind the reference encoder and the measured CPU baseline.
 //
 // Besides the google-benchmark console/CSV output, main() emits a
 // machine-readable bench_results/BENCH_gemm.json (kernel, shape, GMAC/s,
@@ -183,8 +183,39 @@ void emit_bench_gemm_json() {
                                   [&] { tensor::qgemm(a, b, c); }));
   }
   {
-    // Decode-step shapes (one A row): a QKV head through qgemm_bt, the
-    // projection / FFN through qgemm. Both take the small-M direct path.
+    // Weights packed once (the engines' weight path) at the encoder's
+    // Table I Test 5 shapes (SL 64, d 768, FFN 3072, a 96-wide head packed
+    // from its [out][in] slice), a prefill chunk and decode steps.
+    struct PackedShape {
+      size_t m, k, n;
+      bool bt;
+    };
+    const PackedShape shapes[] = {
+        {64, 768, 768, false}, {64, 768, 3072, false},
+        {64, 3072, 768, false}, {64, 768, 96, true},
+        {16, 256, 256, false}, {1, 256, 256, false},
+        {1, 256, 1024, false}, {1, 1024, 256, false}};
+    uint64_t seed = 30;
+    for (const PackedShape& s : shapes) {
+      const auto a = random_i8(s.m, s.k, seed++);
+      const auto w = s.bt ? tensor::PackedWeightI8::from_bt(
+                                random_i8(s.n, s.k, seed++))
+                          : tensor::PackedWeightI8::from_b(
+                                random_i8(s.k, s.n, seed++));
+      tensor::MatrixI32 c(s.m, s.n);
+      const int reps = s.m == 1 ? 500 : 20;
+      results.push_back(time_kernel(
+          s.bt ? "qgemm_packed_bt" : "qgemm_packed", s.m, s.k, s.n, reps,
+          [&] {
+            tensor::qgemm_packed_into(a, w, c);
+            benchmark::DoNotOptimize(c.data());
+            benchmark::ClobberMemory();
+          }));
+    }
+  }
+  {
+    // Decode-step shapes (one A row) through the per-call entry points,
+    // which read B in place (the small-M direct path).
     const auto x = random_i8(1, 256, 27);
     const auto wt = random_i8(64, 256, 28);
     const auto w = random_i8(256, 256, 29);

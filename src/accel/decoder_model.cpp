@@ -29,18 +29,19 @@ double pow2_scale(double range, double margin) {
 }
 
 /// Quantizes a transposed head slice of `src` (cols [c0, c0+n)) with a
-/// caller-fixed scale.
+/// caller-fixed scale and packs it.
 void quantize_head_slice(const tensor::MatrixF& src, size_t col0,
                          size_t ncols, double scale,
-                         tensor::MatrixI8& dst) {
+                         tensor::PackedWeightI8& dst) {
   Quantizer q(8, true);
   q.set_scale(scale);
   tensor::MatrixF t(ncols, src.rows());
   for (size_t r = 0; r < src.rows(); ++r) {
     for (size_t c = 0; c < ncols; ++c) t(c, r) = src(r, col0 + c);
   }
-  dst = tensor::MatrixI8(ncols, src.rows());
-  q.quantize(t.flat(), dst.flat());
+  tensor::MatrixI8 m(ncols, src.rows());
+  q.quantize(t.flat(), m.flat());
+  dst = tensor::PackedWeightI8::from_bt(m);
 }
 
 /// Shared pow2 scale covering all head slices of a (d x d) projection.
@@ -49,11 +50,15 @@ double projection_scale(const tensor::MatrixF& w) {
   return q.calibrate(w.flat());
 }
 
-double quantize_matrix(const tensor::MatrixF& src, tensor::MatrixI8& dst) {
+/// Quantizes an [in][out] matrix at its calibrated pow2 scale and packs
+/// it; returns the scale.
+double quantize_matrix(const tensor::MatrixF& src,
+                       tensor::PackedWeightI8& dst) {
   Quantizer q(8, true);
   const double scale = q.calibrate(src.flat());
-  dst = tensor::MatrixI8(src.rows(), src.cols());
-  q.quantize(src.flat(), dst.flat());
+  tensor::MatrixI8 m(src.rows(), src.cols());
+  q.quantize(src.flat(), m.flat());
+  dst = tensor::PackedWeightI8::from_b(m);
   return scale;
 }
 

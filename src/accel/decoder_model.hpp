@@ -33,24 +33,27 @@ struct DecoderLayerScales {
   double ln3 = 1.0;
 };
 
-/// Per-head transposed cross-attention weights: queries projected from
-/// the decoder stream, keys/values from the encoder memory.
+/// Per-head cross-attention weights, packed from (d_k x d_model) [out][in]
+/// slices like QHeadWeights: queries projected from the decoder stream,
+/// keys/values from the encoder memory.
 struct QCrossHeadWeights {
-  tensor::MatrixI8 cqt, ckt, cvt;      // (d_k x d_model)
-  std::vector<int32_t> cbq, cbk, cbv;  // accumulator-scale biases
+  tensor::PackedWeightI8 cqt, ckt, cvt;  // (d_k x d_model)
+  std::vector<int32_t> cbq, cbk, cbv;    // accumulator-scale biases
 };
 
+/// Every weight is packed once at quantization (tensor::PackedWeightI8);
+/// the projection and FFN weights from [in][out] matrices.
 struct QDecoderLayer {
   // Self-attention reuses the encoder's per-head layout and engines.
   std::vector<QHeadWeights> self_heads;
-  tensor::MatrixI8 wo;
+  tensor::PackedWeightI8 wo;           // (d_model x d_model)
   std::vector<int32_t> bo;
   std::vector<QCrossHeadWeights> cross_heads;
-  tensor::MatrixI8 co;
+  tensor::PackedWeightI8 co;           // (d_model x d_model)
   std::vector<int32_t> cbo;
-  tensor::MatrixI8 w1;
+  tensor::PackedWeightI8 w1;           // (d_model x ffn_hidden)
   std::vector<int32_t> b1;
-  tensor::MatrixI8 w2;
+  tensor::PackedWeightI8 w2;           // (ffn_hidden x d_model)
   std::vector<int32_t> b2;
   std::vector<float> ln1_gamma, ln1_beta;
   std::vector<float> ln2_gamma, ln2_beta;

@@ -68,9 +68,14 @@ void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
                     EngineStats* stats) {
   const size_t sl = x.rows();
   const size_t d = x.cols();
-  const size_t dk = head.wqt.rows();
-  if (head.wqt.cols() != d || head.wkt.cols() != d || head.wvt.cols() != d) {
-    throw std::invalid_argument("run_qkv_engine: weight width mismatch");
+  const size_t dk = head.wqt.n();
+  for (const tensor::PackedWeightI8* w : {&head.wqt, &head.wkt, &head.wvt}) {
+    if (w->k() != d || w->n() != dk) {
+      throw std::invalid_argument("run_qkv_engine: weight shape mismatch");
+    }
+  }
+  if (head.bq.size() != dk || head.bk.size() != dk || head.bv.size() != dk) {
+    throw std::invalid_argument("run_qkv_engine: bias length mismatch");
   }
   if (ts_mha == 0) {
     throw std::invalid_argument("run_qkv_engine: zero tile size");
@@ -86,10 +91,9 @@ void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
   auto acc_q = ws.matrix_i32(sl, dk);
   auto acc_k = ws.matrix_i32(sl, dk);
   auto acc_v = ws.matrix_i32(sl, dk);
-  auto pack = ws.span_i8(tensor::qgemm_pack_elems(dk));
-  tensor::qgemm_bt_into(x, head.wqt, acc_q, pack);
-  tensor::qgemm_bt_into(x, head.wkt, acc_k, pack);
-  tensor::qgemm_bt_into(x, head.wvt, acc_v, pack);
+  tensor::qgemm_packed_into(x, head.wqt, acc_q);
+  tensor::qgemm_packed_into(x, head.wkt, acc_k);
+  tensor::qgemm_packed_into(x, head.wvt, acc_v);
   if (stats != nullptr) stats->macs += 3 * sl * d * dk;
 
   // Bias add in the accumulator domain, then write-back requantization.
@@ -110,7 +114,7 @@ void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
                     tensor::MatrixI8& k, tensor::MatrixI8& v,
                     EngineStats* stats) {
   const size_t sl = x.rows();
-  const size_t dk = head.wqt.rows();
+  const size_t dk = head.wqt.n();
   q = tensor::MatrixI8(sl, dk);
   k = tensor::MatrixI8(sl, dk);
   v = tensor::MatrixI8(sl, dk);
@@ -121,15 +125,15 @@ void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
 // --- Projection engine -------------------------------------------------------
 
 void run_projection_engine(tensor::ConstMatrixViewI8 x,
-                           tensor::ConstMatrixViewI8 wt,
+                           const tensor::PackedWeightI8& w,
                            std::span<const int32_t> bias, uint32_t ts_mha,
                            const numeric::RequantParams& rq,
                            tensor::MatrixViewI8 out,
                            runtime::WorkspaceArena& ws, EngineStats* stats) {
   const size_t rows = x.rows();
   const size_t d = x.cols();
-  const size_t out_dim = wt.rows();
-  if (wt.cols() != d) {
+  const size_t out_dim = w.n();
+  if (w.k() != d) {
     throw std::invalid_argument("run_projection_engine: width mismatch");
   }
   if (bias.size() != out_dim) {
@@ -142,8 +146,7 @@ void run_projection_engine(tensor::ConstMatrixViewI8 x,
 
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(rows, out_dim);
-  auto pack = ws.span_i8(tensor::qgemm_pack_elems(out_dim));
-  tensor::qgemm_bt_into(x, wt, acc, pack);
+  tensor::qgemm_packed_into(x, w, acc);
   for (size_t i = 0; i < rows; ++i) {
     for (size_t kk = 0; kk < out_dim; ++kk) {
       out(i, kk) = requant8(int64_t{acc(i, kk)} + bias[kk], rq);
@@ -154,13 +157,12 @@ void run_projection_engine(tensor::ConstMatrixViewI8 x,
 }
 
 void run_projection_engine(const tensor::MatrixI8& x,
-                           const tensor::MatrixI8& wt,
+                           const tensor::PackedWeightI8& w,
                            std::span<const int32_t> bias, uint32_t ts_mha,
                            const numeric::RequantParams& rq,
                            tensor::MatrixI8& out, EngineStats* stats) {
-  out = tensor::MatrixI8(x.rows(), wt.rows());
-  run_projection_engine(tensor::ConstMatrixViewI8(x),
-                        tensor::ConstMatrixViewI8(wt), bias, ts_mha, rq,
+  out = tensor::MatrixI8(x.rows(), w.n());
+  run_projection_engine(tensor::ConstMatrixViewI8(x), w, bias, ts_mha, rq,
                         out, engine_scratch_arena(), stats);
 }
 
@@ -296,15 +298,16 @@ void run_sv_engine(const tensor::MatrixI8& attn_weights,
 
 // --- FFN engine --------------------------------------------------------------
 
-void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
+void run_ffn_engine(tensor::ConstMatrixViewI8 in,
+                    const tensor::PackedWeightI8& w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixViewI8 out,
                     runtime::WorkspaceArena& ws, EngineStats* stats) {
   const size_t sl = in.rows();
   const size_t in_dim = in.cols();
-  const size_t out_dim = w.cols();
-  if (w.rows() != in_dim) {
+  const size_t out_dim = w.n();
+  if (w.k() != in_dim) {
     throw std::invalid_argument("run_ffn_engine: weight shape mismatch");
   }
   if (bias.size() != out_dim) {
@@ -325,8 +328,7 @@ void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
   // same sums bit-for-bit; ts_ffn stays a cycle-accounting parameter.
   const auto m = ws.mark();
   auto acc = ws.matrix_i32(sl, out_dim);
-  auto pack = ws.span_i8(tensor::qgemm_pack_elems(out_dim));
-  tensor::qgemm_into(in, w, acc, pack);
+  tensor::qgemm_packed_into(in, w, acc);
 
   for (size_t i = 0; i < sl; ++i) {
     const int32_t* acc_row = acc.data() + i * out_dim;
@@ -349,15 +351,15 @@ void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
   ws.rewind(m);
 }
 
-void run_ffn_engine(const tensor::MatrixI8& in, const tensor::MatrixI8& w,
+void run_ffn_engine(const tensor::MatrixI8& in,
+                    const tensor::PackedWeightI8& w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixI8& out,
                     EngineStats* stats) {
-  out = tensor::MatrixI8(in.rows(), w.cols());
-  run_ffn_engine(tensor::ConstMatrixViewI8(in), tensor::ConstMatrixViewI8(w),
-                 bias, ts_ffn, rq, act, act_scale, out,
-                 engine_scratch_arena(), stats);
+  out = tensor::MatrixI8(in.rows(), w.n());
+  run_ffn_engine(tensor::ConstMatrixViewI8(in), w, bias, ts_ffn, rq, act,
+                 act_scale, out, engine_scratch_arena(), stats);
 }
 
 }  // namespace protea::accel

@@ -25,10 +25,13 @@
 //     wrapper that sizes the outputs and borrows a thread-local scratch
 //     arena. Bit-identical to the workspace form.
 //
-// The int8 GEMMs run on the packed kernel layer (tensor/qgemm.hpp), which
-// is bit-identical to the paper's tile loops because int32 accumulation is
+// The int8 GEMMs run on the kernel layer (tensor/qgemm.hpp), which is
+// bit-identical to the paper's tile loops because int32 accumulation is
 // exact; the ts_mha/ts_ffn tile sizes remain cycle-accounting parameters
-// (validated here, consumed by perf_model).
+// (validated here, consumed by perf_model). Every weight arrives packed
+// once at model load (tensor::PackedWeightI8), so a weight GEMM packs
+// nothing per call; only QK^T and SV, whose operands are activations,
+// pack per call.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +64,8 @@ struct EngineStats {
 /// Algorithm 1. `x` is the full (SL x d_model) int8 input; outputs are
 /// the per-head (SL x d_k) projections. `ts_mha` is the column tile
 /// width; the tile loop reproduces Fig. 5's accumulate-across-tiles.
+/// Throws std::invalid_argument unless all three weights map d_model
+/// inputs to d_k outputs and all three biases hold d_k words.
 void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
                     uint32_t ts_mha, const numeric::RequantParams& rq_q,
                     const numeric::RequantParams& rq_k,
@@ -76,17 +81,17 @@ void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
                     EngineStats* stats = nullptr);
 
 /// Single-stream variant of Algorithm 1 used by the decoder extension's
-/// cross-attention: one projection (out = requant(x * w^T + bias)) with
-/// the same column tiling. `wt` is (out_dim x in_dim) transposed layout.
+/// cross-attention: one projection (out = requant(x * W + bias), W of
+/// w.k() = x.cols() inputs and w.n() outputs) with the same column tiling.
 void run_projection_engine(tensor::ConstMatrixViewI8 x,
-                           tensor::ConstMatrixViewI8 wt,
+                           const tensor::PackedWeightI8& w,
                            std::span<const int32_t> bias, uint32_t ts_mha,
                            const numeric::RequantParams& rq,
                            tensor::MatrixViewI8 out,
                            runtime::WorkspaceArena& ws,
                            EngineStats* stats = nullptr);
 void run_projection_engine(const tensor::MatrixI8& x,
-                           const tensor::MatrixI8& wt,
+                           const tensor::PackedWeightI8& w,
                            std::span<const int32_t> bias, uint32_t ts_mha,
                            const numeric::RequantParams& rq,
                            tensor::MatrixI8& out,
@@ -141,17 +146,19 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
 
 enum class FfnActivation { kNone, kRelu, kGeluLut };
 
-/// Algorithm 4 with Fig. 6 tiling: out = act(requant(in x w + bias)).
-/// `w` is (in_dim x out_dim); tiles of `ts_ffn x ts_ffn` are traversed
-/// column-tile-major, accumulating partial sums across row tiles.
-/// `act_scale` is the int8 scale of the activation's input/output (used
-/// to build the GELU lookup table).
-void run_ffn_engine(tensor::ConstMatrixViewI8 in, tensor::ConstMatrixViewI8 w,
+/// Algorithm 4 with Fig. 6 tiling: out = act(requant(in x W + bias)),
+/// W of w.k() = in_dim inputs and w.n() = out_dim outputs; tiles of
+/// `ts_ffn x ts_ffn` are traversed column-tile-major, accumulating partial
+/// sums across row tiles. `act_scale` is the int8 scale of the
+/// activation's input/output (used to build the GELU lookup table).
+void run_ffn_engine(tensor::ConstMatrixViewI8 in,
+                    const tensor::PackedWeightI8& w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixViewI8 out,
                     runtime::WorkspaceArena& ws, EngineStats* stats = nullptr);
-void run_ffn_engine(const tensor::MatrixI8& in, const tensor::MatrixI8& w,
+void run_ffn_engine(const tensor::MatrixI8& in,
+                    const tensor::PackedWeightI8& w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,
                     const numeric::RequantParams& rq, FfnActivation act,
                     double act_scale, tensor::MatrixI8& out,

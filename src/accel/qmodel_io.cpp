@@ -25,7 +25,11 @@ void write_f32v(std::ostream& os, const std::vector<float>& v) {
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
-void write_mat8(std::ostream& os, const tensor::MatrixI8& m) {
+/// A packed weight is written as its logical row-major matrix in the
+/// stored orientation, so the file format does not depend on the
+/// kernel's panel layout.
+void write_mat8(std::ostream& os, const tensor::PackedWeightI8& w) {
+  const tensor::MatrixI8 m = w.to_matrix();
   write_u32(os, static_cast<uint32_t>(m.rows()));
   write_u32(os, static_cast<uint32_t>(m.cols()));
   os.write(reinterpret_cast<const char*>(m.data()),
@@ -189,18 +193,18 @@ QuantizedModel load_quantized_model(const std::string& path) {
   for (QLayer& l : model.layers) {
     l.heads.resize(c.num_heads);
     for (auto& h : l.heads) {
-      h.wqt = read_mat8(is, dk, d);
-      h.wkt = read_mat8(is, dk, d);
-      h.wvt = read_mat8(is, dk, d);
+      h.wqt = tensor::PackedWeightI8::from_bt(read_mat8(is, dk, d));
+      h.wkt = tensor::PackedWeightI8::from_bt(read_mat8(is, dk, d));
+      h.wvt = tensor::PackedWeightI8::from_bt(read_mat8(is, dk, d));
       h.bq = read_i32v(is, dk);
       h.bk = read_i32v(is, dk);
       h.bv = read_i32v(is, dk);
     }
-    l.wo = read_mat8(is, d, d);
+    l.wo = tensor::PackedWeightI8::from_b(read_mat8(is, d, d));
     l.bo = read_i32v(is, d);
-    l.w1 = read_mat8(is, d, f);
+    l.w1 = tensor::PackedWeightI8::from_b(read_mat8(is, d, f));
     l.b1 = read_i32v(is, f);
-    l.w2 = read_mat8(is, f, d);
+    l.w2 = tensor::PackedWeightI8::from_b(read_mat8(is, f, d));
     l.b2 = read_i32v(is, d);
     l.ln1_gamma = read_f32v(is, d);
     l.ln1_beta = read_f32v(is, d);

@@ -10,25 +10,43 @@ namespace {
 
 using numeric::Quantizer;
 
-/// Quantizes a float matrix to int8 with a freshly calibrated pow2 scale;
-/// returns the scale.
-double quantize_matrix(const tensor::MatrixF& src, tensor::MatrixI8& dst) {
+/// Quantizes an [in][out] float matrix to int8 with a freshly calibrated
+/// pow2 scale and packs it; returns the scale.
+double quantize_matrix(const tensor::MatrixF& src,
+                       tensor::PackedWeightI8& dst) {
   Quantizer q(8, /*pow2_scale=*/true);
   const double scale = q.calibrate(src.flat());
-  dst = tensor::MatrixI8(src.rows(), src.cols());
-  q.quantize(src.flat(), dst.flat());
+  tensor::MatrixI8 m(src.rows(), src.cols());
+  q.quantize(src.flat(), m.flat());
+  dst = tensor::PackedWeightI8::from_b(m);
   return scale;
 }
 
-/// Quantizes a transposed column-slice of `src`: rows [c0, c0+n) of the
-/// result are columns c0..c0+n of src. Used for per-head W^T layout.
-double quantize_transposed_slice(const tensor::MatrixF& src, size_t col0,
-                                 size_t ncols, tensor::MatrixI8& dst) {
+/// Columns [col0, col0+ncols) of `src` as the rows of a new matrix: one
+/// head's W^T slice.
+tensor::MatrixF transposed_slice(const tensor::MatrixF& src, size_t col0,
+                                 size_t ncols) {
   tensor::MatrixF t(ncols, src.rows());
   for (size_t r = 0; r < src.rows(); ++r) {
     for (size_t c = 0; c < ncols; ++c) t(c, r) = src(r, col0 + c);
   }
-  return quantize_matrix(t, dst);
+  return t;
+}
+
+/// The pow2 scale a head slice would calibrate to on its own.
+double slice_scale(const tensor::MatrixF& slice) {
+  Quantizer q(8, true);
+  return q.calibrate(slice.flat());
+}
+
+/// Quantizes a head's W^T slice at the layer's shared scale and packs it.
+tensor::PackedWeightI8 quantize_slice(const tensor::MatrixF& slice,
+                                      double scale) {
+  Quantizer q(8, true);
+  q.set_scale(scale);
+  tensor::MatrixI8 m(slice.rows(), slice.cols());
+  q.quantize(slice.flat(), m.flat());
+  return tensor::PackedWeightI8::from_bt(m);
 }
 
 /// Biases are added in the accumulator domain: b_acc = round(b / s_acc).
@@ -81,39 +99,19 @@ QuantizedModel quantize_model(const ref::EncoderWeights& weights,
 
     // Per-head transposed projection slices. All heads share one weight
     // scale per tensor (the hardware has a single requant constant per
-    // engine output).
-    dst.heads.resize(cfg.num_heads);
+    // engine output): the largest any head would calibrate to alone.
     double swq = 0.0, swk = 0.0, swv = 0.0;
     for (size_t h = 0; h < cfg.num_heads; ++h) {
-      auto& head = dst.heads[h];
-      swq = std::max(swq, quantize_transposed_slice(src.wq, h * dk, dk,
-                                                    head.wqt));
-      swk = std::max(swk, quantize_transposed_slice(src.wk, h * dk, dk,
-                                                    head.wkt));
-      swv = std::max(swv, quantize_transposed_slice(src.wv, h * dk, dk,
-                                                    head.wvt));
+      swq = std::max(swq, slice_scale(transposed_slice(src.wq, h * dk, dk)));
+      swk = std::max(swk, slice_scale(transposed_slice(src.wk, h * dk, dk)));
+      swv = std::max(swv, slice_scale(transposed_slice(src.wv, h * dk, dk)));
     }
-    // Re-quantize every head with the shared (max) scale for consistency.
+    dst.heads.resize(cfg.num_heads);
     for (size_t h = 0; h < cfg.num_heads; ++h) {
       auto& head = dst.heads[h];
-      Quantizer q(8, true);
-      q.set_scale(swq);
-      tensor::MatrixF tmp(dk, cfg.d_model);
-      for (size_t r = 0; r < cfg.d_model; ++r) {
-        for (size_t c = 0; c < dk; ++c) tmp(c, r) = src.wq(r, h * dk + c);
-      }
-      q.quantize(tmp.flat(), head.wqt.flat());
-      q.set_scale(swk);
-      for (size_t r = 0; r < cfg.d_model; ++r) {
-        for (size_t c = 0; c < dk; ++c) tmp(c, r) = src.wk(r, h * dk + c);
-      }
-      q.quantize(tmp.flat(), head.wkt.flat());
-      q.set_scale(swv);
-      for (size_t r = 0; r < cfg.d_model; ++r) {
-        for (size_t c = 0; c < dk; ++c) tmp(c, r) = src.wv(r, h * dk + c);
-      }
-      q.quantize(tmp.flat(), head.wvt.flat());
-
+      head.wqt = quantize_slice(transposed_slice(src.wq, h * dk, dk), swq);
+      head.wkt = quantize_slice(transposed_slice(src.wk, h * dk, dk), swk);
+      head.wvt = quantize_slice(transposed_slice(src.wv, h * dk, dk), swv);
       head.bq = scale_bias(src.bq, s.x * swq, h * dk, dk);
       head.bk = scale_bias(src.bk, s.x * swk, h * dk, dk);
       head.bv = scale_bias(src.bv, s.x * swv, h * dk, dk);

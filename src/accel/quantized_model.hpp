@@ -2,9 +2,11 @@
 //
 // The host flow (paper §IV-D: extract parameters from the trained model,
 // generate instructions) becomes: quantize float weights into the
-// per-head, per-engine int8 layout, pre-scale biases into accumulator
-// units, and pre-compute the requantization multipliers each engine
-// applies on write-back.
+// per-head, per-engine int8 layout, pack each weight once into the tile
+// layout the kernels consume, pre-scale biases into accumulator units,
+// and pre-compute the requantization multipliers each engine applies on
+// write-back. The model is read-only after that, so batch workers and
+// serving seats share it without locks.
 #pragma once
 
 #include <cstdint>
@@ -14,23 +16,27 @@
 #include "numeric/requantize.hpp"
 #include "ref/weights.hpp"
 #include "tensor/matrix.hpp"
+#include "tensor/qgemm.hpp"
 
 namespace protea::accel {
 
-/// Per-head projection weights, stored transposed — (d_k x d_model) — so
-/// the QKV engine indexes wq[k][j] exactly as Algorithm 1 does.
+/// Per-head projection weights. Each is packed once into the kernel's
+/// K-pair panels (tensor::PackedWeightI8) from its (d_k x d_model)
+/// [out][in] slice, the layout Algorithm 1 indexes as wq[k][j]; rows(),
+/// cols() and operator() still address that orientation.
 struct QHeadWeights {
-  tensor::MatrixI8 wqt, wkt, wvt;      // (d_k x d_model)
-  std::vector<int32_t> bq, bk, bv;     // accumulator-scale biases (d_k)
+  tensor::PackedWeightI8 wqt, wkt, wvt;  // (d_k x d_model)
+  std::vector<int32_t> bq, bk, bv;       // accumulator-scale biases (d_k)
 };
 
+/// The projection and FFN weights are packed from [in][out] matrices.
 struct QLayer {
   std::vector<QHeadWeights> heads;
-  tensor::MatrixI8 wo;                 // (d_model x d_model), [in][out]
+  tensor::PackedWeightI8 wo;           // (d_model x d_model), [in][out]
   std::vector<int32_t> bo;
-  tensor::MatrixI8 w1;                 // (d_model x ffn_hidden)
+  tensor::PackedWeightI8 w1;           // (d_model x ffn_hidden)
   std::vector<int32_t> b1;
-  tensor::MatrixI8 w2;                 // (ffn_hidden x d_model)
+  tensor::PackedWeightI8 w2;           // (ffn_hidden x d_model)
   std::vector<int32_t> b2;
   std::vector<float> ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
 

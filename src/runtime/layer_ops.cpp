@@ -34,7 +34,7 @@ ProjectionLnDesc decoder_self_projection_desc(
     const accel::QDecoderLayer& layer) {
   const accel::DecoderLayerScales& s = layer.scales;
   ProjectionLnDesc proj;
-  proj.w = layer.wo;
+  proj.w = &layer.wo;
   proj.bias = layer.bo;
   proj.rq = &layer.rq_proj;
   proj.gamma = layer.ln1_gamma;
@@ -49,7 +49,7 @@ ProjectionLnDesc decoder_cross_projection_desc(
     const accel::QDecoderLayer& layer) {
   const accel::DecoderLayerScales& s = layer.scales;
   ProjectionLnDesc proj;
-  proj.w = layer.co;
+  proj.w = &layer.co;
   proj.bias = layer.cbo;
   proj.rq = &layer.rq_cproj;
   proj.gamma = layer.ln2_gamma;
@@ -63,11 +63,11 @@ ProjectionLnDesc decoder_cross_projection_desc(
 FfnBlockDesc decoder_ffn_desc(const accel::QDecoderLayer& layer) {
   const accel::DecoderLayerScales& s = layer.scales;
   FfnBlockDesc ffn;
-  ffn.w1 = layer.w1;
+  ffn.w1 = &layer.w1;
   ffn.b1 = layer.b1;
   ffn.rq_hidden = &layer.rq_hidden;
   ffn.s_hidden = s.hidden;
-  ffn.w2 = layer.w2;
+  ffn.w2 = &layer.w2;
   ffn.b2 = layer.b2;
   ffn.rq_ffn_out = &layer.rq_ffn_out;
   ffn.s_ffn_out = s.ffn_out;
@@ -122,7 +122,7 @@ void run_attention_block(const LayerOpContext& ctx,
   const size_t d = x.cols();
   const size_t h = self ? desc.self_heads.size() : desc.cross_heads.size();
   const size_t dk =
-      self ? desc.self_heads[0].wqt.rows() : desc.cross_heads[0].cqt.rows();
+      self ? desc.self_heads[0].wqt.n() : desc.cross_heads[0].cqt.n();
   if (dk * h != d) {
     throw std::invalid_argument(
         "run_attention_block: head dims inconsistent");
@@ -191,10 +191,10 @@ void run_projection_ln_block(const LayerOpContext& ctx,
                              tensor::MatrixViewI8 out,
                              tensor::MatrixI8* proj_trace) {
   const size_t sl = concat.rows();
-  const size_t d = desc.w.cols();
+  const size_t d = desc.w->n();
   const auto m = ctx.ws.mark();
   auto proj = ctx.ws.matrix_i8(sl, d);
-  accel::run_ffn_engine(concat, desc.w, desc.bias, ctx.ts_ffn, *desc.rq,
+  accel::run_ffn_engine(concat, *desc.w, desc.bias, ctx.ts_ffn, *desc.rq,
                         accel::FfnActivation::kNone, 0.0, proj, ctx.ws,
                         ctx.stats);
   auto scratch = ctx.ws.span_i32(d);
@@ -212,8 +212,8 @@ void run_ffn_block(const LayerOpContext& ctx, const FfnBlockDesc& desc,
                    tensor::MatrixI8* hidden_trace,
                    tensor::MatrixI8* ffn_out_trace) {
   const size_t sl = x.rows();
-  const size_t d = desc.w2.cols();
-  const size_t f = desc.w1.cols();
+  const size_t d = desc.w2->n();
+  const size_t f = desc.w1->n();
   const accel::FfnActivation act =
       ctx.activation == ref::Activation::kRelu
           ? accel::FfnActivation::kRelu
@@ -221,10 +221,10 @@ void run_ffn_block(const LayerOpContext& ctx, const FfnBlockDesc& desc,
 
   const auto m = ctx.ws.mark();
   auto hidden = ctx.ws.matrix_i8(sl, f);
-  accel::run_ffn_engine(x, desc.w1, desc.b1, ctx.ts_ffn, *desc.rq_hidden,
+  accel::run_ffn_engine(x, *desc.w1, desc.b1, ctx.ts_ffn, *desc.rq_hidden,
                         act, desc.s_hidden, hidden, ctx.ws, ctx.stats);
   auto ffn_out = ctx.ws.matrix_i8(sl, d);
-  accel::run_ffn_engine(hidden, desc.w2, desc.b2, ctx.ts_ffn,
+  accel::run_ffn_engine(hidden, *desc.w2, desc.b2, ctx.ts_ffn,
                         *desc.rq_ffn_out, accel::FfnActivation::kNone, 0.0,
                         ffn_out, ctx.ws, ctx.stats);
   auto scratch = ctx.ws.span_i32(d);
@@ -271,7 +271,7 @@ void run_encoder_ffn_stage(const LayerOpContext& ctx,
   const auto m = ctx.ws.mark();
   auto x1 = ctx.ws.matrix_i8(sl, d);
   ProjectionLnDesc proj;
-  proj.w = layer.wo;
+  proj.w = &layer.wo;
   proj.bias = layer.bo;
   proj.rq = &layer.rq_proj;
   proj.gamma = layer.ln1_gamma;
@@ -283,11 +283,11 @@ void run_encoder_ffn_stage(const LayerOpContext& ctx,
                           trace != nullptr ? &trace->proj : nullptr);
 
   FfnBlockDesc ffn;
-  ffn.w1 = layer.w1;
+  ffn.w1 = &layer.w1;
   ffn.b1 = layer.b1;
   ffn.rq_hidden = &layer.rq_hidden;
   ffn.s_hidden = s.hidden;
-  ffn.w2 = layer.w2;
+  ffn.w2 = &layer.w2;
   ffn.b2 = layer.b2;
   ffn.rq_ffn_out = &layer.rq_ffn_out;
   ffn.s_ffn_out = s.ffn_out;
@@ -362,7 +362,7 @@ void run_self_attention_cached(const LayerOpContext& ctx,
   const size_t n = x.rows();
   const size_t d = x.cols();
   const size_t h = desc.self_heads.size();
-  const size_t dk = desc.self_heads[0].wqt.rows();
+  const size_t dk = desc.self_heads[0].wqt.n();
   if (dk * h != d) {
     throw std::invalid_argument(
         "run_self_attention_cached: head dims inconsistent");
@@ -459,7 +459,7 @@ void run_cross_attention_cached(const LayerOpContext& ctx,
   const size_t n = x.rows();
   const size_t d = x.cols();
   const size_t h = desc.cross_heads.size();
-  const size_t dk = desc.cross_heads[0].cqt.rows();
+  const size_t dk = desc.cross_heads[0].cqt.n();
   if (dk * h != d || kv.cross_k.size() != h) {
     throw std::invalid_argument(
         "run_cross_attention_cached: head dims inconsistent");

@@ -136,8 +136,10 @@ void run_attention_block(const LayerOpContext& ctx,
 
 /// FFN1/projection + residual LayerNorm:
 /// out = LN(requant(concat x w + bias) @ s_proj + residual @ s_res) @ s_out.
+/// The weight pointers here and in FfnBlockDesc borrow the layer's
+/// weights, packed once at model load.
 struct ProjectionLnDesc {
-  tensor::ConstMatrixViewI8 w;  // (d_model x d_model), [in][out]
+  const tensor::PackedWeightI8* w = nullptr;  // d_model -> d_model
   std::span<const int32_t> bias;
   const numeric::RequantParams* rq = nullptr;
   std::span<const float> gamma, beta;
@@ -155,11 +157,11 @@ void run_projection_ln_block(const LayerOpContext& ctx,
 /// FFN2 (expansion + activation) -> FFN3 (contraction) -> residual LN;
 /// the residual operand is the block input `x` at scale s_in.
 struct FfnBlockDesc {
-  tensor::ConstMatrixViewI8 w1;  // (d_model x ffn_hidden)
+  const tensor::PackedWeightI8* w1 = nullptr;  // d_model -> ffn_hidden
   std::span<const int32_t> b1;
   const numeric::RequantParams* rq_hidden = nullptr;
   double s_hidden = 1.0;
-  tensor::ConstMatrixViewI8 w2;  // (ffn_hidden x d_model)
+  const tensor::PackedWeightI8* w2 = nullptr;  // ffn_hidden -> d_model
   std::span<const int32_t> b2;
   const numeric::RequantParams* rq_ffn_out = nullptr;
   double s_ffn_out = 1.0;

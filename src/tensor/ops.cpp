@@ -18,10 +18,10 @@ void check_same_shape(const MatrixF& a, const MatrixF& b, const char* what) {
 
 }  // namespace
 
-// The float GEMMs instantiate the shared packed-kernel machinery in
-// tensor/gemm_detail.hpp (the int8 twin lives in qgemm.cpp). Per-element
-// accumulation runs in a single ascending-k chain, so rounding is
-// independent of row partitioning — threaded results match serial ones.
+// The float GEMMs instantiate the packed-kernel machinery in
+// tensor/gemm_detail.hpp. Per-element accumulation runs in a single
+// ascending-k chain, so rounding is independent of row partitioning —
+// threaded results match serial ones.
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b, util::ThreadPool* pool) {
   if (a.cols() != b.rows()) {

@@ -15,10 +15,10 @@ class ThreadPool;
 namespace protea::tensor {
 
 /// C = A * B. A is (m x k), B is (k x n), C is (m x n).
-/// The float twin of the packed int8 kernel in qgemm.hpp: panel packing,
-/// a register-blocked micro-kernel and K cache blocking, with optional
-/// row-partitioned parallelism over `pool` (results are identical for any
-/// thread count — each output row is produced by exactly one task).
+/// Panel packing, a register-blocked micro-kernel and K cache blocking
+/// (tensor/gemm_detail.hpp), with optional row-partitioned parallelism
+/// over `pool` (results are identical for any thread count — each output
+/// row is produced by exactly one task).
 MatrixF matmul(const MatrixF& a, const MatrixF& b,
                util::ThreadPool* pool = nullptr);
 

@@ -1,22 +1,23 @@
 #include "tensor/qgemm.hpp"
 
+#include <cassert>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "tensor/gemm_detail.hpp"
+#include "tensor/qgemm_detail.hpp"
 
 namespace protea::tensor {
 namespace {
 
-/// The one loop-order choice of the int8 kernel layer, made by shape
-/// alone: fewer A rows than one register block (decode steps) read B in
-/// place; anything larger packs B for the register-blocked micro-kernel.
-bool reads_b_in_place(size_t m) { return m < detail::kGemmMr; }
+using detail::kKBlock;
+using detail::kMaxKernelRows;
+using detail::kPairBytes;
+using detail::kPanelCols;
+using detail::pairs_of;
 
-/// A dense row-major int8 operand as a one-run row list, so the direct
-/// loops read dense and spanned operands alike. `run` must outlive the
-/// list.
+/// A dense row-major int8 operand as a one-run row list, so the packers
+/// read dense and spanned operands alike. `run` must outlive the list.
 RowSpanListI8 one_run(const RowSpanI8& run, size_t cols) {
   return {.runs = {&run, 1},
           .rows = run.rows,
@@ -24,62 +25,114 @@ RowSpanListI8 one_run(const RowSpanI8& run, size_t cols) {
           .row_stride = cols};
 }
 
-/// Every int8 entry point lands here. `b` lists B's logical rows — B's k
-/// rows of n, or B^T's n rows of k when `bt` — read through `elems`;
-/// `pack_b` packs one K block of the same operand for the packed path.
-template <typename Elems, typename PackB>
-void product(ConstMatrixViewI8 a, const RowSpanListI8& b, Elems elems,
-             bool bt, MatrixViewI32 c, int8_t* pack_buf, const PackB& pack_b) {
-  if (reads_b_in_place(a.rows())) {
-    if (bt) {
-      detail::direct_bt(a.data(), a.rows(), a.cols(), b, elems, c.data());
-    } else {
-      detail::direct_b(a.data(), a.rows(), a.cols(), b, elems, c.data());
+/// R rows of A (`lda` apart) against every column panel of one K block
+/// [k0, k0 + kc): A is widened to int16 pairs once, then each panel meets
+/// it in one micro-kernel call. The first K block writes c, later ones
+/// add into it.
+template <size_t R>
+void row_block(const int8_t* a, size_t lda, size_t k0, size_t kc,
+               const int8_t* panels, size_t panel_stride, size_t n,
+               int32_t* c) {
+  alignas(16) int16_t awide[R * kKBlock];
+  for (size_t r = 0; r < R; ++r) {
+    int16_t* dst = awide + r * kKBlock;
+    std::copy_n(a + r * lda + k0, kc, dst);
+    if (kc % 2 != 0) dst[kc] = 0;
+  }
+  const size_t pairs = pairs_of(kc);
+  alignas(16) int32_t acc[R * kPanelCols];
+  for (size_t j0 = 0; j0 < n; j0 += kPanelCols, panels += panel_stride) {
+    detail::kpair_kernel<R>(awide, kKBlock, panels, pairs, acc);
+    const size_t w = std::min(kPanelCols, n - j0);
+    for (size_t r = 0; r < R; ++r) {
+      int32_t* crow = c + r * n + j0;
+      const int32_t* arow = acc + r * kPanelCols;
+      if (k0 == 0) {
+        std::copy_n(arow, w, crow);
+      } else {
+        for (size_t j = 0; j < w; ++j) crow[j] += arow[j];
+      }
     }
+  }
+}
+
+/// c (m x n) = a (m x k) * B. `block(k0, kc)` yields K block
+/// [k0, k0 + kc) of B as K-pair panels: the first panel's address and
+/// the byte distance between consecutive column panels.
+template <typename Block>
+void kpair_product(ConstMatrixViewI8 a, size_t n, MatrixViewI32 c,
+                   const Block& block) {
+  const size_t m = a.rows();
+  const size_t k = a.cols();
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    c.fill(0);
     return;
   }
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), c.cols(), c.data(), pack_buf,
-      /*pool=*/nullptr, pack_b);
+  for (size_t k0 = 0; k0 < k; k0 += kKBlock) {
+    const size_t kc = std::min(kKBlock, k - k0);
+    const auto [panels, stride] = block(k0, kc);
+    for (size_t i0 = 0; i0 < m; i0 += kMaxKernelRows) {
+      const int8_t* arows = a.data() + i0 * k;
+      int32_t* crows = c.data() + i0 * n;
+      switch (std::min(kMaxKernelRows, m - i0)) {
+        case 1:
+          row_block<1>(arows, k, k0, kc, panels, stride, n, crows);
+          break;
+        case 2:
+          row_block<2>(arows, k, k0, kc, panels, stride, n, crows);
+          break;
+        case 3:
+          row_block<3>(arows, k, k0, kc, panels, stride, n, crows);
+          break;
+        default:
+          row_block<4>(arows, k, k0, kc, panels, stride, n, crows);
+          break;
+      }
+    }
+  }
 }
 
-/// Dense int8 B (k x n) or B^T (n x k).
-void dense_product(ConstMatrixViewI8 a, ConstMatrixViewI8 b, bool bt,
-                   MatrixViewI32 c, int8_t* pack_buf) {
-  const RowSpanI8 run{b.data(), b.rows()};
-  product(a, one_run(run, b.cols()), detail::RawElems{}, bt, c, pack_buf,
-          [&](size_t k0, size_t kc, int8_t* dst) {
-            if (bt) {
-              detail::pack_bt_block(b, k0, kc, b.rows(), dst);
-            } else {
-              detail::pack_b_block(b, k0, kc, b.cols(), dst);
-            }
-          });
-}
-
-/// Row-list B or B^T in any of its three storage forms.
-void rows_product(ConstMatrixViewI8 a, const RowSpanListI8& b, bool bt,
-                  MatrixViewI32 c, int8_t* pack_buf) {
+/// An activation operand, B (k x n) or B^T (n x k) when `bt`, listed row
+/// by row in `b`. Fewer A rows than one micro-kernel call (decode steps)
+/// read B in place; otherwise each K block is packed into `pack_buf`
+/// just before the kernel reads it.
+void activation_product(ConstMatrixViewI8 a, const RowSpanListI8& b, bool bt,
+                        MatrixViewI32 c, int8_t* pack_buf) {
+  const size_t n = c.cols();
   detail::with_elems(b, [&](auto elems) {
-    product(a, b, elems, bt, c, pack_buf,
-            [&](size_t k0, size_t kc, int8_t* dst) {
-              if (bt) {
-                detail::pack_bt_block_spans(b, elems, k0, kc, b.rows, dst);
-              } else {
-                detail::pack_b_block_spans(b, elems, k0, kc, b.cols, dst);
-              }
-            });
+    if (a.rows() < kMaxKernelRows) {
+      if (bt) {
+        detail::direct_bt(a.data(), a.rows(), a.cols(), b, elems, c.data());
+      } else {
+        detail::direct_b(a.data(), a.rows(), a.cols(), b, elems, c.data());
+      }
+      return;
+    }
+    kpair_product(a, n, c, [&](size_t k0, size_t kc) {
+      if (bt) {
+        detail::pack_kpair_bt(b, elems, k0, kc, n, pack_buf);
+      } else {
+        detail::pack_kpair_b(b, elems, k0, kc, n, pack_buf);
+      }
+      const int8_t* panels = pack_buf;
+      return std::pair{panels, pairs_of(kc) * kPairBytes};
+    });
   });
 }
 
-/// Owning-output entry points: resize `c`, and allocate packing scratch
-/// only when the packed path will run.
+void dense_product(ConstMatrixViewI8 a, ConstMatrixViewI8 b, bool bt,
+                   MatrixViewI32 c, int8_t* pack_buf) {
+  const RowSpanI8 run{b.data(), b.rows()};
+  activation_product(a, one_run(run, b.cols()), bt, c, pack_buf);
+}
+
+/// Owning-output entry points: resize `c` and allocate packing scratch.
 void owning_product(const MatrixI8& a, const MatrixI8& b, bool bt,
                     MatrixI32& c) {
   const size_t n = bt ? b.rows() : b.cols();
   c = MatrixI32(a.rows(), n, 0);
-  std::vector<int8_t> pack(
-      reads_b_in_place(a.rows()) ? 0 : detail::pack_b_elems(n));
+  std::vector<int8_t> pack(qgemm_pack_elems(n));
   dense_product(a, b, bt, c, pack.data());
 }
 
@@ -126,6 +179,68 @@ void check_span_list(const RowSpanListI8& list, const char* name) {
 
 }  // namespace
 
+PackedWeightI8 PackedWeightI8::from_b(ConstMatrixViewI8 b) {
+  return pack(b, false);
+}
+
+PackedWeightI8 PackedWeightI8::from_bt(ConstMatrixViewI8 bt) {
+  return pack(bt, true);
+}
+
+PackedWeightI8 PackedWeightI8::pack(ConstMatrixViewI8 m, bool transposed) {
+  PackedWeightI8 w;
+  w.k_ = transposed ? m.cols() : m.rows();
+  w.n_ = transposed ? m.rows() : m.cols();
+  w.transposed_ = transposed;
+  w.panels_.resize(detail::kpair_bytes(w.k_, w.n_));
+  if (w.size() > 0) {
+    const RowSpanI8 run{m.data(), m.rows()};
+    const RowSpanListI8 rows = one_run(run, m.cols());
+    if (transposed) {
+      detail::pack_kpair_bt(rows, detail::RawElems{}, 0, w.k_, w.n_,
+                            w.panels_.data());
+    } else {
+      detail::pack_kpair_b(rows, detail::RawElems{}, 0, w.k_, w.n_,
+                           w.panels_.data());
+    }
+  }
+  return w;
+}
+
+int8_t PackedWeightI8::operator()(size_t r, size_t c) const {
+  assert(r < rows() && c < cols());
+  const size_t kk = transposed_ ? c : r;
+  const size_t j = transposed_ ? r : c;
+  const size_t panel = j / kPanelCols;
+  return panels_[(panel * pairs_of(k_) + kk / 2) * kPairBytes +
+                 (j % kPanelCols) * 2 + kk % 2];
+}
+
+MatrixI8 PackedWeightI8::to_matrix() const {
+  MatrixI8 out(rows(), cols());
+  for (size_t r = 0; r < rows(); ++r) {
+    for (size_t c = 0; c < cols(); ++c) out(r, c) = (*this)(r, c);
+  }
+  return out;
+}
+
+void qgemm_packed_into(ConstMatrixViewI8 a, const PackedWeightI8& w,
+                       MatrixViewI32 c) {
+  if (a.cols() != w.k()) {
+    throw std::invalid_argument("qgemm_packed_into: inner dimension mismatch");
+  }
+  if (c.rows() != a.rows() || c.cols() != w.n()) {
+    throw std::invalid_argument(
+        "qgemm_packed_into: output view shape mismatch");
+  }
+  // K blocks start at even k, so block k0 begins k0 / 2 pairs into each
+  // column panel of the stored full-K panels.
+  const size_t panel_stride = pairs_of(w.k()) * kPairBytes;
+  kpair_product(a, w.n(), c, [&](size_t k0, size_t) {
+    return std::pair{w.panels() + k0 / 2 * kPairBytes, panel_stride};
+  });
+}
+
 void qgemm(const MatrixI8& a, const MatrixI8& b, MatrixI32& c) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("qgemm: inner dimension mismatch");
@@ -140,7 +255,7 @@ void qgemm_bt(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c) {
   owning_product(a, bt, true, c);
 }
 
-size_t qgemm_pack_elems(size_t n) { return detail::pack_b_elems(n); }
+size_t qgemm_pack_elems(size_t n) { return detail::kpair_bytes(kKBlock, n); }
 
 void qgemm_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b, MatrixViewI32 c,
                 std::span<int8_t> pack_buf) {
@@ -158,14 +273,14 @@ void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
                       MatrixViewI32 c, std::span<int8_t> pack_buf) {
   check_into_args(a, b.rows, b.cols, c, pack_buf, "qgemm_spans_into");
   check_span_list(b, "qgemm_spans_into");
-  rows_product(a, b, false, c, pack_buf.data());
+  activation_product(a, b, false, c, pack_buf.data());
 }
 
 void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
                          MatrixViewI32 c, std::span<int8_t> pack_buf) {
   check_into_args(a, bt.cols, bt.rows, c, pack_buf, "qgemm_bt_spans_into");
   check_span_list(bt, "qgemm_bt_spans_into");
-  rows_product(a, bt, true, c, pack_buf.data());
+  activation_product(a, bt, true, c, pack_buf.data());
 }
 
 void qgemm_naive(const MatrixI8& a, const MatrixI8& b, MatrixI32& c) {

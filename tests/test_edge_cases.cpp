@@ -45,8 +45,8 @@ TEST(EdgeCases, FfnEngineZeroInputGivesBiasOnly) {
   MatrixI8 in(3, 8, 0), w(8, 8, 55), out;
   std::vector<int32_t> bias(8);
   for (size_t i = 0; i < 8; ++i) bias[i] = static_cast<int32_t>(i) - 4;
-  run_ffn_engine(in, w, bias, 4, unit_rq(), FfnActivation::kNone, 0.0,
-                 out);
+  run_ffn_engine(in, tensor::PackedWeightI8::from_b(w), bias, 4, unit_rq(),
+                 FfnActivation::kNone, 0.0, out);
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 8; ++c) {
       EXPECT_EQ(out(r, c), static_cast<int32_t>(c) - 4);
@@ -66,9 +66,11 @@ TEST(EdgeCases, FfnEngineAllZeroWeightTileContributesNothing) {
     }
   }
   w_dense = w_padded;
-  run_ffn_engine(in, w_dense, std::vector<int32_t>(8, 0), 8, unit_rq(),
+  run_ffn_engine(in, tensor::PackedWeightI8::from_b(w_dense),
+                 std::vector<int32_t>(8, 0), 8, unit_rq(),
                  FfnActivation::kNone, 0.0, out_a);
-  run_ffn_engine(in, w_padded, std::vector<int32_t>(8, 0), 8, unit_rq(),
+  run_ffn_engine(in, tensor::PackedWeightI8::from_b(w_padded),
+                 std::vector<int32_t>(8, 0), 8, unit_rq(),
                  FfnActivation::kNone, 0.0, out_b);
   EXPECT_EQ(out_a, out_b);
 }

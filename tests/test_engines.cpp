@@ -122,6 +122,26 @@ TEST(QkvEngine, RejectsBadShapes) {
   EXPECT_THROW(run_qkv_engine(fx.x_q, layer.heads[0], 0, layer.rq_q,
                               layer.rq_k, layer.rq_v, q, k, v),
                std::invalid_argument);
+  // A short bias would be read past its end; every bias is checked.
+  for (auto bias : {&QHeadWeights::bq, &QHeadWeights::bk, &QHeadWeights::bv}) {
+    QHeadWeights short_bias = layer.heads[0];
+    (short_bias.*bias).pop_back();
+    EXPECT_THROW(run_qkv_engine(fx.x_q, short_bias, 16, layer.rq_q,
+                                layer.rq_k, layer.rq_v, q, k, v),
+                 std::invalid_argument);
+  }
+  // K and V weights must have Q's shape: d_model inputs, d_k outputs.
+  const size_t dk = fx.config.head_dim(), d = fx.config.d_model;
+  QHeadWeights wide_k = layer.heads[0];
+  wide_k.wkt = tensor::PackedWeightI8::from_bt(MatrixI8(dk + 1, d));
+  EXPECT_THROW(run_qkv_engine(fx.x_q, wide_k, 16, layer.rq_q, layer.rq_k,
+                              layer.rq_v, q, k, v),
+               std::invalid_argument);
+  QHeadWeights narrow_v = layer.heads[0];
+  narrow_v.wvt = tensor::PackedWeightI8::from_bt(MatrixI8(dk, d - 1));
+  EXPECT_THROW(run_qkv_engine(fx.x_q, narrow_v, 16, layer.rq_q, layer.rq_k,
+                              layer.rq_v, q, k, v),
+               std::invalid_argument);
 }
 
 // --- QK engine -------------------------------------------------------------------
@@ -301,13 +321,14 @@ TEST(FfnEngine, MatchesFloatProjection) {
 }
 
 TEST(FfnEngine, ValidatesInputs) {
-  MatrixI8 in(2, 4), w(5, 4), out;  // w.rows != in.cols
+  MatrixI8 in(2, 4), out;
+  const auto w = tensor::PackedWeightI8::from_b(MatrixI8(5, 4));  // k != 4
   std::vector<int32_t> bias(4, 0);
   numeric::RequantParams rq;
   EXPECT_THROW(run_ffn_engine(in, w, bias, 2, rq, FfnActivation::kNone,
                               0.0, out),
                std::invalid_argument);
-  MatrixI8 w2(4, 4);
+  const auto w2 = tensor::PackedWeightI8::from_b(MatrixI8(4, 4));
   std::vector<int32_t> bad_bias(3, 0);
   EXPECT_THROW(run_ffn_engine(in, w2, bad_bias, 2, rq,
                               FfnActivation::kNone, 0.0, out),

@@ -1,8 +1,11 @@
 // Tests for the int8 GEMM kernel layer: exact equivalence of every entry
-// point — packed and small-M direct, dense and span operands, int8 rows,
-// byte codes and packed nibble codes — with the retained naive references
-// on ragged and degenerate shapes, argument checks, and bit-identity of
-// the engines that ride on it.
+// point — weights packed once into K-pair panels, activation operands
+// packed per call or read in place by the small-M direct loops, dense and
+// span operands, int8 rows, byte codes and packed nibble codes — with the
+// retained naive references on ragged, degenerate and random shapes; the
+// portable micro-kernel body against the SSE2 one; the packed weight's
+// round trip; argument checks; and bit-identity of the engines that ride
+// on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include "numeric/fp8.hpp"
 #include "numeric/requantize.hpp"
 #include "tensor/qgemm.hpp"
+#include "tensor/qgemm_detail.hpp"
 #include "util/rng.hpp"
 
 namespace protea::tensor {
@@ -81,20 +85,23 @@ RowSpanListI8 dense_list(const MatrixI8& m, const RowSpanI8& run,
           .decode = decode};
 }
 
+constexpr size_t kDefaultRuns[] = {1, 3, 1, 2};
+
 /// `m`'s rows as a scattered multi-run RowSpanListI8, the shape a paged KV
-/// block table hands the kernels: runs of 1, 3, 1, 2, ... rows, stored
-/// last run first with a padded row stride and a filler row between runs,
-/// so a cursor that strays off its run reads wrong bytes. With `nibbles`,
-/// `m` holds 4-bit codes and each row is stored two codes per byte, low
-/// nibble first; an odd row's unused high nibble is filler too.
+/// block table hands the kernels: runs of `run_sizes` rows, cycled (1, 3,
+/// 1, 2, ... by default), stored last run first with a padded row stride
+/// and a filler row between runs, so a cursor that strays off its run
+/// reads wrong bytes. With `nibbles`, `m` holds 4-bit codes and each row
+/// is stored two codes per byte, low nibble first; an odd row's unused
+/// high nibble is filler too.
 class SpanOperand {
  public:
-  SpanOperand(const MatrixI8& m, const int8_t* decode, bool nibbles = false) {
-    const size_t run_sizes[] = {1, 3, 1, 2};
+  SpanOperand(const MatrixI8& m, const int8_t* decode, bool nibbles = false,
+              std::span<const size_t> run_sizes = kDefaultRuns) {
     std::vector<size_t> run_rows;
     for (size_t r = 0; r < m.rows(); r += run_rows.back()) {
-      run_rows.push_back(
-          std::min(run_sizes[run_rows.size() % 4], m.rows() - r));
+      run_rows.push_back(std::min(
+          run_sizes[run_rows.size() % run_sizes.size()], m.rows() - r));
     }
     list_.rows = m.rows();
     list_.cols = m.cols();
@@ -317,6 +324,166 @@ TEST(QGemmEntryPoints, SpanListWithEmptyRunThrows) {
   }
 }
 
+TEST(QGemmPacked, MatchesNaiveOnBothSidesOfEveryBoundary) {
+  // The weight path, packed from B ([in][out]) and from B^T ([out][in]),
+  // on both sides of the 4-row kernel, the 8-column panel and the 256 K
+  // block; an odd K pads its last pair.
+  uint64_t seed = 900;
+  for (size_t m : {0, 1, 2, 3, 4, 5, 8, 65}) {
+    for (size_t k : {0, 1, 2, 3, 255, 256, 257, 511, 513}) {
+      for (size_t n : {0, 1, 7, 8, 9, 33}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                     " n=" + std::to_string(n));
+        const auto a = random_i8(m, k, seed++);
+        const auto b = random_i8(k, n, seed++);
+        MatrixI32 want;
+        qgemm_naive(a, b, want);
+        MatrixI32 got(m, n, 0x7777);
+        qgemm_packed_into(a, PackedWeightI8::from_b(b), got);
+        EXPECT_EQ(got, want) << "from_b";
+        got.fill(0x7777);
+        qgemm_packed_into(a, PackedWeightI8::from_bt(transposed(b)), got);
+        EXPECT_EQ(got, want) << "from_bt";
+      }
+    }
+  }
+  const auto w = PackedWeightI8::from_b(random_i8(16, 12, 950));
+  MatrixI32 c(2, 12), wrong(2, 11);
+  EXPECT_THROW(qgemm_packed_into(random_i8(2, 15, 951), w, c),
+               std::invalid_argument);
+  EXPECT_THROW(qgemm_packed_into(random_i8(2, 16, 952), w, wrong),
+               std::invalid_argument);
+}
+
+TEST(QGemmEntryPoints, RandomShapesMatchNaiveOracle) {
+  // A fixed-seed feed of random shapes and random run splits through
+  // every int8 entry point, with all three element readers.
+  const int8_t* lut = numeric::kv_codec(numeric::KvStorage::kFp8E4M3)
+                          ->decode.data();
+  const int8_t* lut4 = numeric::kv_codec(numeric::KvStorage::kFp4E2M1)
+                           ->decode.data();
+  util::Xoshiro256 rng(4242);
+  for (int iter = 0; iter < 64; ++iter) {
+    const size_t m = rng.bounded(70), k = rng.bounded(600);
+    const size_t n = rng.bounded(70);
+    std::vector<size_t> runs(1 + rng.bounded(4));
+    for (size_t& r : runs) r = 1 + rng.bounded(9);
+    SCOPED_TRACE("iter=" + std::to_string(iter) + " m=" + std::to_string(m) +
+                 " k=" + std::to_string(k) + " n=" + std::to_string(n));
+    const auto a = random_i8(m, k, rng.next());
+    const auto b = random_i8(k, n, rng.next());
+    const auto bt = transposed(b);
+    const auto b4 = nibble_codes(b), bt4 = transposed(b4);
+    MatrixI32 want, want_lut, want_4;
+    qgemm_naive(a, b, want);
+    qgemm_naive(a, decoded(b, lut), want_lut);
+    qgemm_naive(a, decoded(b4, lut4), want_4);
+
+    const SpanOperand b_spans(b, nullptr, false, runs);
+    const SpanOperand bt_spans(bt, nullptr, false, runs);
+    const SpanOperand b_codes(b, lut, false, runs);
+    const SpanOperand bt_codes(bt, lut, false, runs);
+    const SpanOperand b_nibbles(b4, lut4, true, runs);
+    const SpanOperand bt_nibbles(bt4, lut4, true, runs);
+    std::vector<int8_t> pack(qgemm_pack_elems(n));
+    MatrixI32 got;
+    qgemm(a, b, got);
+    EXPECT_EQ(got, want) << "qgemm";
+    qgemm_bt(a, bt, got);
+    EXPECT_EQ(got, want) << "qgemm_bt";
+    const auto check = [&](const char* name, const MatrixI32& expect,
+                           const auto& call) {
+      got.fill(0x7777);
+      call();
+      EXPECT_EQ(got, expect) << name;
+    };
+    check("qgemm_packed_into (from_b)", want, [&] {
+      qgemm_packed_into(a, PackedWeightI8::from_b(b), got);
+    });
+    check("qgemm_packed_into (from_bt)", want, [&] {
+      qgemm_packed_into(a, PackedWeightI8::from_bt(bt), got);
+    });
+    check("qgemm_into", want, [&] { qgemm_into(a, b, got, pack); });
+    check("qgemm_bt_into", want, [&] { qgemm_bt_into(a, bt, got, pack); });
+    check("qgemm_spans_into", want,
+          [&] { qgemm_spans_into(a, b_spans.list(), got, pack); });
+    check("qgemm_bt_spans_into", want,
+          [&] { qgemm_bt_spans_into(a, bt_spans.list(), got, pack); });
+    check("qgemm_spans_into (decode)", want_lut,
+          [&] { qgemm_spans_into(a, b_codes.list(), got, pack); });
+    check("qgemm_bt_spans_into (decode)", want_lut,
+          [&] { qgemm_bt_spans_into(a, bt_codes.list(), got, pack); });
+    check("qgemm_spans_into (nibbles)", want_4,
+          [&] { qgemm_spans_into(a, b_nibbles.list(), got, pack); });
+    check("qgemm_bt_spans_into (nibbles)", want_4,
+          [&] { qgemm_bt_spans_into(a, bt_nibbles.list(), got, pack); });
+  }
+}
+
+template <size_t R>
+void expect_kernel_bodies_agree(util::Xoshiro256& rng, size_t pairs) {
+  // A rows arrive widened from int8, `lda` = the driver's K block.
+  const size_t lda = detail::kKBlock;
+  std::vector<int16_t> a(R * lda);
+  for (auto& x : a) x = static_cast<int16_t>(int(rng.bounded(256)) - 128);
+  std::vector<int8_t> panel(pairs * detail::kPairBytes);
+  for (auto& x : panel) x = static_cast<int8_t>(int(rng.bounded(256)) - 128);
+  int32_t want[R * 8] = {};
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t j = 0; j < 8; ++j) {
+      for (size_t p = 0; p < 2 * pairs; ++p) {
+        want[r * 8 + j] += a[r * lda + p] *
+                           panel[(p / 2) * detail::kPairBytes + 2 * j + p % 2];
+      }
+    }
+  }
+  int32_t got[R * 8];
+  detail::kpair_kernel_portable<R>(a.data(), lda, panel.data(), pairs, got);
+  EXPECT_TRUE(std::equal(got, got + R * 8, want)) << "portable";
+#ifdef __SSE2__
+  detail::kpair_kernel_sse2<R>(a.data(), lda, panel.data(), pairs, got);
+  EXPECT_TRUE(std::equal(got, got + R * 8, want)) << "sse2";
+#endif
+}
+
+TEST(QGemmKernel, PortableBodyMatchesSse2Body) {
+  // The build runs the SSE2 body on x86-64, so the plain C++ fallback is
+  // held to the same sums here: R = 1..4 rows, pair counts on both sides
+  // of the four-pair step, odd ones included.
+  util::Xoshiro256 rng(77);
+  for (size_t pairs : {1, 2, 3, 4, 5, 7, 9, 127, 128}) {
+    SCOPED_TRACE("pairs=" + std::to_string(pairs));
+    expect_kernel_bodies_agree<1>(rng, pairs);
+    expect_kernel_bodies_agree<2>(rng, pairs);
+    expect_kernel_bodies_agree<3>(rng, pairs);
+    expect_kernel_bodies_agree<4>(rng, pairs);
+  }
+}
+
+TEST(PackedWeight, RoundTripsBothOrientationsAtRaggedDims) {
+  // Odd K pads a pair and n % 8 != 0 pads a panel; neither shows in the
+  // logical matrix, the shape or the element reads.
+  uint64_t seed = 990;
+  for (size_t rows : {1, 5, 8, 13, 33}) {
+    for (size_t cols : {1, 3, 8, 9, 30}) {
+      const auto m = random_i8(rows, cols, seed++);
+      for (const bool bt : {false, true}) {
+        const PackedWeightI8 w =
+            bt ? PackedWeightI8::from_bt(m) : PackedWeightI8::from_b(m);
+        EXPECT_EQ(w.rows(), rows);
+        EXPECT_EQ(w.cols(), cols);
+        EXPECT_EQ(w.k(), bt ? cols : rows);
+        EXPECT_EQ(w.n(), bt ? rows : cols);
+        EXPECT_EQ(w.to_matrix(), m) << rows << "x" << cols << " bt=" << bt;
+        EXPECT_EQ(w(rows - 1, cols - 1), m(rows - 1, cols - 1));
+      }
+      EXPECT_FALSE(PackedWeightI8::from_b(m) == PackedWeightI8::from_bt(m));
+    }
+  }
+  EXPECT_EQ(PackedWeightI8::from_b(MatrixI8(0, 4)).to_matrix(),
+            MatrixI8(0, 4));
+}
+
 }  // namespace
 }  // namespace protea::tensor
 
@@ -355,10 +522,13 @@ int8_t requant8(int64_t acc, const RequantParams& rq) {
 TEST(EngineBitIdentity, QkvEngineMatchesNaive) {
   const size_t sl = 9, d = 40, dk = 12;
   const auto x = random_i8(sl, d, 1);
+  const auto wqt = random_i8(dk, d, 2);
+  const auto wkt = random_i8(dk, d, 3);
+  const auto wvt = random_i8(dk, d, 4);
   QHeadWeights head;
-  head.wqt = random_i8(dk, d, 2);
-  head.wkt = random_i8(dk, d, 3);
-  head.wvt = random_i8(dk, d, 4);
+  head.wqt = tensor::PackedWeightI8::from_bt(wqt);
+  head.wkt = tensor::PackedWeightI8::from_bt(wkt);
+  head.wvt = tensor::PackedWeightI8::from_bt(wvt);
   head.bq = random_bias(dk, 5);
   head.bk = random_bias(dk, 6);
   head.bv = random_bias(dk, 7);
@@ -372,9 +542,9 @@ TEST(EngineBitIdentity, QkvEngineMatchesNaive) {
   EXPECT_EQ(stats.macs, 3 * sl * d * dk);
 
   MatrixI32 aq, ak, av;
-  tensor::qgemm_bt_naive(x, head.wqt, aq);
-  tensor::qgemm_bt_naive(x, head.wkt, ak);
-  tensor::qgemm_bt_naive(x, head.wvt, av);
+  tensor::qgemm_bt_naive(x, wqt, aq);
+  tensor::qgemm_bt_naive(x, wkt, ak);
+  tensor::qgemm_bt_naive(x, wvt, av);
   for (size_t i = 0; i < sl; ++i) {
     for (size_t j = 0; j < dk; ++j) {
       EXPECT_EQ(q(i, j), requant8(int64_t{aq(i, j)} + head.bq[j], rq_q));
@@ -392,7 +562,8 @@ TEST(EngineBitIdentity, ProjectionEngineMatchesNaive) {
   const auto rq = numeric::make_requant_params(0.004);
 
   MatrixI8 out;
-  run_projection_engine(x, wt, bias, 8, rq, out);
+  run_projection_engine(x, tensor::PackedWeightI8::from_bt(wt), bias, 8, rq,
+                        out);
 
   MatrixI32 acc;
   tensor::qgemm_bt_naive(x, wt, acc);
@@ -441,7 +612,8 @@ TEST(EngineBitIdentity, FfnEngineMatchesNaiveWithRelu) {
   const auto rq = numeric::make_requant_params(0.006);
 
   MatrixI8 out;
-  run_ffn_engine(in, w, bias, 16, rq, FfnActivation::kRelu, 0.0, out);
+  run_ffn_engine(in, tensor::PackedWeightI8::from_b(w), bias, 16, rq,
+                 FfnActivation::kRelu, 0.0, out);
 
   MatrixI32 acc;
   tensor::qgemm_naive(in, w, acc);

@@ -1,8 +1,11 @@
 // Tests for the quantized-model serialization (deployment artifact).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "accel/qmodel_io.hpp"
@@ -60,6 +63,23 @@ TEST(QModelIo, RoundTripPreservesTensorsAndConstants) {
   EXPECT_EQ(a.rq_proj.multiplier, b.rq_proj.multiplier);
   EXPECT_EQ(a.rq_proj.shift, b.rq_proj.shift);
   EXPECT_EQ(a.rq_hidden.multiplier, b.rq_hidden.multiplier);
+  std::filesystem::remove(fx.path);
+}
+
+TEST(QModelIo, SavedBytesKeepTheFormat) {
+  // The file holds logical row-major weights whatever layout the kernels
+  // keep them in. The constants were taken from this fixture's file when
+  // the model still stored its weights as plain matrices.
+  Fixture fx;
+  save_quantized_model(fx.model, fx.path);
+  std::ifstream is(fx.path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(is)), {});
+  uint64_t fnv1a = 1469598103934665603ull;
+  for (char c : bytes) {
+    fnv1a = (fnv1a ^ static_cast<uint8_t>(c)) * 1099511628211ull;
+  }
+  EXPECT_EQ(bytes.size(), 105800u);
+  EXPECT_EQ(fnv1a, 0x936e39a2d7cb7669ull);
   std::filesystem::remove(fx.path);
 }
 
