@@ -73,12 +73,17 @@ inline std::string results_dir() {
 ///    "schema": ["name", "metric", "value", "unit"],
 ///    "results": [{"name": ..., "metric": ..., "value": ..., "unit": ...}]}
 /// `name` identifies the measured configuration (kernel + shape +
-/// threads), `metric` what was measured, `unit` the value's unit.
+/// threads), `metric` what was measured, `unit` the value's unit. A
+/// record that sets `kernel_body` gains that field, and the schema lists
+/// it.
 struct BenchRecord {
   std::string name;
   std::string metric;
   double value = 0.0;
   std::string unit;
+  /// The int8 micro-kernel body that produced the value
+  /// (tensor::qgemm_kernel_body()); written only when set.
+  std::string kernel_body = {};
 };
 
 /// Writes the unified bench artifact to results_dir()/<filename>.
@@ -92,16 +97,26 @@ inline bool write_bench_records(const std::string& filename,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
+  const bool bodies = std::any_of(
+      records.begin(), records.end(),
+      [](const BenchRecord& r) { return !r.kernel_body.empty(); });
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench.c_str());
-  std::fprintf(f, "  \"schema\": [\"name\", \"metric\", \"value\", \"unit\"],\n");
+  std::fprintf(f,
+               "  \"schema\": [\"name\", \"metric\", \"value\", "
+               "\"unit\"%s],\n",
+               bodies ? ", \"kernel_body\"" : "");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
+    const std::string body =
+        r.kernel_body.empty()
+            ? ""
+            : ", \"kernel_body\": \"" + r.kernel_body + "\"";
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"metric\": \"%s\", "
-                 "\"value\": %.6g, \"unit\": \"%s\"}%s\n",
+                 "\"value\": %.6g, \"unit\": \"%s\"%s}%s\n",
                  r.name.c_str(), r.metric.c_str(), r.value, r.unit.c_str(),
-                 i + 1 < records.size() ? "," : "");
+                 body.c_str(), i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -5,9 +5,10 @@
 //
 // Besides the google-benchmark console/CSV output, main() emits a
 // machine-readable bench_results/BENCH_gemm.json (kernel, shape, GMAC/s,
-// speedup vs. the naive seed loop) so the perf trajectory can be tracked
-// across PRs. Every kernel runs on one thread; record names keep their
-// `_t1` suffix so the series stays continuous.
+// speedup vs. the naive seed loop, and the int8 micro-kernel body that
+// produced them) so the perf trajectory can be tracked across PRs. Every
+// kernel runs on one thread; record names keep their `_t1` suffix so the
+// series stays continuous.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -243,19 +244,22 @@ void emit_bench_gemm_json() {
   }
   const double speedup = packed_256 > 0.0 ? naive_256 / packed_256 : 0.0;
 
+  // CI runners are other CPUs: every record names the body that ran.
+  const std::string body = tensor::qgemm_kernel_body();
   char buf[128];
   std::vector<protea::bench::BenchRecord> records;
   for (const auto& r : results) {
     std::snprintf(buf, sizeof(buf), "%s_%zux%zux%zu_t1", r.kernel.c_str(),
                   r.m, r.k, r.n);
-    records.push_back({buf, "latency", r.ms, "ms"});
-    records.push_back({buf, "throughput", r.gmacs, "GMAC/s"});
+    records.push_back({buf, "latency", r.ms, "ms", body});
+    records.push_back({buf, "throughput", r.gmacs, "GMAC/s", body});
   }
   records.push_back(
-      {"qgemm_256x256x256_t1_vs_naive", "speedup", speedup, "x"});
+      {"qgemm_256x256x256_t1_vs_naive", "speedup", speedup, "x", body});
   protea::bench::write_bench_records("BENCH_gemm.json", "bench_gemm_micro",
                                      records);
-  std::printf("qgemm 256^3 speedup vs naive: %.2fx\n", speedup);
+  std::printf("qgemm 256^3 speedup vs naive: %.2fx (%s body)\n", speedup,
+              body.c_str());
 }
 
 }  // namespace

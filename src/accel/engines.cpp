@@ -122,50 +122,6 @@ void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
                  rq_v, q, k, v, engine_scratch_arena(), stats);
 }
 
-// --- Projection engine -------------------------------------------------------
-
-void run_projection_engine(tensor::ConstMatrixViewI8 x,
-                           const tensor::PackedWeightI8& w,
-                           std::span<const int32_t> bias, uint32_t ts_mha,
-                           const numeric::RequantParams& rq,
-                           tensor::MatrixViewI8 out,
-                           runtime::WorkspaceArena& ws, EngineStats* stats) {
-  const size_t rows = x.rows();
-  const size_t d = x.cols();
-  const size_t out_dim = w.n();
-  if (w.k() != d) {
-    throw std::invalid_argument("run_projection_engine: width mismatch");
-  }
-  if (bias.size() != out_dim) {
-    throw std::invalid_argument("run_projection_engine: bias mismatch");
-  }
-  if (ts_mha == 0) {
-    throw std::invalid_argument("run_projection_engine: zero tile size");
-  }
-  check_out_shape(out, rows, out_dim, "run_projection_engine");
-
-  const auto m = ws.mark();
-  auto acc = ws.matrix_i32(rows, out_dim);
-  tensor::qgemm_packed_into(x, w, acc);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t kk = 0; kk < out_dim; ++kk) {
-      out(i, kk) = requant8(int64_t{acc(i, kk)} + bias[kk], rq);
-    }
-  }
-  if (stats != nullptr) stats->macs += rows * d * out_dim;
-  ws.rewind(m);
-}
-
-void run_projection_engine(const tensor::MatrixI8& x,
-                           const tensor::PackedWeightI8& w,
-                           std::span<const int32_t> bias, uint32_t ts_mha,
-                           const numeric::RequantParams& rq,
-                           tensor::MatrixI8& out, EngineStats* stats) {
-  out = tensor::MatrixI8(x.rows(), w.n());
-  run_projection_engine(tensor::ConstMatrixViewI8(x), w, bias, ts_mha, rq,
-                        out, engine_scratch_arena(), stats);
-}
-
 // --- QK engine ---------------------------------------------------------------
 
 void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,

@@ -80,23 +80,6 @@ void run_qkv_engine(const tensor::MatrixI8& x, const QHeadWeights& head,
                     tensor::MatrixI8& k, tensor::MatrixI8& v,
                     EngineStats* stats = nullptr);
 
-/// Single-stream variant of Algorithm 1 used by the decoder extension's
-/// cross-attention: one projection (out = requant(x * W + bias), W of
-/// w.k() = x.cols() inputs and w.n() outputs) with the same column tiling.
-void run_projection_engine(tensor::ConstMatrixViewI8 x,
-                           const tensor::PackedWeightI8& w,
-                           std::span<const int32_t> bias, uint32_t ts_mha,
-                           const numeric::RequantParams& rq,
-                           tensor::MatrixViewI8 out,
-                           runtime::WorkspaceArena& ws,
-                           EngineStats* stats = nullptr);
-void run_projection_engine(const tensor::MatrixI8& x,
-                           const tensor::PackedWeightI8& w,
-                           std::span<const int32_t> bias, uint32_t ts_mha,
-                           const numeric::RequantParams& rq,
-                           tensor::MatrixI8& out,
-                           EngineStats* stats = nullptr);
-
 /// Algorithm 2. Computes logits = requant(Q x K^T); the attention scale
 /// factor (1/sqrt(dk) or 1/d_model) is folded into `rq_logit`.
 void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
@@ -150,7 +133,9 @@ enum class FfnActivation { kNone, kRelu, kGeluLut };
 /// W of w.k() = in_dim inputs and w.n() = out_dim outputs; tiles of
 /// `ts_ffn x ts_ffn` are traversed column-tile-major, accumulating partial
 /// sums across row tiles. `act_scale` is the int8 scale of the
-/// activation's input/output (used to build the GELU lookup table).
+/// activation's input/output (used to build the GELU lookup table). With
+/// kNone it is also the decoder extension's one-stream projection: the
+/// cross-attention Q from x, and K and V from the encoder memory.
 void run_ffn_engine(tensor::ConstMatrixViewI8 in,
                     const tensor::PackedWeightI8& w,
                     std::span<const int32_t> bias, uint32_t ts_ffn,

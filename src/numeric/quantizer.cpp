@@ -49,9 +49,15 @@ void Quantizer::set_scale(double scale) {
 }
 
 int32_t Quantizer::quantize_one(float x) const {
-  const int64_t q = round_half_even(static_cast<double>(x) / scale_);
-  return static_cast<int32_t>(
-      std::clamp<int64_t>(q, qmin_, qmax_));
+  const double q = static_cast<double>(x) / scale_;
+  // Saturate in double, before narrowing: a quotient of +-inf or of
+  // magnitude 2^63 and up has no int64_t value. The bounds are integers
+  // and rounding is monotone, so this gives the same code as rounding
+  // first and clamping after for every other input.
+  if (q >= qmax_) return qmax_;
+  if (q <= qmin_) return qmin_;
+  if (std::isnan(q)) return 0;
+  return static_cast<int32_t>(round_half_even(q));
 }
 
 void Quantizer::quantize(std::span<const float> in,

@@ -38,7 +38,9 @@ class Quantizer {
   void set_scale(double scale);
   double scale() const { return scale_; }
 
-  /// Quantizes to saturated integers with round-half-to-even.
+  /// Quantizes to saturated integers with round-half-to-even: q =
+  /// round(x / scale) clamped to [qmin, qmax], so +-inf and every
+  /// out-of-range value saturate. NaN quantizes to 0.
   int32_t quantize_one(float x) const;
   void quantize(std::span<const float> in, std::span<int8_t> out) const;
   void quantize(std::span<const float> in, std::span<int16_t> out) const;

@@ -155,12 +155,15 @@ void run_attention_block(const LayerOpContext& ctx,
       }
     } else {
       const accel::QCrossHeadWeights& ch = desc.cross_heads[head];
-      accel::run_projection_engine(x, ch.cqt, ch.cbq, ctx.ts_mha,
-                                   *desc.rq_q, q, ctx.ws, ctx.stats);
-      accel::run_projection_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha,
-                                   *desc.rq_k, k, ctx.ws, ctx.stats);
-      accel::run_projection_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha,
-                                   *desc.rq_v, v, ctx.ws, ctx.stats);
+      accel::run_ffn_engine(x, ch.cqt, ch.cbq, ctx.ts_mha, *desc.rq_q,
+                            accel::FfnActivation::kNone, 0.0, q, ctx.ws,
+                            ctx.stats);
+      accel::run_ffn_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha, *desc.rq_k,
+                            accel::FfnActivation::kNone, 0.0, k, ctx.ws,
+                            ctx.stats);
+      accel::run_ffn_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha, *desc.rq_v,
+                            accel::FfnActivation::kNone, 0.0, v, ctx.ws,
+                            ctx.stats);
     }
     accel::run_qk_engine(q, k, *desc.rq_logit, logits, ctx.ws, ctx.stats);
     if (desc.causal) {
@@ -436,14 +439,14 @@ void fill_cross_kv_cache(const LayerOpContext& ctx,
   }
   for (size_t head = 0; head < h; ++head) {
     const accel::QCrossHeadWeights& ch = desc.cross_heads[head];
-    accel::run_projection_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha,
-                                 *desc.rq_k,
-                                 prefix_rows(kv.cross_k[head], mem_rows),
-                                 ctx.ws, ctx.stats);
-    accel::run_projection_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha,
-                                 *desc.rq_v,
-                                 prefix_rows(kv.cross_v[head], mem_rows),
-                                 ctx.ws, ctx.stats);
+    accel::run_ffn_engine(memory, ch.ckt, ch.cbk, ctx.ts_mha, *desc.rq_k,
+                          accel::FfnActivation::kNone, 0.0,
+                          prefix_rows(kv.cross_k[head], mem_rows), ctx.ws,
+                          ctx.stats);
+    accel::run_ffn_engine(memory, ch.cvt, ch.cbv, ctx.ts_mha, *desc.rq_v,
+                          accel::FfnActivation::kNone, 0.0,
+                          prefix_rows(kv.cross_v[head], mem_rows), ctx.ws,
+                          ctx.stats);
   }
 }
 
@@ -477,9 +480,10 @@ void run_cross_attention_cached(const LayerOpContext& ctx,
   for (size_t head = 0; head < h; ++head) {
     const auto m = ctx.ws.mark();
     auto q = ctx.ws.matrix_i8(n, dk);
-    accel::run_projection_engine(x, desc.cross_heads[head].cqt,
-                                 desc.cross_heads[head].cbq, ctx.ts_mha,
-                                 *desc.rq_q, q, ctx.ws, ctx.stats);
+    accel::run_ffn_engine(x, desc.cross_heads[head].cqt,
+                          desc.cross_heads[head].cbq, ctx.ts_mha, *desc.rq_q,
+                          accel::FfnActivation::kNone, 0.0, q, ctx.ws,
+                          ctx.stats);
     const tensor::ConstMatrixViewI8 k =
         prefix_rows(kv.cross_k[head], memory_len);
     const tensor::ConstMatrixViewI8 v =

@@ -4,8 +4,9 @@
 // copies of the same engine call sequences. This layer collapses them into three block primitives that
 // mirror the paper's module split (Fig. 3/4):
 //
-//   * attention block — h head pipelines (QKV_CE or projection engines ->
-//     QK_CE -> softmax -> SV_CE) concatenated into (SL x d_model). One
+//   * attention block — h head pipelines (QKV_CE, or for cross-attention
+//     one FFN_CE projection without activation per Q/K/V, -> QK_CE ->
+//     softmax -> SV_CE) concatenated into (SL x d_model). One
 //     descriptor covers encoder self-attention, decoder masked
 //     self-attention (causal softmax) and decoder cross-attention (K/V
 //     projected from the encoder memory).

@@ -1,5 +1,6 @@
 #include "tensor/qgemm.hpp"
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -25,35 +26,114 @@ RowSpanListI8 one_run(const RowSpanI8& run, size_t cols) {
           .row_stride = cols};
 }
 
-/// R rows of A (`lda` apart) against every column panel of one K block
-/// [k0, k0 + kc): A is widened to int16 pairs once, then each panel meets
-/// it in one micro-kernel call. The first K block writes c, later ones
-/// add into it.
+/// Widens R rows of A (`lda` apart), K block [k0, k0 + kc), to int16
+/// rows kKBlock apart, zero-padding an odd block's last pair.
 template <size_t R>
-void row_block(const int8_t* a, size_t lda, size_t k0, size_t kc,
-               const int8_t* panels, size_t panel_stride, size_t n,
-               int32_t* c) {
-  alignas(16) int16_t awide[R * kKBlock];
+void widen_rows(const int8_t* a, size_t lda, size_t k0, size_t kc,
+                int16_t* awide) {
   for (size_t r = 0; r < R; ++r) {
     int16_t* dst = awide + r * kKBlock;
     std::copy_n(a + r * lda + k0, kc, dst);
     if (kc % 2 != 0) dst[kc] = 0;
   }
+}
+
+/// Moves the first `w` of each of R accumulator rows (`Cols` wide) into
+/// c's rows (`n` apart): the first K block writes c, later ones add.
+template <size_t R, size_t Cols>
+void store_tile(const int32_t* acc, size_t w, size_t k0, int32_t* c,
+                size_t n) {
+  for (size_t r = 0; r < R; ++r) {
+    int32_t* crow = c + r * n;
+    const int32_t* arow = acc + r * Cols;
+    if (k0 != 0) {
+      for (size_t j = 0; j < w; ++j) crow[j] += arow[j];
+    } else if (w == Cols) {
+      std::copy_n(arow, Cols, crow);
+    } else {
+      std::copy_n(arow, w, crow);
+    }
+  }
+}
+
+/// R rows of A (`lda` apart) against every column panel of one K block
+/// [k0, k0 + kc): A is widened to int16 pairs once, then each panel meets
+/// it in one micro-kernel call.
+template <size_t R>
+void row_block(const int8_t* a, size_t lda, size_t k0, size_t kc,
+               const int8_t* panels, size_t panel_stride, size_t n,
+               int32_t* c) {
+  alignas(16) int16_t awide[R * kKBlock];
+  widen_rows<R>(a, lda, k0, kc, awide);
   const size_t pairs = pairs_of(kc);
   alignas(16) int32_t acc[R * kPanelCols];
   for (size_t j0 = 0; j0 < n; j0 += kPanelCols, panels += panel_stride) {
     detail::kpair_kernel<R>(awide, kKBlock, panels, pairs, acc);
-    const size_t w = std::min(kPanelCols, n - j0);
-    for (size_t r = 0; r < R; ++r) {
-      int32_t* crow = c + r * n + j0;
-      const int32_t* arow = acc + r * kPanelCols;
-      if (k0 == 0) {
-        std::copy_n(arow, w, crow);
-      } else {
-        for (size_t j = 0; j < w; ++j) crow[j] += arow[j];
-      }
-    }
+    store_tile<R, kPanelCols>(acc, std::min(kPanelCols, n - j0), k0, c + j0,
+                              n);
   }
+}
+
+#ifdef PROTEA_KPAIR_AVX2
+/// row_block on the AVX2 body: two column panels per kernel call, and
+/// the one-panel form for an odd last panel.
+template <size_t R>
+__attribute__((target("avx2"))) void row_block_avx2(
+    const int8_t* a, size_t lda, size_t k0, size_t kc, const int8_t* panels,
+    size_t panel_stride, size_t n, int32_t* c) {
+  alignas(32) int16_t awide[R * kKBlock];
+  widen_rows<R>(a, lda, k0, kc, awide);
+  const size_t pairs = pairs_of(kc);
+  constexpr size_t kTileCols = 2 * kPanelCols;
+  alignas(32) int32_t acc[R * kTileCols];
+  size_t j0 = 0;
+  for (; j0 + kPanelCols < n; j0 += kTileCols, panels += 2 * panel_stride) {
+    detail::kpair_kernel_avx2<R, 2>(awide, kKBlock, panels, panel_stride,
+                                    pairs, acc);
+    store_tile<R, kTileCols>(acc, std::min(kTileCols, n - j0), k0, c + j0,
+                             n);
+  }
+  if (j0 < n) {
+    detail::kpair_kernel_avx2<R, 1>(awide, kKBlock, panels, panel_stride,
+                                    pairs, acc);
+    store_tile<R, kPanelCols>(acc, n - j0, k0, c + j0, n);
+  }
+}
+#endif
+
+using RowBlock = void (*)(const int8_t* a, size_t lda, size_t k0, size_t kc,
+                          const int8_t* panels, size_t panel_stride,
+                          size_t n, int32_t* c);
+
+/// The row_block bodies this process runs, by row count, and their name.
+struct RowBlocks {
+  const char* name;
+  std::array<RowBlock, kMaxKernelRows> by_rows;  // [R - 1]
+};
+
+/// Chosen on first use from the CPU's features alone. A function-local
+/// static is initialized once and thread-safely whenever it is first
+/// reached; __builtin_cpu_init makes the feature query valid even from
+/// another object's static initializer.
+const RowBlocks& row_blocks() {
+  static const RowBlocks blocks = [] {
+#ifdef PROTEA_KPAIR_AVX2
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      return RowBlocks{"avx2",
+                       {row_block_avx2<1>, row_block_avx2<2>,
+                        row_block_avx2<3>, row_block_avx2<4>}};
+    }
+#endif
+#ifdef __SSE2__
+    const char* name = "sse2";
+#else
+    const char* name = "portable";
+#endif
+    return RowBlocks{
+        name, {row_block<1>, row_block<2>, row_block<3>, row_block<4>}};
+  }();
+  return blocks;
 }
 
 /// c (m x n) = a (m x k) * B. `block(k0, kc)` yields K block
@@ -69,26 +149,14 @@ void kpair_product(ConstMatrixViewI8 a, size_t n, MatrixViewI32 c,
     c.fill(0);
     return;
   }
+  const RowBlocks& blocks = row_blocks();
   for (size_t k0 = 0; k0 < k; k0 += kKBlock) {
     const size_t kc = std::min(kKBlock, k - k0);
     const auto [panels, stride] = block(k0, kc);
     for (size_t i0 = 0; i0 < m; i0 += kMaxKernelRows) {
-      const int8_t* arows = a.data() + i0 * k;
-      int32_t* crows = c.data() + i0 * n;
-      switch (std::min(kMaxKernelRows, m - i0)) {
-        case 1:
-          row_block<1>(arows, k, k0, kc, panels, stride, n, crows);
-          break;
-        case 2:
-          row_block<2>(arows, k, k0, kc, panels, stride, n, crows);
-          break;
-        case 3:
-          row_block<3>(arows, k, k0, kc, panels, stride, n, crows);
-          break;
-        default:
-          row_block<4>(arows, k, k0, kc, panels, stride, n, crows);
-          break;
-      }
+      const size_t rows = std::min(kMaxKernelRows, m - i0);
+      blocks.by_rows[rows - 1](a.data() + i0 * k, k, k0, kc, panels, stride,
+                               n, c.data() + i0 * n);
     }
   }
 }
@@ -256,6 +324,8 @@ void qgemm_bt(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c) {
 }
 
 size_t qgemm_pack_elems(size_t n) { return detail::kpair_bytes(kKBlock, n); }
+
+const char* qgemm_kernel_body() { return row_blocks().name; }
 
 void qgemm_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b, MatrixViewI32 c,
                 std::span<int8_t> pack_buf) {

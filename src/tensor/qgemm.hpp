@@ -7,7 +7,10 @@
 // in one layout, K-pair panels (tensor/qgemm_detail.hpp): column panels of
 // 8, each K pair of a column stored as two adjacent bytes. One
 // multiply-add micro-kernel family serves those panels for 1-4 A rows at
-// a time, at every m, with A widened to int16 pairs per call:
+// a time, at every m, with A widened to int16 pairs per call. Its body is
+// chosen once per process from the CPU's features (qgemm_kernel_body()):
+// AVX2, two panels per call, where the CPU has it, else SSE2, one panel
+// per call; every body gives the same sums.
 //
 //   * Weights are packed once, when the model is built or loaded
 //     (PackedWeightI8), and are read-only after that: qgemm_packed_into
@@ -118,6 +121,10 @@ void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
                       MatrixViewI32 c, std::span<int8_t> pack_buf);
 void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
                          MatrixViewI32 c, std::span<int8_t> pack_buf);
+
+/// The micro-kernel body this process runs: "avx2", "sse2" or "portable"
+/// (no x86 SIMD). Read-only; the CPU's features alone decide it.
+const char* qgemm_kernel_body();
 
 /// Naive triple-loop references (the seed's original loop nests), retained
 /// as the test oracle and the bench speedup baseline.

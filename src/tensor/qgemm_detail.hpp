@@ -9,8 +9,9 @@
 //
 // One 16-byte load is one K pair of a panel. Sign-extended to int16, its
 // halves meet a broadcast A pair (a(i, 2p), a(i, 2p + 1)), widened to
-// int16, in _mm_madd_epi16: each int32 lane gets both products of one
-// column, two MACs per lane. Weights are packed into this layout once,
+// int16, in _mm_madd_epi16 (the AVX2 body widens the whole pair into one
+// register for _mm256_madd_epi16): each int32 lane gets both products of
+// one column, two MACs per lane. Weights are packed into this layout once,
 // when the model is built or loaded (PackedWeightI8); activation operands
 // (QK^T's K, SV's V) are packed per call, one K block at a time.
 //
@@ -28,6 +29,14 @@
 
 #ifdef __SSE2__
 #include <emmintrin.h>
+#endif
+
+// GCC and Clang compile a function for AVX2 by attribute alone, so the
+// AVX2 body below needs no -mavx2 and the binary still runs on an
+// SSE2-only host: qgemm.cpp asks the CPU once which body to run.
+#if defined(__SSE2__) && defined(__GNUC__)
+#include <immintrin.h>
+#define PROTEA_KPAIR_AVX2 1
 #endif
 
 #include "tensor/matrix.hpp"
@@ -53,9 +62,10 @@ inline size_t kpair_bytes(size_t k, size_t n) {
 // acc[r * 8 + j] = sum over `pairs` K pairs p of
 //     a[r * lda + 2p] * panel(p, j, 0) + a[r * lda + 2p + 1] * panel(p, j, 1)
 // for R = 1..4 A rows, given as int16 pairs `lda` elements apart. The
-// plain C++ body is always compiled, so a test can hold the SSE2 body to
-// it; the SSE2 body is the one the build runs wherever __SSE2__ is defined
-// (every x86-64 target).
+// plain C++ body is always compiled, so a test can hold the others to it.
+// The SSE2 body is the baseline wherever __SSE2__ is defined (every x86-64
+// target); the AVX2 body, which reads two panels per call, replaces it on
+// a CPU that has AVX2.
 
 template <size_t R>
 inline void kpair_kernel_portable(const int16_t* a, size_t lda,
@@ -137,6 +147,49 @@ inline void kpair_kernel_sse2(const int16_t* a, size_t lda,
   }
 }
 #endif  // __SSE2__
+
+#ifdef PROTEA_KPAIR_AVX2
+/// The AVX2 body over P = 1 or 2 adjacent column panels, `panel_stride`
+/// bytes apart: acc[(r * P + q) * 8 + j] is column j of panel q. Per K
+/// pair, one vpmovsxbw widens each panel's 16 bytes to 16 int16 lanes and
+/// each row's broadcast A pair meets them in vpmaddwd, so two panels keep
+/// an R x 16 block in 2R independent accumulators. Call it only on a CPU
+/// with AVX2.
+template <size_t R, size_t P>
+__attribute__((target("avx2"))) inline void kpair_kernel_avx2(
+    const int16_t* a, size_t lda, const int8_t* panel, size_t panel_stride,
+    size_t pairs, int32_t* acc) {
+  static_assert(R >= 1 && R <= kMaxKernelRows && (P == 1 || P == 2));
+  __m256i sum[R][P];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < P; ++q) sum[r][q] = _mm256_setzero_si256();
+  }
+  for (size_t p = 0; p < pairs; ++p) {
+    __m256i b[P];
+    for (size_t q = 0; q < P; ++q) {
+      const auto* b_pair = reinterpret_cast<const __m128i*>(
+          panel + q * panel_stride + p * kPairBytes);
+      b[q] = _mm256_cvtepi8_epi16(_mm_loadu_si128(b_pair));
+    }
+    for (size_t r = 0; r < R; ++r) {
+      int32_t two = 0;
+      std::memcpy(&two, a + r * lda + 2 * p, sizeof(two));
+      const __m256i a_pair = _mm256_set1_epi32(two);
+      for (size_t q = 0; q < P; ++q) {
+        sum[r][q] =
+            _mm256_add_epi32(sum[r][q], _mm256_madd_epi16(b[q], a_pair));
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < P; ++q) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(acc + (r * P + q) * kPanelCols),
+          sum[r][q]);
+    }
+  }
+}
+#endif  // PROTEA_KPAIR_AVX2
 
 template <size_t R>
 inline void kpair_kernel(const int16_t* a, size_t lda, const int8_t* panel,

@@ -76,9 +76,9 @@ TEST(EdgeCases, FfnEngineAllZeroWeightTileContributesNothing) {
 }
 
 TEST(EdgeCases, ProjectionEngineMatchesQkvSingleStream) {
-  // run_projection_engine on wq alone must agree with run_qkv_engine's
-  // q output (same weights, same requant) — the decoder reuses the
-  // engine this way.
+  // run_ffn_engine without an activation on wq alone must agree with
+  // run_qkv_engine's q output (same weights, same requant): the decoder's
+  // cross-attention projects this way.
   ref::ModelConfig cfg;
   cfg.seq_len = 8;
   cfg.d_model = 32;
@@ -97,8 +97,8 @@ TEST(EdgeCases, ProjectionEngineMatchesQkvSingleStream) {
   MatrixI8 q, k, v, q_proj;
   run_qkv_engine(x, layer.heads[0], 16, layer.rq_q, layer.rq_k,
                  layer.rq_v, q, k, v);
-  run_projection_engine(x, layer.heads[0].wqt, layer.heads[0].bq, 16,
-                        layer.rq_q, q_proj);
+  run_ffn_engine(x, layer.heads[0].wqt, layer.heads[0].bq, 16, layer.rq_q,
+                 FfnActivation::kNone, 0.0, q_proj);
   EXPECT_EQ(q, q_proj);
 }
 

@@ -2,7 +2,10 @@
 // runtime quantizer and requantization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "numeric/dsp48.hpp"
@@ -237,6 +240,96 @@ TEST(Quantizer, Int16Path) {
   q.quantize(in, out);
   for (size_t i = 0; i < in.size(); ++i) {
     EXPECT_NEAR(q.dequantize_one(out[i]), in[i], q.scale() / 2 + 1e-9);
+  }
+}
+
+// --- Quantizer conformance ------------------------------------------------------
+//
+// The definition: q = round_half_even(x / scale), saturated to [qmin,
+// qmax], and NaN gives 0. Each expected code below follows from that
+// definition and from how the input was built (its sign, a bound, or the
+// side of a tie (k + 1/2) * scale it lies on), never from the code under
+// test. Every input goes through quantize_one and both quantize()
+// overloads.
+
+void expect_code(const Quantizer& q, float x, int32_t want) {
+  char input[64];
+  std::snprintf(input, sizeof(input), "x = %a, bits = %d", double{x},
+                q.bits());
+  SCOPED_TRACE(input);
+  EXPECT_EQ(q.quantize_one(x), want) << "quantize_one";
+  const std::vector<float> in{x};
+  std::vector<int16_t> wide(1);
+  q.quantize(in, wide);
+  EXPECT_EQ(wide[0], want) << "quantize to int16";
+  if (q.bits() <= 8) {
+    std::vector<int8_t> narrow(1);
+    q.quantize(in, narrow);
+    EXPECT_EQ(narrow[0], want) << "quantize to int8";
+  }
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+TEST(QuantizerConformance, SpecialValuesSaturateOrGiveZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float fmax = std::numeric_limits<float>::max();
+  const double scale = 0.05;
+  // The first float whose quotient reaches 2^63, the first beyond
+  // int64_t, and the float just below it.
+  const double two63 = std::ldexp(1.0, 63);
+  float first = static_cast<float>(two63 * scale);
+  while (static_cast<double>(first) / scale < two63) {
+    first = std::nextafter(first, kInf);
+  }
+  while (static_cast<double>(std::nextafter(first, 0.0f)) / scale >= two63) {
+    first = std::nextafter(first, 0.0f);
+  }
+  const float below = std::nextafter(first, 0.0f);
+  ASSERT_GE(static_cast<double>(first) / scale, two63);
+  ASSERT_LT(static_cast<double>(below) / scale, two63);
+
+  for (int bits : {8, 16}) {
+    Quantizer q(bits, false);
+    q.set_scale(scale);
+    const int32_t hi = (int32_t{1} << (bits - 1)) - 1;
+    const int32_t lo = -(int32_t{1} << (bits - 1));
+    expect_code(q, 0.0f, 0);
+    expect_code(q, -0.0f, 0);
+    expect_code(q, std::numeric_limits<float>::denorm_min(), 0);
+    expect_code(q, nan, 0);
+    expect_code(q, -nan, 0);
+    for (float big : {kInf, fmax, 3e38f, 1e30f, 1e18f, first, below}) {
+      expect_code(q, big, hi);
+      expect_code(q, -big, lo);
+    }
+  }
+}
+
+TEST(QuantizerConformance, TiesGoToEvenAndTheirNeighboursToTheNearer) {
+  const auto saturated = [](int32_t k) { return std::clamp(k, -128, 127); };
+  // A power-of-two scale divides exactly, so (k + 1/2) * scale is an
+  // exact tie: it goes to the even one of k and k + 1, and the floats on
+  // either side of it go to the nearer one. k runs past both bounds.
+  Quantizer pow2(8, true);
+  pow2.set_scale(0.0625);
+  for (int32_t k = -131; k <= 130; ++k) {
+    const float tie = static_cast<float>((k + 0.5) * 0.0625);
+    ASSERT_EQ(static_cast<double>(tie), (k + 0.5) * 0.0625);
+    expect_code(pow2, tie, saturated(k % 2 == 0 ? k : k + 1));
+    expect_code(pow2, std::nextafter(tie, kInf), saturated(k + 1));
+    expect_code(pow2, std::nextafter(tie, -kInf), saturated(k));
+  }
+  // With scale 0.05 the tie is not a float. The float nearest to it lies
+  // within half a float ulp, so its two neighbours lie at least half an
+  // ulp (2^-25 relative) beyond the tie: far more than the double
+  // quotient's rounding error (2^-53), so each rounds to its own side.
+  Quantizer free(8, false);
+  free.set_scale(0.05);
+  for (int32_t k = -131; k <= 130; ++k) {
+    const float near = static_cast<float>((k + 0.5) * 0.05);
+    expect_code(free, std::nextafter(near, kInf), saturated(k + 1));
+    expect_code(free, std::nextafter(near, -kInf), saturated(k));
   }
 }
 

@@ -2,14 +2,16 @@
 // point — weights packed once into K-pair panels, activation operands
 // packed per call or read in place by the small-M direct loops, dense and
 // span operands, int8 rows, byte codes and packed nibble codes — with the
-// retained naive references on ragged, degenerate and random shapes; the
-// portable micro-kernel body against the SSE2 one; the packed weight's
-// round trip; argument checks; and bit-identity of the engines that ride
-// on it.
+// retained naive references on ragged, degenerate and random shapes;
+// every compiled micro-kernel body (portable, SSE2, AVX2 one- and
+// two-panel) against the layout's definition, and the body the CPU
+// selects; the packed weight's round trip; argument checks; and
+// bit-identity of the engines that ride on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -326,12 +328,13 @@ TEST(QGemmEntryPoints, SpanListWithEmptyRunThrows) {
 
 TEST(QGemmPacked, MatchesNaiveOnBothSidesOfEveryBoundary) {
   // The weight path, packed from B ([in][out]) and from B^T ([out][in]),
-  // on both sides of the 4-row kernel, the 8-column panel and the 256 K
-  // block; an odd K pads its last pair.
+  // on both sides of the 4-row kernel, the 8-column panel, the AVX2
+  // body's 16-column two-panel step and the 256 K block; an odd K pads
+  // its last pair.
   uint64_t seed = 900;
   for (size_t m : {0, 1, 2, 3, 4, 5, 8, 65}) {
     for (size_t k : {0, 1, 2, 3, 255, 256, 257, 511, 513}) {
-      for (size_t n : {0, 1, 7, 8, 9, 33}) {
+      for (size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 33}) {
         SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
                      " n=" + std::to_string(n));
         const auto a = random_i8(m, k, seed++);
@@ -460,6 +463,87 @@ TEST(QGemmKernel, PortableBodyMatchesSse2Body) {
   }
 }
 
+#ifdef PROTEA_KPAIR_AVX2
+template <size_t R>
+void expect_avx2_bodies_agree(util::Xoshiro256& rng, size_t pairs) {
+  const size_t lda = detail::kKBlock;
+  std::vector<int16_t> a(R * lda);
+  for (auto& x : a) x = static_cast<int16_t>(int(rng.bounded(256)) - 128);
+  // Two panels with three filler pairs between them: a body that ignored
+  // `panel_stride` would read the filler as the second panel.
+  const size_t stride = (pairs + 3) * detail::kPairBytes;
+  std::vector<int8_t> panels(2 * stride);
+  for (auto& x : panels) x = static_cast<int8_t>(int(rng.bounded(256)) - 128);
+  // want[r][8q + j]: column j of panel q, summed from the layout's
+  // definition.
+  int32_t want[R * 16] = {};
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < 2; ++q) {
+      for (size_t j = 0; j < 8; ++j) {
+        for (size_t p = 0; p < 2 * pairs; ++p) {
+          const size_t byte =
+              q * stride + (p / 2) * detail::kPairBytes + 2 * j + p % 2;
+          want[r * 16 + q * 8 + j] += a[r * lda + p] * panels[byte];
+        }
+      }
+    }
+  }
+  const auto panel_matches = [&](const int32_t* got, size_t q) {
+    for (size_t r = 0; r < R; ++r) {
+      if (!std::equal(got + r * 8, got + r * 8 + 8, want + r * 16 + q * 8)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  int32_t got[R * 16];
+  detail::kpair_kernel_avx2<R, 2>(a.data(), lda, panels.data(), stride, pairs,
+                                  got);
+  EXPECT_TRUE(std::equal(got, got + R * 16, want)) << "avx2, two panels";
+  for (size_t q = 0; q < 2; ++q) {
+    const int8_t* panel = panels.data() + q * stride;
+    detail::kpair_kernel_avx2<R, 1>(a.data(), lda, panel, stride, pairs, got);
+    EXPECT_TRUE(panel_matches(got, q)) << "avx2, one panel, panel " << q;
+    detail::kpair_kernel_portable<R>(a.data(), lda, panel, pairs, got);
+    EXPECT_TRUE(panel_matches(got, q)) << "portable, panel " << q;
+  }
+}
+#endif
+
+TEST(QGemmKernel, Avx2BodiesMatchPortableBody) {
+  // The AVX2 body in its one- and two-panel forms against the layout's
+  // definition and the plain C++ body, over the same R and pair sweep as
+  // the SSE2 body above.
+#ifdef PROTEA_KPAIR_AVX2
+  if (!__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "this CPU lacks AVX2: the AVX2 body cannot run here";
+  }
+  util::Xoshiro256 rng(78);
+  for (size_t pairs : {1, 2, 3, 4, 5, 7, 9, 127, 128}) {
+    SCOPED_TRACE("pairs=" + std::to_string(pairs));
+    expect_avx2_bodies_agree<1>(rng, pairs);
+    expect_avx2_bodies_agree<2>(rng, pairs);
+    expect_avx2_bodies_agree<3>(rng, pairs);
+    expect_avx2_bodies_agree<4>(rng, pairs);
+  }
+#else
+  GTEST_SKIP() << "no AVX2 body in this build: it needs GCC or Clang on x86";
+#endif
+}
+
+TEST(QGemmKernel, BodyFollowsTheCpuFeature) {
+  // The one body the process runs is a function of the CPU alone.
+  const std::string body = qgemm_kernel_body();
+  std::printf("int8 micro-kernel body: %s\n", body.c_str());
+#if defined(PROTEA_KPAIR_AVX2)
+  EXPECT_EQ(body, __builtin_cpu_supports("avx2") ? "avx2" : "sse2");
+#elif defined(__SSE2__)
+  EXPECT_EQ(body, "sse2");
+#else
+  EXPECT_EQ(body, "portable");
+#endif
+}
+
 TEST(PackedWeight, RoundTripsBothOrientationsAtRaggedDims) {
   // Odd K pads a pair and n % 8 != 0 pads a panel; neither shows in the
   // logical matrix, the shape or the element reads.
@@ -562,8 +646,8 @@ TEST(EngineBitIdentity, ProjectionEngineMatchesNaive) {
   const auto rq = numeric::make_requant_params(0.004);
 
   MatrixI8 out;
-  run_projection_engine(x, tensor::PackedWeightI8::from_bt(wt), bias, 8, rq,
-                        out);
+  run_ffn_engine(x, tensor::PackedWeightI8::from_bt(wt), bias, 8, rq,
+                 FfnActivation::kNone, 0.0, out);
 
   MatrixI32 acc;
   tensor::qgemm_bt_naive(x, wt, acc);
