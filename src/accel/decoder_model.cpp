@@ -62,16 +62,6 @@ double quantize_matrix(const tensor::MatrixF& src,
   return scale;
 }
 
-std::vector<int32_t> scale_bias(std::span<const float> bias, double s_acc,
-                                size_t offset, size_t count) {
-  std::vector<int32_t> out(count);
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<int32_t>(
-        std::llround(static_cast<double>(bias[offset + i]) / s_acc));
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<DecoderLayerScales> calibrate_decoder_scales(

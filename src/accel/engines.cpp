@@ -21,10 +21,6 @@ static_assert(numeric::accumulation_fits_dsp48(4096, 128 * 128),
 constexpr int32_t kQMax = 127;
 constexpr int32_t kQMin = -128;
 
-int8_t requant8(int64_t acc, const numeric::RequantParams& rq) {
-  return static_cast<int8_t>(numeric::requantize(acc, rq, kQMin, kQMax));
-}
-
 /// int8 -> int8 GELU lookup table at a fixed scale (tanh formulation),
 /// the LUT the FPGA stores in LUTRAM.
 std::array<int8_t, 256> build_gelu_table(double scale) {
@@ -98,11 +94,9 @@ void run_qkv_engine(tensor::ConstMatrixViewI8 x, const QHeadWeights& head,
 
   // Bias add in the accumulator domain, then write-back requantization.
   for (size_t i = 0; i < sl; ++i) {
-    for (size_t kk = 0; kk < dk; ++kk) {
-      q(i, kk) = requant8(int64_t{acc_q(i, kk)} + head.bq[kk], rq_q);
-      k(i, kk) = requant8(int64_t{acc_k(i, kk)} + head.bk[kk], rq_k);
-      v(i, kk) = requant8(int64_t{acc_v(i, kk)} + head.bv[kk], rq_v);
-    }
+    numeric::requantize_row(acc_q.row(i), head.bq.data(), rq_q, q.row(i));
+    numeric::requantize_row(acc_k.row(i), head.bk.data(), rq_k, k.row(i));
+    numeric::requantize_row(acc_v.row(i), head.bv.data(), rq_v, v.row(i));
   }
   ws.rewind(m);
 }
@@ -140,11 +134,7 @@ void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
   auto acc = ws.matrix_i32(sl_q, sl_k);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(sl_k));
   tensor::qgemm_bt_into(q, k, acc, pack);
-  for (size_t i = 0; i < sl_q; ++i) {
-    for (size_t j = 0; j < sl_k; ++j) {
-      logits(i, j) = requant8(acc(i, j), rq_logit);
-    }
-  }
+  numeric::requantize_row(acc.flat(), nullptr, rq_logit, logits.flat());
   if (stats != nullptr) stats->macs += sl_q * sl_k * dk;
   ws.rewind(m);
 }
@@ -204,11 +194,7 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
   auto acc = ws.matrix_i32(sl, dk);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(dk));
   tensor::qgemm_into(attn_weights, v, acc, pack);
-  for (size_t i = 0; i < sl; ++i) {
-    for (size_t j = 0; j < dk; ++j) {
-      scores(i, j) = requant8(acc(i, j), rq_sv);
-    }
-  }
+  numeric::requantize_row(acc.flat(), nullptr, rq_sv, scores.flat());
   if (stats != nullptr) stats->macs += sl * dk * inner;
   ws.rewind(m);
 }
@@ -230,11 +216,7 @@ void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
   auto acc = ws.matrix_i32(sl, dk);
   auto pack = ws.span_i8(tensor::qgemm_pack_elems(dk));
   tensor::qgemm_spans_into(attn_weights, v, acc, pack);
-  for (size_t i = 0; i < sl; ++i) {
-    for (size_t j = 0; j < dk; ++j) {
-      scores(i, j) = requant8(acc(i, j), rq_sv);
-    }
-  }
+  numeric::requantize_row(acc.flat(), nullptr, rq_sv, scores.flat());
   if (stats != nullptr) {
     stats->macs += sl * dk * inner;
     stats->span_runs += v.runs.size();
@@ -287,20 +269,19 @@ void run_ffn_engine(tensor::ConstMatrixViewI8 in,
   tensor::qgemm_packed_into(in, w, acc);
 
   for (size_t i = 0; i < sl; ++i) {
-    const int32_t* acc_row = acc.data() + i * out_dim;
-    for (size_t j = 0; j < out_dim; ++j) {
-      int8_t value = requant8(int64_t{acc_row[j]} + bias[j], rq);
-      switch (act) {
-        case FfnActivation::kNone:
-          break;
-        case FfnActivation::kRelu:
-          value = std::max<int8_t>(value, 0);
-          break;
-        case FfnActivation::kGeluLut:
+    const auto out_row = out.row(i);
+    numeric::requantize_row(acc.row(i), bias.data(), rq, out_row);
+    switch (act) {
+      case FfnActivation::kNone:
+        break;
+      case FfnActivation::kRelu:
+        for (int8_t& value : out_row) value = std::max<int8_t>(value, 0);
+        break;
+      case FfnActivation::kGeluLut:
+        for (int8_t& value : out_row) {
           value = gelu_table[static_cast<size_t>(int32_t{value} - kQMin)];
-          break;
-      }
-      out(i, j) = value;
+        }
+        break;
     }
   }
   if (stats != nullptr) stats->macs += sl * in_dim * out_dim;

@@ -12,7 +12,9 @@
 //
 // Every engine accumulates int8 x int8 products into 32-bit sums (the
 // DSP48's 48-bit accumulator has >2^16 headroom over the worst case —
-// checked statically in engines.cpp) and requantizes on write-back.
+// checked statically in engines.cpp) and requantizes on write-back,
+// through numeric::requantize_row (one call per output row, or one per
+// dense tile when no bias is added).
 // Cycle accounting lives in perf_model.{hpp,cpp}; these functions compute
 // values and MAC counts only, so tests can verify the datapath exactly.
 //

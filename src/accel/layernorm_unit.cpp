@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "numeric/quantizer.hpp"
+
 namespace protea::accel {
 
 void run_layernorm(std::span<const float> gamma, std::span<const float> beta,
@@ -62,8 +64,8 @@ void run_layernorm(std::span<const float> gamma, std::span<const float> beta,
       const double norm =
           (static_cast<double>(z[c]) - mean) * s_c * inv_std;
       const double y = norm * gamma[c] + beta[c];
-      const auto q = static_cast<int32_t>(std::llround(y / s_out));
-      out(row, c) = static_cast<int8_t>(std::clamp(q, -128, 127));
+      out(row, c) =
+          static_cast<int8_t>(numeric::round_saturated(y / s_out, -128, 127));
     }
   }
 }

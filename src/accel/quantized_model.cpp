@@ -1,6 +1,7 @@
 #include "accel/quantized_model.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "numeric/quantizer.hpp"
@@ -49,18 +50,19 @@ tensor::PackedWeightI8 quantize_slice(const tensor::MatrixF& slice,
   return tensor::PackedWeightI8::from_bt(m);
 }
 
-/// Biases are added in the accumulator domain: b_acc = round(b / s_acc).
+}  // namespace
+
 std::vector<int32_t> scale_bias(std::span<const float> bias, double s_acc,
                                 size_t offset, size_t count) {
   std::vector<int32_t> out(count);
   for (size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<int32_t>(
-        std::llround(static_cast<double>(bias[offset + i]) / s_acc));
+    out[i] = numeric::round_saturated(
+        static_cast<double>(bias[offset + i]) / s_acc,
+        std::numeric_limits<int32_t>::min(),
+        std::numeric_limits<int32_t>::max());
   }
   return out;
 }
-
-}  // namespace
 
 uint64_t QuantizedModel::weight_bytes() const {
   uint64_t bytes = 0;

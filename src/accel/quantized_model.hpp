@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/quant_calib.hpp"
@@ -61,6 +62,13 @@ struct QuantizedModel {
   /// pass (what the tiling exists to manage).
   uint64_t weight_bytes() const;
 };
+
+/// Biases are added in the accumulator domain: entry i is
+/// round(bias[offset + i] / s_acc), half away from zero, for `count`
+/// entries. A quotient past the int32 range (or +-inf) saturates, and NaN
+/// gives 0. Shared by quantize_model and quantize_decoder.
+std::vector<int32_t> scale_bias(std::span<const float> bias, double s_acc,
+                                size_t offset, size_t count);
 
 /// Quantizes a float model with pre-computed activation scales.
 QuantizedModel quantize_model(const ref::EncoderWeights& weights,

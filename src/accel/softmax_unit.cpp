@@ -88,10 +88,8 @@ void SoftmaxUnit::run_causal_fused_into(tensor::ConstMatrixViewI32 acc,
     // Requantize each live lane exactly once, staged in the output row —
     // the emit pass below overwrites the staged logits with the weights
     // (lane c's weight only reads lane c's logit, so in place is safe).
-    for (size_t c = 0; c < valid; ++c) {
-      out_row[c] = static_cast<int8_t>(
-          numeric::requantize(int64_t{row[c]}, rq, -128, 127));
-    }
+    numeric::requantize_row(row.first(valid), nullptr, rq,
+                            out_row.first(valid));
     int32_t q_max = -128;
     for (size_t c = 0; c < valid; ++c) {
       q_max = std::max<int32_t>(q_max, out_row[c]);

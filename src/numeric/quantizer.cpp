@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 namespace protea::numeric {
 namespace {
@@ -18,6 +23,15 @@ int64_t round_half_even(double x) {
 }
 
 }  // namespace
+
+int32_t round_saturated(double q, int32_t lo, int32_t hi) {
+  // The bounds are integers and rounding is monotone, so clamping first
+  // gives the same value as rounding first for every in-range quotient.
+  if (q >= hi) return hi;
+  if (q <= lo) return lo;
+  if (std::isnan(q)) return 0;
+  return static_cast<int32_t>(std::llround(q));
+}
 
 Quantizer::Quantizer(int bits, bool pow2_scale)
     : bits_(bits), pow2_scale_(pow2_scale) {
@@ -65,7 +79,36 @@ void Quantizer::quantize(std::span<const float> in,
   if (in.size() != out.size()) {
     throw std::invalid_argument("Quantizer: size mismatch");
   }
-  for (size_t i = 0; i < in.size(); ++i) {
+  size_t i = 0;
+#ifdef __SSE2__
+  // quantize_one four lanes at a time, without a branch. divpd rounds
+  // like divsd; NaN is masked to 0; the clamp in double gives the same
+  // code as rounding first, because the bounds are integers; and
+  // cvtpd2dq rounds half to even in the default rounding mode, as the
+  // scalar division already assumes. The operands live in locals: an
+  // int8 store may alias the members.
+  const __m128d scale = _mm_set1_pd(scale_);
+  const __m128d lo = _mm_set1_pd(qmin_);
+  const __m128d hi = _mm_set1_pd(qmax_);
+  const auto codes = [&](__m128d x) {
+    __m128d q = _mm_div_pd(x, scale);
+    q = _mm_and_pd(q, _mm_cmpord_pd(q, q));
+    q = _mm_min_pd(_mm_max_pd(q, lo), hi);
+    return _mm_cvtpd_epi32(q);  // two int32 codes in the low half
+  };
+  for (; i + 4 <= in.size(); i += 4) {
+    const __m128 x = _mm_loadu_ps(in.data() + i);
+    __m128i q = _mm_unpacklo_epi64(codes(_mm_cvtps_pd(x)),
+                                   codes(_mm_cvtps_pd(_mm_movehl_ps(x, x))));
+    // static_cast<int8_t> keeps the low byte (wider codes at bits > 8):
+    // sign-extend it, so the saturating packs pass it through unchanged.
+    q = _mm_srai_epi32(_mm_slli_epi32(q, 24), 24);
+    const __m128i words = _mm_packs_epi32(q, q);
+    const int32_t bytes = _mm_cvtsi128_si32(_mm_packs_epi16(words, words));
+    std::memcpy(out.data() + i, &bytes, sizeof(bytes));
+  }
+#endif
+  for (; i < in.size(); ++i) {
     out[i] = static_cast<int8_t>(quantize_one(in[i]));
   }
 }

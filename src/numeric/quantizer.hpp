@@ -13,6 +13,12 @@
 
 namespace protea::numeric {
 
+/// llround(q), rounding half away from zero, saturated to [lo, hi]. The
+/// clamp is done in double before narrowing, so +-inf and quotients past
+/// the integer range saturate instead of wrapping; NaN gives 0, as in
+/// Quantizer::quantize_one.
+int32_t round_saturated(double q, int32_t lo, int32_t hi);
+
 struct QuantStats {
   double max_abs_error = 0.0;
   double mean_abs_error = 0.0;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace protea::numeric {
 
@@ -22,8 +23,21 @@ RequantParams make_requant_params(double real_ratio);
 
 /// acc * multiplier / 2^shift with round-half-away-from-zero, then
 /// saturation into [qmin, qmax]. Matches ARM/gemmlowp reference semantics.
+/// Exact for every int64 accumulator and any shift (an __int128 product):
+/// the oracle of requantize_row and its fallback.
 int32_t requantize(int64_t acc, RequantParams params, int32_t qmin,
                    int32_t qmax);
+
+/// The engines' write-back: out[j] = requantize(int64_t{acc[j]} +
+/// bias[j], params, -128, 127) for every j; a null `bias` adds nothing.
+/// One int64 product per element, rounded half away from zero without a
+/// branch on its sign. That is exact whenever s = acc + bias fits int32
+/// and 1 <= shift <= 62 (then |s * multiplier| <= 2^62 and adding the
+/// half, at most 2^61, cannot overflow); any other element goes through
+/// requantize. Throws std::invalid_argument unless acc and out have the
+/// same length (bias, when given, must have it too).
+void requantize_row(std::span<const int32_t> acc, const int32_t* bias,
+                    RequantParams params, std::span<int8_t> out);
 
 /// Pure power-of-two variant: acc >> shift with round-half-to-even and
 /// saturation; negative shift means a left shift.

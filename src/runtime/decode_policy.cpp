@@ -7,7 +7,12 @@
 #include <stdexcept>
 
 #include "accel/decoder_accelerator.hpp"
+#include "util/cpu_features.hpp"
 #include "util/math_util.hpp"
+
+#ifdef PROTEA_LOGITS_AVX2
+#include <immintrin.h>
+#endif
 
 namespace protea::runtime {
 
@@ -55,13 +60,16 @@ void VocabModel::validate(size_t d_model) const {
 
 // --- free helpers ------------------------------------------------------------
 
-void project_logits(const tensor::MatrixF& head,
-                    std::span<const float> state,
-                    std::span<float> logits) {
-  if (state.size() != head.cols() || logits.size() != head.rows()) {
-    throw std::invalid_argument("project_logits: shape mismatch");
-  }
-  for (size_t v = 0; v < head.rows(); ++v) {
+namespace detail {
+
+namespace {
+
+/// Rows [v0, head.rows()) of the LM head, one double chain per row in
+/// column order.
+void project_rows_scalar(const tensor::MatrixF& head,
+                         std::span<const float> state,
+                         std::span<float> logits, size_t v0) {
+  for (size_t v = v0; v < head.rows(); ++v) {
     double acc = 0.0;
     const auto row = head.row(v);
     for (size_t c = 0; c < row.size(); ++c) {
@@ -69,6 +77,99 @@ void project_logits(const tensor::MatrixF& head,
     }
     logits[v] = static_cast<float>(acc);
   }
+}
+
+}  // namespace
+
+void project_logits_scalar(const tensor::MatrixF& head,
+                           std::span<const float> state,
+                           std::span<float> logits) {
+  project_rows_scalar(head, state, logits, 0);
+}
+
+#ifdef PROTEA_LOGITS_AVX2
+// The AVX2 functions are compiled with target("avx2") and never "fma":
+// the body performs the scalar chain's own operations (widen, multiply,
+// add), so it equals the chain by construction, not by an argument about
+// which products happen to be exact in double.
+
+namespace {
+
+/// One step of four rows' chains: four rows x four columns from `r`
+/// (rows `cols` apart), transposed so that lane i holds row i, each
+/// column widened, multiplied by its broadcast state entry `s[k]` and
+/// added, in column order. Per lane these are the scalar chain's steps.
+__attribute__((target("avx2"))) inline __m256d head_step(
+    __m256d acc, const float* r, size_t cols, const __m256d* s) {
+  __m128 t0 = _mm_loadu_ps(r);
+  __m128 t1 = _mm_loadu_ps(r + cols);
+  __m128 t2 = _mm_loadu_ps(r + 2 * cols);
+  __m128 t3 = _mm_loadu_ps(r + 3 * cols);
+  _MM_TRANSPOSE4_PS(t0, t1, t2, t3);
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_cvtps_pd(t0), s[0]));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_cvtps_pd(t1), s[1]));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_cvtps_pd(t2), s[2]));
+  return _mm256_add_pd(acc, _mm256_mul_pd(_mm256_cvtps_pd(t3), s[3]));
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void project_logits_avx2(
+    const tensor::MatrixF& head, std::span<const float> state,
+    std::span<float> logits) {
+  constexpr size_t kRows = 16;  // four groups of 4 rows: four chains
+  const size_t vocab = head.rows();
+  const size_t cols = head.cols();
+  const size_t cols4 = cols - cols % 4;
+  size_t v0 = 0;
+  for (; v0 + kRows <= vocab; v0 += kRows) {
+    const float* rows = head.data() + v0 * cols;
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    for (size_t c = 0; c < cols4; c += 4) {
+      const __m256d s[4] = {_mm256_set1_pd(static_cast<double>(state[c])),
+                            _mm256_set1_pd(static_cast<double>(state[c + 1])),
+                            _mm256_set1_pd(static_cast<double>(state[c + 2])),
+                            _mm256_set1_pd(static_cast<double>(state[c + 3]))};
+      acc0 = head_step(acc0, rows + c, cols, s);
+      acc1 = head_step(acc1, rows + 4 * cols + c, cols, s);
+      acc2 = head_step(acc2, rows + 8 * cols + c, cols, s);
+      acc3 = head_step(acc3, rows + 12 * cols + c, cols, s);
+    }
+    alignas(32) double acc[kRows];
+    _mm256_store_pd(acc, acc0);
+    _mm256_store_pd(acc + 4, acc1);
+    _mm256_store_pd(acc + 8, acc2);
+    _mm256_store_pd(acc + 12, acc3);
+    for (size_t i = 0; i < kRows; ++i) {  // the last cols % 4 columns
+      const float* row = rows + i * cols;
+      for (size_t c = cols4; c < cols; ++c) {
+        acc[i] += static_cast<double>(row[c]) * static_cast<double>(state[c]);
+      }
+      logits[v0 + i] = static_cast<float>(acc[i]);
+    }
+  }
+  project_rows_scalar(head, state, logits, v0);
+}
+#endif
+
+}  // namespace detail
+
+void project_logits(const tensor::MatrixF& head,
+                    std::span<const float> state,
+                    std::span<float> logits) {
+  if (state.size() != head.cols() || logits.size() != head.rows()) {
+    throw std::invalid_argument("project_logits: shape mismatch");
+  }
+#ifdef PROTEA_LOGITS_AVX2
+  if (util::cpu_has_avx2()) {
+    detail::project_logits_avx2(head, state, logits);
+    return;
+  }
+#endif
+  detail::project_logits_scalar(head, state, logits);
 }
 
 void log_softmax_inplace(std::span<float> logits) {

@@ -82,9 +82,32 @@ struct VocabModel {
   void validate(size_t d_model) const;
 };
 
-/// logits[v] = head.row(v) . state (double accumulation, float store).
+/// logits[v] = head.row(v) . state: one double chain per row in column
+/// order, acc += double(head(v, c)) * double(state[c]), stored as float.
+/// Rows run 16 at a time on the AVX2 body where the CPU has it
+/// (util::cpu_has_avx2), else one at a time; both give the same bytes.
 void project_logits(const tensor::MatrixF& head,
                     std::span<const float> state, std::span<float> logits);
+
+// GCC and Clang compile a function for AVX2 by attribute alone, so the
+// AVX2 body needs no -mavx2 and the binary still runs without it.
+#if defined(__SSE2__) && defined(__GNUC__)
+#define PROTEA_LOGITS_AVX2 1
+#endif
+
+namespace detail {
+/// project_logits' bodies, without its shape check. The scalar body is
+/// the baseline; the AVX2 body keeps each row's chain in one lane, four
+/// rows to a register, and needs a CPU with AVX2.
+void project_logits_scalar(const tensor::MatrixF& head,
+                           std::span<const float> state,
+                           std::span<float> logits);
+#ifdef PROTEA_LOGITS_AVX2
+void project_logits_avx2(const tensor::MatrixF& head,
+                         std::span<const float> state,
+                         std::span<float> logits);
+#endif
+}  // namespace detail
 
 /// In-place log-softmax (double accumulation; -inf entries stay -inf).
 void log_softmax_inplace(std::span<float> logits);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "tensor/qgemm_detail.hpp"
+#include "util/cpu_features.hpp"
 
 namespace protea::tensor {
 namespace {
@@ -111,15 +112,13 @@ struct RowBlocks {
   std::array<RowBlock, kMaxKernelRows> by_rows;  // [R - 1]
 };
 
-/// Chosen on first use from the CPU's features alone. A function-local
-/// static is initialized once and thread-safely whenever it is first
-/// reached; __builtin_cpu_init makes the feature query valid even from
-/// another object's static initializer.
+/// Chosen on first use from the CPU's features alone
+/// (util::cpu_has_avx2). A function-local static is initialized once and
+/// thread-safely whenever it is first reached.
 const RowBlocks& row_blocks() {
   static const RowBlocks blocks = [] {
 #ifdef PROTEA_KPAIR_AVX2
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) {
+    if (util::cpu_has_avx2()) {
       return RowBlocks{"avx2",
                        {row_block_avx2<1>, row_block_avx2<2>,
                         row_block_avx2<3>, row_block_avx2<4>}};

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "accel/decoder_accelerator.hpp"
@@ -17,6 +20,7 @@
 #include "runtime/decode_policy.hpp"
 #include "runtime/generation.hpp"
 #include "runtime/traffic.hpp"
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
@@ -172,6 +176,123 @@ TEST(DecodePolicyHelpers, LogSoftmaxNormalizesAndKeepsMasks) {
                        std::exp(static_cast<double>(logits[1]));
   EXPECT_NEAR(total, 1.0, 1e-6);  // float logits bound the precision
   EXPECT_LT(logits[0], logits[1]);
+}
+
+// --- project_logits ------------------------------------------------------------
+//
+// The definition: logit v is one double chain over row v in column order,
+// each product rounded and then added, stored as float. Every body must
+// give the same bytes as that chain on every logit that is not NaN, and
+// NaN exactly where it does, at vocab sizes on both sides of the AVX2
+// body's 16-row blocks and widths on both sides of its 4-column steps.
+
+std::vector<float> logits_by_definition(const tensor::MatrixF& head,
+                                        std::span<const float> state) {
+  std::vector<float> logits(head.rows());
+  for (size_t v = 0; v < head.rows(); ++v) {
+    double acc = 0.0;
+    for (size_t c = 0; c < head.cols(); ++c) {
+      acc += static_cast<double>(head(v, c)) * static_cast<double>(state[c]);
+    }
+    logits[v] = static_cast<float>(acc);
+  }
+  return logits;
+}
+
+/// Values across 41 binades, so that the chain's additions round.
+float wide_value(util::Xoshiro256& rng) {
+  return static_cast<float>(
+      std::ldexp(rng.normal(), static_cast<int>(rng.bounded(41)) - 20));
+}
+
+/// A (vocab x cols) head with +-inf, NaN, -0 and subnormals planted in
+/// every third row, and five states: plain, all ones, with -0 and
+/// subnormals, with +inf, and with NaN. Another third of the rows swing
+/// between +2^40 and -2^40 every 4 columns, at a lane offset that moves
+/// from row to row, with values near 1 between: there the small terms
+/// round against a huge partial sum, so adding any two terms in another
+/// order shows in the float logit (under the all-ones state the +-2^40
+/// terms cancel and only the rounding of the small ones is left).
+struct HeadCase {
+  tensor::MatrixF head;
+  std::vector<std::vector<float>> states;
+};
+
+HeadCase head_case(size_t vocab, size_t cols) {
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float planted[] = {kInf,  -kInf,   kNan,   -0.0f,
+                           kDenorm, -kDenorm, 1e-40f, -0.0f};
+  util::Xoshiro256 rng(vocab * 1000 + cols);
+  HeadCase hc{tensor::MatrixF(vocab, cols), {}};
+  for (float& x : hc.head.flat()) x = wide_value(rng);
+  for (size_t v = 0; v < vocab; v += 3) {
+    hc.head(v, (v * 7) % cols) = planted[(v / 3) % std::size(planted)];
+  }
+  for (size_t v = 1; v < vocab; v += 3) {
+    for (size_t c = (v / 3) % 4; c < cols; c += 4) {
+      hc.head(v, c) = (c / 4) % 2 == 0 ? 0x1p40f : -0x1p40f;
+    }
+  }
+  std::vector<float> plain(cols);
+  for (float& x : plain) x = wide_value(rng);
+  std::vector<float> tiny = plain;
+  for (size_t c = 0; c < cols; c += 2) {
+    tiny[c] = c % 4 == 0 ? -0.0f : kDenorm * static_cast<float>(c);
+  }
+  std::vector<float> with_inf = plain;
+  with_inf[cols / 2] = kInf;
+  std::vector<float> with_nan = plain;
+  with_nan[cols - 1] = kNan;
+  hc.states = {plain, std::vector<float>(cols, 1.0f), tiny, with_inf,
+               with_nan};
+  return hc;
+}
+
+using LogitsBody = void (*)(const tensor::MatrixF&, std::span<const float>,
+                            std::span<float>);
+
+/// Runs `body` over the whole grid against the definition.
+void expect_body_keeps_chains(LogitsBody body) {
+  for (const size_t vocab : {1, 3, 4, 15, 16, 17, 128, 131}) {
+    for (const size_t cols : {1, 3, 4, 5, 255, 256}) {
+      const HeadCase hc = head_case(vocab, cols);
+      for (size_t s = 0; s < hc.states.size(); ++s) {
+        const std::vector<float> want =
+            logits_by_definition(hc.head, hc.states[s]);
+        std::vector<float> got(vocab, 42.0f);
+        body(hc.head, hc.states[s], got);
+        for (size_t v = 0; v < vocab; ++v) {
+          const bool same =
+              std::isnan(want[v])
+                  ? std::isnan(got[v])
+                  : std::memcmp(&got[v], &want[v], sizeof(float)) == 0;
+          if (!same) {
+            ADD_FAILURE() << "vocab " << vocab << " cols " << cols
+                          << " state " << s << " row " << v << ": got "
+                          << got[v] << ", chain gives " << want[v];
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ProjectLogits, DispatchedAndScalarBodiesKeepEachRowsChain) {
+  expect_body_keeps_chains(runtime::project_logits);
+  expect_body_keeps_chains(runtime::detail::project_logits_scalar);
+}
+
+TEST(ProjectLogits, Avx2BodyKeepsEachRowsChain) {
+#ifdef PROTEA_LOGITS_AVX2
+  if (!util::cpu_has_avx2()) {
+    GTEST_SKIP() << "this CPU lacks AVX2";
+  }
+  expect_body_keeps_chains(runtime::detail::project_logits_avx2);
+#else
+  GTEST_SKIP() << "no AVX2 body in this build (needs GCC or Clang on x86)";
+#endif
 }
 
 // --- TokenStream -------------------------------------------------------------

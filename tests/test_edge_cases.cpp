@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "accel/engines.hpp"
@@ -216,6 +218,60 @@ TEST(EdgeCases, LayerNormSaturatedOperandsStayInRange) {
   for (int8_t v : out.flat()) {
     EXPECT_GE(v, -128);
     EXPECT_LE(v, 127);
+  }
+}
+
+// --- float-to-int narrowing: saturate before narrowing ---------------------------
+//
+// Each expected value follows from the definition: round half away from
+// zero, then saturate to the target range, with NaN giving 0. A quotient
+// past the range, or +-inf, must saturate on its own side, not wrap.
+
+constexpr float kInfF = std::numeric_limits<float>::infinity();
+constexpr int32_t kI32Max = std::numeric_limits<int32_t>::max();
+constexpr int32_t kI32Min = std::numeric_limits<int32_t>::min();
+
+TEST(EdgeCases, ScaleBiasSaturatesPastInt32AndZeroesNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float below_two31 = std::nextafter(2147483648.0f, 0.0f);  // 2^31 - 128
+  const std::vector<float> bias = {
+      3e9f,  -3e9f,  2147483648.0f, -2147483648.0f, kInfF, -kInfF,
+      1e20f, -1e20f, nan,           below_two31,    0.5f,  -0.5f,
+      2.5f,  -2.5f,  1.25f,         0.0f};
+  const std::vector<int32_t> want = {
+      kI32Max, kI32Min, kI32Max, kI32Min, kI32Max, kI32Min,
+      kI32Max, kI32Min, 0,       2147483520, 1,     -1,
+      3,       -3,      1,       0};
+  EXPECT_EQ(scale_bias(bias, 1.0, 0, bias.size()), want);
+  // A small bias over a small accumulator scale: 3 / 1e-9 = 3e9.
+  const std::vector<float> three = {0.0f, 3.0f, -3.0f};
+  EXPECT_EQ(scale_bias(three, 1e-9, 1, 2),
+            (std::vector<int32_t>{kI32Max, kI32Min}));
+  // The power-of-two scales the models use divide exactly.
+  EXPECT_EQ(scale_bias(three, 0.25, 1, 2), (std::vector<int32_t>{12, -12}));
+}
+
+TEST(EdgeCases, LayerNormOutputSaturatesBeforeNarrowing) {
+  // gamma = 0 makes every output y = beta exactly, so each lane's
+  // quotient is beta / s_out; s_out = 2^-10 divides exactly.
+  const double s_out = 1.0 / 1024;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> beta = {
+      3e9f / 1024, -3e9f / 1024, kInfF, -kInfF, nan, 1e30f, -1e30f,
+      126.5f / 1024, -127.5f / 1024, 127.4f / 1024, -128.5f / 1024,
+      0.5f / 1024, -0.5f / 1024, 200.0f / 1024, -200.0f / 1024, 0.0f};
+  const std::vector<int8_t> want = {127, -128, 127, -128, 0,  127, -128,
+                                    127, -128, 127, -128, 1,  -1,  127,
+                                    -128, 0};
+  const std::vector<float> gamma(beta.size(), 0.0f);
+  LayerNormUnit unit(gamma, beta);
+  MatrixI8 x(1, beta.size()), r(1, beta.size(), 0);
+  for (size_t c = 0; c < beta.size(); ++c) {
+    x(0, c) = static_cast<int8_t>(c * 7 % 11);
+  }
+  const MatrixI8 out = unit.run(x, 1.0 / 16, r, 1.0 / 16, s_out);
+  for (size_t c = 0; c < beta.size(); ++c) {
+    EXPECT_EQ(int{out(0, c)}, int{want[c]}) << "beta " << beta[c];
   }
 }
 

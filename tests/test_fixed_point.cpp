@@ -333,6 +333,102 @@ TEST(QuantizerConformance, TiesGoToEvenAndTheirNeighboursToTheNearer) {
   }
 }
 
+// The vector quantize() bodies run several lanes at once, and the tests
+// above quantize one-element vectors, which never reach a vector lane.
+// Here each conformance input (the special values and every tie and its
+// neighbours, with the codes the definition gives) is put at each
+// position of a 37-element span (filler with known codes elsewhere) and
+// sent through both quantize() overloads.
+
+struct Conformance {
+  float x;
+  int32_t want;
+};
+
+/// The special values at `q`'s scale: zeros, the smallest subnormal, NaN
+/// and magnitudes that saturate (the first quotient >= 2^63 among them).
+std::vector<Conformance> special_inputs(const Quantizer& q) {
+  const double two63 = std::ldexp(1.0, 63);
+  float first = static_cast<float>(two63 * q.scale());
+  while (static_cast<double>(first) / q.scale() < two63) {
+    first = std::nextafter(first, kInf);
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<Conformance> inputs = {
+      {0.0f, 0}, {-0.0f, 0}, {std::numeric_limits<float>::denorm_min(), 0},
+      {nan, 0},  {-nan, 0}};
+  for (float big : {kInf, std::numeric_limits<float>::max(), 3e38f, 1e30f,
+                    1e18f, first, std::nextafter(first, 0.0f)}) {
+    inputs.push_back({big, q.qmax()});
+    inputs.push_back({-big, q.qmin()});
+  }
+  return inputs;
+}
+
+/// Ties (k + 1/2) * scale for k past both bounds, and the floats beside
+/// them. An exact tie (a power-of-two scale) goes to the even code; a
+/// neighbour goes to the nearer one.
+std::vector<Conformance> tie_inputs(const Quantizer& q, bool exact_ties) {
+  const auto saturated = [&](int32_t k) {
+    return std::clamp(k, q.qmin(), q.qmax());
+  };
+  std::vector<Conformance> inputs;
+  for (int32_t k = q.qmin() - 3; k <= q.qmax() + 3; ++k) {
+    const float tie = static_cast<float>((k + 0.5) * q.scale());
+    if (exact_ties) {
+      inputs.push_back({tie, saturated(k % 2 == 0 ? k : k + 1)});
+    }
+    inputs.push_back({std::nextafter(tie, kInf), saturated(k + 1)});
+    inputs.push_back({std::nextafter(tie, -kInf), saturated(k)});
+  }
+  return inputs;
+}
+
+/// Each input at each position of a 37-element span of filler.
+void expect_codes_in_every_lane(const Quantizer& q,
+                                const std::vector<Conformance>& inputs) {
+  constexpr size_t kSpan = 37;
+  std::vector<float> in(kSpan);
+  std::vector<int32_t> want(kSpan);
+  for (const Conformance& c : inputs) {
+    for (size_t pos = 0; pos < kSpan; ++pos) {
+      for (size_t j = 0; j < kSpan; ++j) {  // filler: codes -2 .. 2
+        want[j] = static_cast<int32_t>(j % 5) - 2;
+        in[j] = static_cast<float>(want[j] * q.scale());
+      }
+      in[pos] = c.x;
+      want[pos] = c.want;
+      std::vector<int8_t> narrow(kSpan);
+      std::vector<int16_t> wide(kSpan);
+      q.quantize(in, narrow);
+      q.quantize(in, wide);
+      for (size_t j = 0; j < kSpan; ++j) {
+        if (narrow[j] != want[j] || wide[j] != want[j]) {
+          ADD_FAILURE() << "bits " << q.bits() << ", scale " << q.scale()
+                        << ", x = " << c.x << " at lane " << pos
+                        << ": lane " << j << " gave int8 " << int{narrow[j]}
+                        << ", int16 " << wide[j] << ", want " << want[j];
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizerConformance, EveryInputInEveryLane) {
+  for (int bits : {4, 8}) {
+    SCOPED_TRACE(bits);
+    Quantizer free(bits, false);
+    free.set_scale(0.05);
+    expect_codes_in_every_lane(free, special_inputs(free));
+    expect_codes_in_every_lane(free, tie_inputs(free, false));
+    Quantizer pow2(bits, true);
+    pow2.set_scale(0.0625);
+    expect_codes_in_every_lane(pow2, special_inputs(pow2));
+    expect_codes_in_every_lane(pow2, tie_inputs(pow2, true));
+  }
+}
+
 // --- Requantize --------------------------------------------------------------------
 
 TEST(Requantize, ParamsRepresentRatio) {

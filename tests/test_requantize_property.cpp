@@ -16,12 +16,18 @@
 //     add-half-then-shift trick never disagrees with exact arithmetic;
 //   * requantize == llround(acc * ratio) EXACTLY for dyadic ratios, and
 //     within 1 output ULP of the real-valued product for arbitrary ones;
-//   * int8 saturation boundary: values that round to 128 / -129 clamp.
+//   * int8 saturation boundary: values that round to 128 / -129 clamp;
+//   * requantize_row (the engines' int64 write-back row) == the same
+//     reference at every lane of rows of every length, for sums on both
+//     sides of the int32 range and shifts on both sides of its int64
+//     bounds (1 and 62).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -34,22 +40,22 @@ namespace {
 /// Independent reference: exact integer divide/remainder with explicit
 /// round-half-away-from-zero — no shared machinery with the
 /// implementation's add-half-then-arithmetic-shift path.
-int64_t ref_requantize_unclamped(int64_t acc, RequantParams p) {
+__int128 ref_requantize_unclamped(int64_t acc, RequantParams p) {
   const __int128 num = static_cast<__int128>(acc) * p.multiplier;
   if (p.shift <= 0) {
-    return static_cast<int64_t>(num << -p.shift);
+    return num << -p.shift;
   }
   const __int128 den = static_cast<__int128>(1) << p.shift;
   __int128 q = num / den;  // truncates toward zero
   __int128 r = num % den;
   if (r < 0) r = -r;
   if (2 * r >= den) q += (num >= 0 ? 1 : -1);
-  return static_cast<int64_t>(q);
+  return q;
 }
 
 int32_t ref_requantize(int64_t acc, RequantParams p, int32_t qmin,
                        int32_t qmax) {
-  const int64_t v = ref_requantize_unclamped(acc, p);
+  const __int128 v = ref_requantize_unclamped(acc, p);
   if (v > qmax) return qmax;
   if (v < qmin) return qmin;
   return static_cast<int32_t>(v);
@@ -229,6 +235,168 @@ TEST(RequantizePow2, TieBreaksToEvenAndSaturates) {
   EXPECT_EQ(requantize_pow2(1024, 2, -128, 127), 127);
   EXPECT_EQ(requantize_pow2(-1024, 2, -128, 127), -128);
   EXPECT_EQ(requantize_pow2(3, -2, -128, 127), 12);  // negative = left shift
+}
+
+// --- requantize_row -----------------------------------------------------------
+//
+// The row computes one int64 product per element and falls back to
+// requantize where that is not exact: a sum acc + bias outside int32, or
+// a shift outside [1, 62]. Each test vector below is a sum s = acc + bias
+// chosen by construction: the int32 bounds and their neighbours, twice
+// those bounds, and for every parameter set the sums nearest to the
+// real values r * 2^shift / multiplier for r at the clamp edges (-129,
+// -128, 127, 128), at ties of both signs (+-0.5, -128.5, 127.5, ...) and
+// beside them. The expected code is the exact reference's, never the
+// row's own arithmetic.
+
+constexpr int64_t kI32Min = std::numeric_limits<int32_t>::min();
+constexpr int64_t kI32Max = std::numeric_limits<int32_t>::max();
+
+/// Hand-built parameters on both sides of the int64 path's shift bounds,
+/// at the multiplier extremes, plus the calibrated kinds the engines use.
+std::vector<RequantParams> row_params() {
+  std::vector<RequantParams> params;
+  for (const int64_t m : {kI32Min, int64_t{-1}, int64_t{1}, int64_t{1} << 30,
+                          kI32Max}) {
+    for (const int shift : {0, 1, 2, 31, 62, 63}) {
+      params.push_back({static_cast<int32_t>(m), shift});
+    }
+  }
+  for (const double ratio : {0.5, 0.0173, 1.0 / 3.0, 3e-5, 1.0}) {
+    params.push_back(make_requant_params(ratio));
+  }
+  return params;
+}
+
+/// The sums a row of `p` is tested on, all within [2 * INT32_MIN,
+/// 2 * INT32_MAX] (what one int32 accumulator plus one int32 bias reach).
+std::vector<int64_t> row_sums(RequantParams p) {
+  std::vector<int64_t> sums = {0,           1,           -1,
+                               2,           -2,          kI32Max - 1,
+                               kI32Max,     kI32Max + 1, kI32Max + 2,
+                               kI32Min + 1, kI32Min,     kI32Min - 1,
+                               kI32Min - 2, 2 * kI32Max, 2 * kI32Min};
+  // Twice each target real value r, so the ties are integers too.
+  for (const int64_t twice_r : {-260, -259, -258, -257, -256, -255, -254,
+                                -253, -1, 1, 253, 254, 255, 256, 257, 258}) {
+    // s0 = floor(r * 2^shift / m), computed exactly.
+    __int128 num = static_cast<__int128>(twice_r);
+    __int128 den = 2 * static_cast<__int128>(p.multiplier);
+    if (p.shift >= 0) {
+      num <<= p.shift;
+    } else {
+      den <<= -p.shift;
+    }
+    if (den < 0) {
+      num = -num;
+      den = -den;
+    }
+    __int128 s0 = num / den;
+    if (num % den != 0 && num < 0) --s0;
+    for (const __int128 s : {s0 - 1, s0, s0 + 1}) {
+      if (s >= 2 * kI32Min && s <= 2 * kI32Max) {
+        sums.push_back(static_cast<int64_t>(s));
+      }
+    }
+  }
+  return sums;
+}
+
+/// Runs requantize_row over `acc` (+ `bias` when not null) and holds
+/// every lane to the exact reference and to scalar requantize.
+void expect_row(const std::vector<int32_t>& acc, const int32_t* bias,
+                RequantParams p) {
+  std::vector<int8_t> out(acc.size(), int8_t{0x5a});
+  requantize_row(acc, bias, p, out);
+  for (size_t j = 0; j < acc.size(); ++j) {
+    const int64_t s = int64_t{acc[j]} + (bias != nullptr ? bias[j] : 0);
+    const int32_t want = ref_requantize(s, p, -128, 127);
+    if (out[j] != want || requantize(s, p, -128, 127) != want) {
+      std::ostringstream where;
+      where << "multiplier " << p.multiplier << " shift " << p.shift
+            << " length " << acc.size() << " lane " << j << " acc "
+            << acc[j] << " bias " << (bias != nullptr ? bias[j] : 0);
+      ADD_FAILURE() << where.str() << ": row " << int{out[j]}
+                    << ", requantize " << requantize(s, p, -128, 127)
+                    << ", reference " << want;
+      return;
+    }
+  }
+}
+
+TEST(RequantizeRow, EveryLaneOfEveryLengthMatchesTheExactReference) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (size_t n : {63, 64, 65}) lengths.push_back(n);
+  for (const RequantParams p : row_params()) {
+    const std::vector<int64_t> sums = row_sums(p);
+    // Sums a lone int32 accumulator can hold (no bias).
+    std::vector<int64_t> narrow;
+    for (const int64_t s : sums) {
+      if (s >= kI32Min && s <= kI32Max) narrow.push_back(s);
+    }
+    for (const size_t n : lengths) {
+      // Consecutive rows walk the vector list from consecutive offsets,
+      // so every vector lands in every row length, at shifting lanes.
+      const size_t rows = n == 0 ? 1 : sums.size() + n;
+      for (size_t row = 0; row < rows; ++row) {
+        std::vector<int32_t> acc(n), bias(n), lone(n);
+        for (size_t j = 0; j < n; ++j) {
+          const int64_t s = sums[(row + j) % sums.size()];
+          // Split the sum two ways: half each, or as much as possible
+          // in the accumulator with the rest in the bias.
+          const int64_t b = (row + j) % 2 == 0
+                                ? s / 2
+                                : s - std::clamp(s, kI32Min, kI32Max);
+          acc[j] = static_cast<int32_t>(s - b);
+          bias[j] = static_cast<int32_t>(b);
+          lone[j] = static_cast<int32_t>(narrow[(row + j) % narrow.size()]);
+        }
+        expect_row(acc, bias.data(), p);
+        expect_row(lone, nullptr, p);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RequantizeRow, HalfRatioTiesAndClampEdgesByHand) {
+  // multiplier 2^30, shift 31: the code is s / 2, ties away from zero.
+  const RequantParams half{1 << 30, 31};
+  const std::vector<int32_t> acc = {1,    -1,   3,    -3,  253, -253,
+                                    254,  256,  255,  -255, -256, -258,
+                                    -257, kI32Max, kI32Max, kI32Min, kI32Min};
+  const std::vector<int32_t> bias = {0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                     0, 0, 0, 0, 0, 1, 0, -1};
+  const std::vector<int8_t> want = {
+      1,    -1,   // +-0.5 -> +-1
+      2,    -2,   // +-1.5 -> +-2
+      127,  -127, // +-126.5 -> +-127
+      127,        // 127
+      127,        // 128 clamps
+      127,        // 127.5 -> 128 clamps
+      -128,       // -127.5 -> -128
+      -128,       // -128
+      -128,       // -129 clamps
+      -128,       // -128.5 -> -129 clamps
+      127,  127,  // INT32_MAX, and one past it with the bias
+      -128, -128  // INT32_MIN, and one below it with the bias
+  };
+  for (const bool with_bias : {false, true}) {
+    std::vector<int8_t> out(acc.size());
+    requantize_row(acc, with_bias ? bias.data() : nullptr, half, out);
+    for (size_t j = 0; j < acc.size(); ++j) {
+      if (!with_bias && bias[j] != 0) continue;
+      EXPECT_EQ(out[j], want[j]) << "lane " << j << " bias " << with_bias;
+    }
+  }
+}
+
+TEST(RequantizeRow, RejectsMismatchedLengths) {
+  const std::vector<int32_t> acc(4);
+  std::vector<int8_t> out(3);
+  EXPECT_THROW(requantize_row(acc, nullptr, RequantParams{}, out),
+               std::invalid_argument);
 }
 
 }  // namespace
